@@ -110,9 +110,7 @@ def _measure_family(label: str, net, max_states: int) -> None:
     serial_best = None
     for _ in range(REPS):
         with obs.record() as recorder:
-            graph = ReachabilityGraph(
-                net, backend="compiled", max_states=max_states
-            )
+            graph = ReachabilityGraph(net, max_states=max_states)
         elapsed = _span_ms(recorder, "engine.eager.explore")
         serial_best = elapsed if serial_best is None else min(serial_best, elapsed)
     reference = (
@@ -132,10 +130,7 @@ def _measure_family(label: str, net, max_states: int) -> None:
         for _ in range(REPS):
             with obs.record() as recorder:
                 result = parallel_explore(
-                    net,
-                    workers=workers,
-                    backend="compiled",
-                    max_states=max_states,
+                    net, workers=workers, max_states=max_states
                 )
             elapsed = _span_ms(recorder, "engine.parallel.explore")
             best = elapsed if best is None else min(best, elapsed)

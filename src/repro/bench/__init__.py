@@ -1,7 +1,6 @@
-"""Corpus differential harness: external nets through engines x backends."""
+"""Corpus differential harness: external nets through every engine."""
 
 from repro.bench.corpus import (
-    BACKENDS,
     ENGINES,
     CellResult,
     CorpusError,
@@ -15,7 +14,6 @@ from repro.bench.corpus import (
 )
 
 __all__ = [
-    "BACKENDS",
     "ENGINES",
     "CellResult",
     "CorpusError",

@@ -1,6 +1,5 @@
 """Corpus differential harness: every net in a directory, swept through
-every exploration engine and state backend, with loud disagreement
-reporting.
+every exploration engine, with loud disagreement reporting.
 
 The engines answer the same questions by different routes:
 
@@ -11,18 +10,15 @@ The engines answer the same questions by different routes:
 * ``por`` — the same lazy space under deadlock-preserving stubborn-set
   reduction (``visible_actions=()``);
 * ``symbolic`` — the state-equation semi-decision procedure
-  (:mod:`repro.petri.symbolic`): no enumeration, one cell per instance
-  at backend ``"-"``, carrying a boundedness verdict and the
-  conclusively-dead action set.
+  (:mod:`repro.petri.symbolic`): no enumeration, carrying a boundedness
+  verdict and the conclusively-dead action set.
 
-The enumerating engines run over both state backends (``dict``
-reference / ``compiled`` packed vectors).  Agreement rules (checked by
+Each instance gets one cell per engine.  Agreement rules (checked by
 :func:`diff_cells`):
 
-* per engine, ``dict`` and ``compiled`` must be *identical* — outcome,
-  state count, edge count, deadlock set;
-* ``eager`` and ``onthefly`` must be identical to each other (the lazy
-  space is documented as a drop-in for the eager graph);
+* ``eager`` and ``onthefly`` must be *identical* — outcome, state
+  count, edge count, deadlock set (the lazy space is documented as a
+  drop-in for the eager graph);
 * ``por`` preserves deadlock sets exactly and never explores more
   states/edges than the full space, so on instances where both
   complete, its deadlock set must equal the reference and its counts
@@ -59,11 +55,6 @@ from repro.petri.net import EPSILON, PetriNet
 from repro.petri.reachability import ReachabilityGraph, UnboundedNetError
 
 ENGINES: tuple[str, ...] = ("eager", "onthefly", "por", "symbolic")
-BACKENDS: tuple[str, ...] = ("dict", "compiled")
-
-#: the symbolic engine explores no states, so it has no state backend;
-#: its single matrix cell per instance carries this placeholder.
-SYMBOLIC_BACKEND = "-"
 
 #: fuzz_laws only touches nets whose full state space fits this budget —
 #: language comparison determinises, so corpus-sized nets must stay tiny.
@@ -76,7 +67,7 @@ class CorpusError(Exception):
 
 @dataclass(frozen=True)
 class CellResult:
-    """One (engine, backend) cell of the differential matrix.
+    """One engine's cell of the differential matrix.
 
     ``outcome`` is ``"ok"``, ``"bound-exceeded"`` (state budget hit),
     ``"unbounded"`` (Karp-Miller strict covering found) or
@@ -92,7 +83,6 @@ class CellResult:
     """
 
     engine: str
-    backend: str
     outcome: str
     states: int | None = None
     edges: int | None = None
@@ -179,18 +169,16 @@ def discover(directory: str | Path) -> list[Path]:
 def explore_cell(
     net: PetriNet,
     engine: str,
-    backend: str,
     max_states: int,
     workers: int = 1,
     memory_budget: int | None = None,
     net_hash: str | None = None,
 ) -> CellResult:
-    """Run one engine/backend combination over ``net``.
+    """Run one engine over ``net``.
 
     State, edge and deadlock counts are all derived through each
-    engine's *public* marking-domain API so the comparison is
-    representation-independent — the compiled backend must agree after
-    decoding, not just internally.
+    engine's *public* marking-domain API, so the comparison covers the
+    decoding at every engine's API boundary, not just the packed core.
 
     ``workers`` > 1 (or a ``memory_budget``) routes the ``eager`` and
     ``onthefly`` cells through the sharded parallel explorer
@@ -206,9 +194,9 @@ def explore_cell(
     ``net_hash`` (set by :func:`run_instance` when an artifact store is
     active) enables the bench-cell memo: serial cells are keyed by the
     *semantics* of their exploration — the full space for ``eager`` and
-    ``onthefly`` over either backend, the reduced space (plus proviso)
-    for ``por`` — so a warm sweep serves identical cells without
-    exploring.  Parallel cells always recompute.
+    ``onthefly``, the reduced space (plus proviso) for ``por`` — so a
+    warm sweep serves identical cells without exploring.  Parallel
+    cells always recompute.
     """
     if engine == "symbolic":
         return symbolic_cell(net, workers=workers, net_hash=net_hash)
@@ -222,13 +210,11 @@ def explore_cell(
             verdicts.BENCH_KIND, memo_key, max_states=max_states
         )
         if entry is not None:
-            cell = _cell_restore(entry, engine, backend, workers)
+            cell = _cell_restore(entry, engine, workers)
             if cell is not None:
                 return cell
     fired: frozenset[str] | None = None
-    with obs.span(
-        "bench.cell", engine=engine, backend=backend, workers=workers
-    ) as handle:
+    with obs.span("bench.cell", engine=engine, workers=workers) as handle:
         try:
             if parallel:
                 from repro.petri.parallel import parallel_explore
@@ -238,15 +224,12 @@ def explore_cell(
                     workers=workers,
                     max_states=max_states,
                     memory_budget=memory_budget,
-                    backend=backend,
                 )
                 states = result.states
                 edges = result.edges
                 deadlocks = result.deadlock_set()
             elif engine == "eager":
-                graph = ReachabilityGraph(
-                    net, max_states=max_states, backend=backend
-                )
+                graph = ReachabilityGraph(net, max_states=max_states)
                 states = graph.num_states()
                 edges = graph.num_edges()
                 deadlocks = frozenset(graph.deadlocks())
@@ -258,7 +241,6 @@ def explore_cell(
                     max_states=max_states,
                     reduction=(engine == "por"),
                     visible_actions=() if engine == "por" else None,
-                    backend=backend,
                 )
                 markings = list(space.iter_bfs())
                 successors = [space.successors(m) for m in markings]
@@ -278,17 +260,16 @@ def explore_cell(
             outcome = "unbounded" if error.bound is None else "bound-exceeded"
             conclusive = outcome == "unbounded"
             handle.set(outcome=outcome, conclusive=conclusive)
-            cell = CellResult(engine, backend, outcome, conclusive=conclusive)
+            cell = CellResult(engine, outcome, conclusive=conclusive)
             _cell_publish(memo_key, cell, max_states)
             return cell
         handle.set(outcome="ok", states=states, edges=edges, conclusive=True)
-    prefix = f"bench.{engine}.{backend}"
+    prefix = f"bench.{engine}"
     obs.gauge(f"{prefix}.states", states)
     obs.gauge(f"{prefix}.edges", edges)
     obs.gauge(f"{prefix}.deadlocks", len(deadlocks))
     cell = CellResult(
         engine,
-        backend,
         "ok",
         states,
         edges,
@@ -328,10 +309,7 @@ def symbolic_cell(
             cell = _symbolic_restore(entry, workers)
             if cell is not None:
                 return cell
-    with obs.span(
-        "bench.cell", engine="symbolic", backend=SYMBOLIC_BACKEND,
-        workers=workers,
-    ) as handle:
+    with obs.span("bench.cell", engine="symbolic", workers=workers) as handle:
         result = analyze(net)
         verdict = result["bounded"]
         dead = result["dead_actions"]
@@ -355,7 +333,6 @@ def symbolic_cell(
         )
     return CellResult(
         "symbolic",
-        SYMBOLIC_BACKEND,
         outcome,
         conclusive=verdict.conclusive,
         dead_actions=dead,
@@ -364,11 +341,9 @@ def symbolic_cell(
 
 def _cell_key(engine: str, net_hash: str) -> str:
     """The memo key of a matrix cell — by exploration *semantics*:
-    ``eager`` and ``onthefly`` enumerate the same full space over any
-    backend, so all four of those cells share one key; ``por`` explores
-    the reduced space governed by its proviso; ``symbolic`` never
-    enumerates.  Backends are deliberately absent (PR 2's differential
-    proved the counts representation-independent)."""
+    ``eager`` and ``onthefly`` enumerate the same full space, so both
+    cells share one key; ``por`` explores the reduced space governed by
+    its proviso; ``symbolic`` never enumerates."""
     from repro.cache import verdicts
 
     if engine == "por":
@@ -380,9 +355,7 @@ def _cell_key(engine: str, net_hash: str) -> str:
     return verdicts.semantic_key("bench-full", net_hash)
 
 
-def _cell_restore(
-    entry: dict, engine: str, backend: str, workers: int
-) -> CellResult | None:
+def _cell_restore(entry: dict, engine: str, workers: int) -> CellResult | None:
     """A served cell, byte-identical to the cold run: same span meta
     (plus ``cached``), same gauges, same :class:`CellResult` fields.
     Lazy engines need the fired-action set for the cross-engine
@@ -395,15 +368,11 @@ def _cell_restore(
         outcome = str(result["outcome"])
         if outcome != "ok":
             conclusive = outcome == "unbounded"
-            with obs.span(
-                "bench.cell", engine=engine, backend=backend, workers=workers
-            ) as handle:
+            with obs.span("bench.cell", engine=engine, workers=workers) as handle:
                 handle.set(
                     outcome=outcome, conclusive=conclusive, cached=True
                 )
-            return CellResult(
-                engine, backend, outcome, conclusive=conclusive, cached=True
-            )
+            return CellResult(engine, outcome, conclusive=conclusive, cached=True)
         states = int(result["states"])
         edges = int(result["edges"])
         deadlocks = frozenset(
@@ -416,9 +385,7 @@ def _cell_restore(
             fired = frozenset(result["fired_actions"])
     except (KeyError, TypeError, ValueError):
         return None
-    with obs.span(
-        "bench.cell", engine=engine, backend=backend, workers=workers
-    ) as handle:
+    with obs.span("bench.cell", engine=engine, workers=workers) as handle:
         handle.set(
             outcome="ok",
             states=states,
@@ -426,13 +393,12 @@ def _cell_restore(
             conclusive=True,
             cached=True,
         )
-    prefix = f"bench.{engine}.{backend}"
+    prefix = f"bench.{engine}"
     obs.gauge(f"{prefix}.states", states)
     obs.gauge(f"{prefix}.edges", edges)
     obs.gauge(f"{prefix}.deadlocks", len(deadlocks))
     return CellResult(
         engine,
-        backend,
         "ok",
         states,
         edges,
@@ -469,7 +435,7 @@ def _cell_publish(memo_key: str | None, cell: CellResult, max_states: int) -> No
             conclusive=True,
             floor=cell.states,
             proven_at=max_states,
-            provenance={"engine": cell.engine, "backend": cell.backend},
+            provenance={"engine": cell.engine},
         )
     elif cell.outcome == "unbounded":
         # The strict covering was found within this budget; any larger
@@ -481,7 +447,7 @@ def _cell_publish(memo_key: str | None, cell: CellResult, max_states: int) -> No
             conclusive=True,
             floor=max_states,
             proven_at=max_states,
-            provenance={"engine": cell.engine, "backend": cell.backend},
+            provenance={"engine": cell.engine},
         )
     else:  # bound-exceeded: inconclusive, reusable only at this budget
         verdicts.memo_store(
@@ -490,7 +456,7 @@ def _cell_publish(memo_key: str | None, cell: CellResult, max_states: int) -> No
             {"outcome": "bound-exceeded"},
             conclusive=False,
             proven_at=max_states,
-            provenance={"engine": cell.engine, "backend": cell.backend},
+            provenance={"engine": cell.engine},
         )
 
 
@@ -502,16 +468,12 @@ def _symbolic_restore(entry: dict, workers: int) -> CellResult | None:
         dead = frozenset(result["dead_actions"])
     except (KeyError, TypeError, ValueError):
         return None
-    with obs.span(
-        "bench.cell", engine="symbolic", backend=SYMBOLIC_BACKEND,
-        workers=workers,
-    ) as handle:
+    with obs.span("bench.cell", engine="symbolic", workers=workers) as handle:
         handle.set(outcome=outcome, conclusive=conclusive, cached=True)
     obs.gauge("bench.symbolic.dead_actions", len(dead))
     obs.gauge("bench.symbolic.conclusive", int(conclusive))
     return CellResult(
         "symbolic",
-        SYMBOLIC_BACKEND,
         outcome,
         conclusive=conclusive,
         dead_actions=dead,
@@ -522,7 +484,7 @@ def _symbolic_restore(entry: dict, workers: int) -> CellResult | None:
 def diff_cells(
     cells: list[CellResult], net: PetriNet | None = None
 ) -> list[str]:
-    """Cross-engine/backend agreement violations (empty = all agree).
+    """Cross-engine agreement violations (empty = all agree).
 
     With ``net``, the symbolic cell's claims are additionally checked
     *against the net*: every deadlock marking an explicit engine
@@ -531,68 +493,47 @@ def diff_cells(
     loudly here rather than silently tolerated).
     """
     problems: list[str] = []
-    by_key = {(cell.engine, cell.backend): cell for cell in cells}
+    by_engine = {cell.engine: cell for cell in cells}
 
-    def exact(left: CellResult, right: CellResult, what: str) -> None:
-        if (left.outcome, left.states, left.edges, left.deadlocks) != (
-            right.outcome,
-            right.states,
-            right.edges,
-            right.deadlocks,
-        ):
-            problems.append(
-                f"{what}: {left.engine}/{left.backend} says"
-                f" {left.summary()} but {right.engine}/{right.backend}"
-                f" says {right.summary()}"
-            )
-
-    engines = sorted({cell.engine for cell in cells if cell.engine != "symbolic"})
-    backends = sorted({cell.backend for cell in cells if cell.backend != SYMBOLIC_BACKEND})
-    for engine in engines:
-        present = [by_key[(engine, b)] for b in backends if (engine, b) in by_key]
-        for other in present[1:]:
-            exact(present[0], other, "backend mismatch")
-
-    symbolic = by_key.get(("symbolic", SYMBOLIC_BACKEND))
+    symbolic = by_engine.get("symbolic")
     if symbolic is not None:
         problems.extend(_symbolic_problems(symbolic, cells, net))
 
-    reference = next(
-        (
-            by_key[(engine, backend)]
-            for engine in ("eager", "onthefly")
-            for backend in ("dict", "compiled")
-            if (engine, backend) in by_key
-        ),
-        None,
-    )
-    if reference is None:
+    full = [by_engine[e] for e in ("eager", "onthefly") if e in by_engine]
+    if not full:
         return problems
-    for backend in backends:
-        for engine in ("eager", "onthefly"):
-            cell = by_key.get((engine, backend))
-            if cell is not None and cell is not reference:
-                exact(reference, cell, "engine mismatch")
-        por = by_key.get(("por", backend))
-        if por is None:
-            continue
-        if reference.outcome == "ok" and por.outcome != "ok":
+    reference = full[0]
+    for cell in full[1:]:
+        if (cell.outcome, cell.states, cell.edges, cell.deadlocks) != (
+            reference.outcome,
+            reference.states,
+            reference.edges,
+            reference.deadlocks,
+        ):
             problems.append(
-                f"por/{backend} reports {por.outcome} although the full"
-                f" space completed with {reference.summary()}"
+                f"engine mismatch: {reference.engine} says"
+                f" {reference.summary()} but {cell.engine} says"
+                f" {cell.summary()}"
             )
-        elif reference.outcome == "ok" and por.outcome == "ok":
-            if por.deadlocks != reference.deadlocks:
-                problems.append(
-                    f"por/{backend} deadlock set differs from"
-                    f" {reference.engine}: {len(por.deadlocks)} vs"
-                    f" {len(reference.deadlocks)} markings"
-                )
-            if por.states > reference.states or por.edges > reference.edges:
-                problems.append(
-                    f"por/{backend} explored more than the full space:"
-                    f" {por.summary()} vs {reference.summary()}"
-                )
+    por = by_engine.get("por")
+    if por is None or reference.outcome != "ok":
+        return problems
+    if por.outcome != "ok":
+        problems.append(
+            f"por reports {por.outcome} although the full space completed"
+            f" with {reference.summary()}"
+        )
+        return problems
+    if por.deadlocks != reference.deadlocks:
+        problems.append(
+            f"por deadlock set differs from {reference.engine}:"
+            f" {len(por.deadlocks)} vs {len(reference.deadlocks)} markings"
+        )
+    if por.states > reference.states or por.edges > reference.edges:
+        problems.append(
+            f"por explored more than the full space: {por.summary()} vs"
+            f" {reference.summary()}"
+        )
     return problems
 
 
@@ -622,8 +563,7 @@ def _symbolic_problems(
             if cell.outcome == "unbounded":
                 problems.append(
                     "symbolic claims the net is bounded but"
-                    f" {cell.engine}/{cell.backend} found a strict"
-                    " covering (unbounded)"
+                    f" {cell.engine} found a strict covering (unbounded)"
                 )
     dead = symbolic.dead_actions or frozenset()
     if dead:
@@ -635,7 +575,7 @@ def _symbolic_problems(
                 problems.append(
                     "symbolic claims action(s)"
                     f" {', '.join(witnessed)} are dead but"
-                    f" {cell.engine}/{cell.backend} fired them"
+                    f" {cell.engine} fired them"
                 )
     if net is not None:
         from repro.petri.symbolic import marking_unreachable
@@ -657,7 +597,7 @@ def _symbolic_problems(
                     problems.append(
                         "symbolic claims a deadlock marking is"
                         f" unreachable although {reference.engine}"
-                        f"/{reference.backend} reached it: {marking}"
+                        f" reached it: {marking}"
                     )
     return problems
 
@@ -665,7 +605,6 @@ def _symbolic_problems(
 def run_instance(
     path: str | Path,
     engines: tuple[str, ...] = ENGINES,
-    backends: tuple[str, ...] = BACKENDS,
     max_states: int = 200_000,
     workers: int = 1,
     memory_budget: int | None = None,
@@ -682,7 +621,7 @@ def run_instance(
     ``stg`` accepts an already-parsed module for ``path`` so sweeps
     that need the net elsewhere too (:func:`run_corpus` and its algebra
     laws) parse each file exactly once.  The net is lowered to its
-    compiled form once, up front, and every ``compiled`` cell shares
+    compiled form once, up front, and every enumerating cell shares
     that single lowering; with an artifact store active its content
     hash is likewise computed once and handed to each cell's memo.
     """
@@ -709,31 +648,19 @@ def run_instance(
         with obs.span(
             "bench.instance", net=net.name, file=path.name, workers=workers
         ):
-            if "compiled" in backends and any(
-                engine != "symbolic" for engine in engines
-            ):
+            if any(engine != "symbolic" for engine in engines):
                 net.compiled()
-            cells = []
-            for engine in engines:
-                if engine == "symbolic":
-                    # One cell, no backend sweep: the state-equation
-                    # engine never touches a state representation.
-                    cells.append(
-                        symbolic_cell(net, workers=workers, net_hash=net_hash)
-                    )
-                    continue
-                for backend in backends:
-                    cells.append(
-                        explore_cell(
-                            net,
-                            engine,
-                            backend,
-                            max_states,
-                            workers=workers,
-                            memory_budget=memory_budget,
-                            net_hash=net_hash,
-                        )
-                    )
+            cells = [
+                explore_cell(
+                    net,
+                    engine,
+                    max_states,
+                    workers=workers,
+                    memory_budget=memory_budget,
+                    net_hash=net_hash,
+                )
+                for engine in engines
+            ]
             obs.count("bench.cells", len(cells))
             obs.gauge("bench.workers", workers)
     payload = recorder.to_dict()
@@ -750,7 +677,6 @@ def run_instance(
 def run_corpus(
     paths,
     engines: tuple[str, ...] = ENGINES,
-    backends: tuple[str, ...] = BACKENDS,
     max_states: int = 200_000,
     out_dir: str | Path | None = None,
     check_laws: bool = False,
@@ -784,7 +710,6 @@ def run_corpus(
         instance = run_instance(
             path,
             engines,
-            backends,
             max_states,
             workers=workers,
             memory_budget=memory_budget,
@@ -821,7 +746,7 @@ def _write_payloads(report: CorpusReport, out_dir: Path) -> None:
                 "payload": target.name,
                 "ok": instance.ok,
                 "cells": {
-                    f"{cell.engine}/{cell.backend}": {
+                    cell.engine: {
                         "summary": cell.summary(),
                         "conclusive": cell.conclusive,
                         "cached": cell.cached,

@@ -1,10 +1,10 @@
 """Content-addressed compile & verdict cache (the ``cip`` artifact store).
 
-PRs 2-9 established, via differential harnesses, that every verdict in
-this codebase — language equality/containment, bisimilarity,
+The differential harnesses establish that every verdict in this
+codebase — language equality/containment, bisimilarity,
 receptiveness, behavioural properties — is a pure function of net
-*content*: engines, state backends and worker counts change how fast an
-answer arrives, never what it is.  This package turns that invariance
+*content*: engines and worker counts change how fast an answer
+arrives, never what it is.  This package turns that invariance
 into reuse:
 
 * :mod:`repro.cache.content` — canonical content hashes for nets and

@@ -112,6 +112,6 @@ def derived_key(operator: str, operands: list[str], **params) -> str:
 def semantic_key(check: str, *parts) -> str:
     """Key for a verdict memo entry: the check name plus every semantic
     parameter that changes the answer (content hashes, visible
-    alphabets, modes) — and deliberately *not* engine/backend/workers.
+    alphabets, modes) — and deliberately *not* engine/workers.
     """
     return _digest({"kind": "verdict", "check": check, "parts": list(parts)})

@@ -12,8 +12,8 @@ the ``max_states`` exploration budget it was computed under:
   budget-dependent, so they are served **only** at exactly that budget;
   a larger budget must re-explore.
 
-Entries are *not* keyed by engine, backend or worker count — PRs 2-9's
-differential harnesses proved verdicts invariant under all three.  The
+Entries are *not* keyed by engine or worker count — the differential
+harnesses prove verdicts invariant under both.  The
 original execution configuration is kept as ``provenance`` and surfaced
 on reports (``cached: true`` + the original engine), so a hit is
 byte-identical to the cold run that produced the entry.

@@ -12,7 +12,7 @@ extension (see ``docs/INTEROP.md``):
 * ``cip synth FILE`` — complex-gate synthesis (prints the netlist);
 * ``cip dot FILE`` — Graphviz export;
 * ``cip convert IN OUT`` — format translation;
-* ``cip bench DIR`` — corpus differential sweep (engines x backends).
+* ``cip bench DIR`` — corpus differential sweep across the engines.
 
 Exit codes: ``0`` success, ``1`` verification/synthesis failure,
 ``2`` usage or input errors (missing file, unparsable input,
@@ -143,7 +143,6 @@ def cmd_info(args: argparse.Namespace) -> int:
                 behaviour = analyze(
                     stg.net,
                     max_states=args.max_states,
-                    backend=args.backend,
                     workers=workers,
                     memory_budget=memory_budget,
                 )
@@ -207,7 +206,7 @@ def _print_symbolic_summary(report) -> None:
         )
 
 
-def _print_por_summary(report, max_states: int, backend: str) -> None:
+def _print_por_summary(report, max_states: int) -> None:
     """The ``--engine por`` epilogue: the reduction achieved (straight
     from the report — no re-exploration) and the eager baseline, which
     is recomputed under the same state bound and reported as
@@ -236,9 +235,7 @@ def _print_por_summary(report, max_states: int, backend: str) -> None:
             " on cycle re-entry"
         )
     try:
-        baseline = LazyStateSpace(
-            report.composite.net, max_states=max_states, backend=backend
-        )
+        baseline = LazyStateSpace(report.composite.net, max_states=max_states)
         eager_states = baseline.explore_all()
     except UnboundedNetError:
         print("# eager baseline : unavailable (bound exceeded)")
@@ -286,7 +283,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 method=args.method,
                 max_states=args.max_states,
                 engine=args.engine,
-                backend=args.backend,
                 workers=workers,
                 memory_budget=memory_budget,
                 proviso=args.proviso,
@@ -311,7 +307,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f" memory budget {budget}"
             )
         if report.engine == "por" and report.states_explored is not None:
-            _print_por_summary(report, args.max_states, args.backend)
+            _print_por_summary(report, args.max_states)
         if report.symbolic is not None:
             _print_symbolic_summary(report)
         return 0 if report.is_receptive() else 1
@@ -405,13 +401,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.corpus import (
-        BACKENDS,
-        ENGINES,
-        CorpusError,
-        discover,
-        run_corpus,
-    )
+    from repro.bench.corpus import ENGINES, CorpusError, discover, run_corpus
 
     def parse_csv(value: str, universe: tuple[str, ...], what: str):
         chosen = tuple(item.strip() for item in value.split(",") if item.strip())
@@ -426,14 +416,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return chosen
 
     engines = parse_csv(args.engines, ENGINES, "engine")
-    backends = parse_csv(args.backends, BACKENDS, "backend")
     workers, memory_budget = _resolve_parallel(args)
 
     def progress(instance) -> None:
         status = "ok" if instance.ok else "DISAGREE"
         cells = "; ".join(
-            f"{cell.engine}/{cell.backend}: {cell.summary()}"
-            for cell in instance.cells
+            f"{cell.engine}: {cell.summary()}" for cell in instance.cells
         )
         print(f"{instance.name:<24} [{status}] {cells}")
 
@@ -442,7 +430,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         report = run_corpus(
             paths,
             engines=engines,
-            backends=backends,
             max_states=args.max_states,
             out_dir=args.out,
             check_laws=args.laws,
@@ -452,10 +439,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     except CorpusError as error:
         raise CliError(str(error)) from None
-    print(
-        f"# corpus: {len(report.instances)} instances x {len(engines)}"
-        f" engines x {len(backends)} backends"
-    )
+    print(f"# corpus: {len(report.instances)} instances x {len(engines)} engines")
     failures = report.disagreements + report.law_violations
     for message in report.disagreements:
         print(f"cip: disagreement: {message}", file=sys.stderr)
@@ -465,8 +449,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"# FAIL: {len(failures)} failure(s)")
         return 1
     print(
-        "# all engines and backends agree"
-        + ("; all algebra laws hold" if args.laws else "")
+        "# all engines agree" + ("; all algebra laws hold" if args.laws else "")
     )
     return 0
 
@@ -477,20 +460,6 @@ def _add_trim_flag(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="clean up the result: remove dead transitions and"
         " unreferenced places (language-preserving)",
-    )
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    from repro.petri.compiled import BACKENDS, DEFAULT_BACKEND
-
-    parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=DEFAULT_BACKEND,
-        help="state representation for exploration: packed integer"
-        " vectors over a compiled net (compiled, default) or plain"
-        " place-count dictionaries (dict); verdicts are identical,"
-        " see docs/PERFORMANCE.md",
     )
 
 
@@ -604,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser("info", help="net statistics and properties")
     info.add_argument("file")
     info.add_argument("--max-states", type=int, default=1_000_000)
-    _add_backend_flag(info)
     _add_parallel_flags(info)
     _add_profile_flags(info)
     _add_cache_flags(info)
@@ -663,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort (exit 2) when the composite state space exceeds"
         " this many markings",
     )
-    _add_backend_flag(verify)
     _add_parallel_flags(verify)
     _add_profile_flags(verify)
     _add_cache_flags(verify)
@@ -708,8 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="corpus differential sweep: engines x backends over a"
-        " directory of nets",
+        help="corpus differential sweep: every engine over a directory"
+        " of nets",
     )
     bench.add_argument("directory")
     bench.add_argument(
@@ -717,11 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="eager,onthefly,por,symbolic",
         help="comma-separated engine subset (default: all four,"
         " including the non-enumerating state-equation cell)",
-    )
-    bench.add_argument(
-        "--backends",
-        default="dict,compiled",
-        help="comma-separated backend subset (default: all)",
     )
     bench.add_argument(
         "--max-states",

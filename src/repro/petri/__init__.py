@@ -10,14 +10,9 @@ of the paper), :class:`~repro.petri.marking.Marking` (Definition 2.2) and
 :class:`~repro.petri.reachability.ReachabilityGraph`.
 """
 
-from repro.petri.compiled import (
-    BACKENDS,
-    CompiledNet,
-    CompiledSpace,
-    resolve_backend,
-)
+from repro.petri.compiled import CompiledNet, CompiledSpace
 from repro.petri.independence import IndependenceRelation, StubbornSelector
-from repro.petri.marking import Marking, MarkingInterner
+from repro.petri.marking import Marking
 from repro.petri.net import PetriNet, Transition
 from repro.petri.product import (
     ENGINES,
@@ -49,11 +44,9 @@ from repro.petri.traces import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CompiledNet",
     "CompiledSpace",
     "Marking",
-    "MarkingInterner",
     "PetriNet",
     "Transition",
     "ReachabilityGraph",
@@ -66,7 +59,6 @@ __all__ = [
     "SynchronousProduct",
     "compare_languages",
     "deterministic_bisimulation",
-    "resolve_backend",
     "resolve_engine",
     "SimulationError",
     "TokenGame",

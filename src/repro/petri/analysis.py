@@ -50,7 +50,6 @@ class NetProperties:
 def analyze(
     net: PetriNet,
     max_states: int = 1_000_000,
-    backend: str | None = None,
     workers: int | None = None,
     memory_budget: int | None = None,
 ) -> NetProperties:
@@ -59,13 +58,10 @@ def analyze(
     Raises :class:`UnboundedNetError` when the net is detected to be
     unbounded (use :mod:`repro.petri.coverability` to analyse those).
 
-    ``backend`` selects the explorer's state representation (packed
-    ``"compiled"`` vectors by default, ``"dict"`` markings otherwise);
-    the computed properties are identical either way.  ``workers`` > 1
-    (or a ``memory_budget``) builds the graph with the sharded parallel
-    explorer of :mod:`repro.petri.parallel` — again with identical
-    results, minus covering-based unboundedness detection (the budget
-    abort still applies).
+    ``workers`` > 1 (or a ``memory_budget``) builds the graph with the
+    sharded parallel explorer of :mod:`repro.petri.parallel` — with
+    identical results, minus covering-based unboundedness detection (the
+    budget abort still applies).
 
     When an artifact store is active (:mod:`repro.cache`) and the run
     is serial, the summary is memoized by net content hash under the
@@ -99,13 +95,10 @@ def analyze(
             workers=workers,
             max_states=max_states,
             memory_budget=memory_budget,
-            backend=backend,
         )
     else:
         try:
-            graph = ReachabilityGraph(
-                net, max_states=max_states, backend=backend
-            )
+            graph = ReachabilityGraph(net, max_states=max_states)
         except UnboundedNetError as error:
             if cache_key is not None:
                 from repro.cache import verdicts

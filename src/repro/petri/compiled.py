@@ -10,8 +10,8 @@ translation machinery, PAPERS.md) instead lower the net once to a dense
 integer form and explore in that domain.  This module is that lowering:
 
 * :func:`compile_net` / :class:`CompiledNet` — places get dense indices
-  ``0..P-1``, transitions dense indices ``0..T-1`` (in tid order, so the
-  compiled exploration order matches the dict engines exactly).  Each
+  ``0..P-1``, transitions dense indices ``0..T-1`` (in tid order, so
+  exploration follows the transition relation in tid order).  Each
   transition carries ``(pre, consume, produce)`` index tuples and each
   place its consumer adjacency, both computed once at compile time.
 
@@ -21,16 +21,21 @@ integer form and explore in that domain.  This module is that lowering:
   is O(1)-amortised and equality is a memcmp, no per-state frozensets.
 
 * Deficit counters — per state, ``deficits[t]`` is the number of empty
-  preset places of transition ``t`` (enabled iff 0).  A firing updates
-  only the consumers of places that became empty or became marked, so
-  enabledness maintenance is allocation-free and proportional to the
-  *change*, not to the net.
+  preset places of transition ``t`` (enabled iff 0), stored like the
+  state itself: ``bytes`` under the bytes codec (which requires every
+  preset to have at most 255 places), a ``tuple`` otherwise.  A firing
+  updates only the consumers of places that became empty or became
+  marked, so enabledness maintenance is proportional to the *change*,
+  not to the net.
 
-* :class:`CompiledSpace` — the packed demand-driven core behind
-  :class:`~repro.petri.product.LazyStateSpace` (``backend="compiled"``),
-  mirroring the dict engine's discovery order, budget/unboundedness
-  error behaviour and stubborn-set reduction decisions exactly; states
-  are decoded back to :class:`Marking` only at API boundaries.
+* :class:`CompiledSpace` — the one exploration core of this package:
+  demand-driven discovery over packed states with the ``max_states``
+  budget, the Karp-Miller covering walk and the stubborn-set reduction.
+  :class:`~repro.petri.product.LazyStateSpace` wraps it with a
+  :class:`Marking`-domain API, and
+  :class:`~repro.petri.reachability.ReachabilityGraph` is a view
+  materialised from an exhausted one; states are decoded back to
+  :class:`Marking` only at those API boundaries.
 
 The codec choice is sound, never heuristic: ``bytes`` is used when the
 net is token-conservative (no firing increases the total count) with an
@@ -44,7 +49,7 @@ takes the ``tuple`` codec, which has no count limit.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from typing import Union
 
 from repro.obs import metrics as obs
@@ -56,15 +61,8 @@ from repro.petri.reachability import UnboundedNetError
 #: A packed marking: a token-count vector indexed by dense place index.
 PackedState = Union[bytes, "tuple[int, ...]"]
 
-#: The recognised state backends; verification entry points accept a
-#: ``backend=`` argument drawn from this set.  ``dict`` is the
-#: string-keyed :class:`Marking` representation (the reference
-#: implementation and A/B baseline), ``compiled`` the packed
-#: integer-indexed representation of this module.
-BACKENDS = ("dict", "compiled")
-
-#: Backend used by the engines when none is requested.
-DEFAULT_BACKEND = "compiled"
+#: Per-state deficit counters, indexed by dense transition index.
+Deficits = Union[bytes, "tuple[int, ...]"]
 
 #: Net sizes for which the weighted-invariant LP is attempted when the
 #: cheap conservative test fails.  Below the lower bound the tuple codec
@@ -76,17 +74,6 @@ _LP_MAX_PLACES = 4096
 #: Largest token count (and therefore largest provable bound) the bytes
 #: codec can represent.
 _BYTES_MAX = 255
-
-
-def resolve_backend(backend: str | None) -> str:
-    """Validate a backend name, mapping ``None`` to the default."""
-    if backend is None:
-        return DEFAULT_BACKEND
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
 
 
 #: Denominator grid the LP weights are snapped to before the exact
@@ -160,8 +147,8 @@ class CompiledNet:
     caches it and invalidates the cache on net mutation).  All arrays
     are indexed by dense place index ``0..P-1`` (places in sorted name
     order) or dense transition index ``0..T-1`` (transitions in tid
-    order — which is what makes every compiled exploration visit states
-    in exactly the dict engines' order).
+    order — which is what makes every exploration visit states in tid
+    order of the firing transition).
     """
 
     __slots__ = (
@@ -277,7 +264,9 @@ class CompiledNet:
 
     # -- enabledness -------------------------------------------------------
 
-    def analyze_state(self, state: PackedState) -> tuple[bytes, tuple[int, ...]]:
+    def analyze_state(
+        self, state: PackedState
+    ) -> tuple[Deficits, tuple[int, ...]]:
         """Full scan of one state: ``(deficits, enabled)`` where
         ``deficits[t]`` counts the empty preset places of transition
         ``t`` and ``enabled`` lists the dense indices with deficit 0,
@@ -285,7 +274,7 @@ class CompiledNet:
         everything after is maintained incrementally by
         :meth:`successor`.
         """
-        deficits = bytearray(self.num_transitions)
+        deficits = [0] * self.num_transitions
         enabled: list[int] = []
         for dense, places in enumerate(self.pre):
             deficit = 0
@@ -295,7 +284,8 @@ class CompiledNet:
             deficits[dense] = deficit
             if not deficit:
                 enabled.append(dense)
-        return bytes(deficits), tuple(enabled)
+        frozen = bytes(deficits) if self.codec == "bytes" else tuple(deficits)
+        return frozen, tuple(enabled)
 
     def is_enabled(self, dense: int, state: PackedState) -> bool:
         """Direct enabledness of one transition in one packed state."""
@@ -332,10 +322,10 @@ class CompiledNet:
     def successor(
         self,
         state: PackedState,
-        deficits: bytes,
+        deficits: Deficits,
         enabled: tuple[int, ...],
         dense: int,
-    ) -> tuple[PackedState, bytes, tuple[int, ...], int]:
+    ) -> tuple[PackedState, Deficits, tuple[int, ...], int]:
         """Fire ``dense`` (enabled in ``state``) and derive the child's
         deficit counters and enabled set incrementally.
 
@@ -350,7 +340,8 @@ class CompiledNet:
             return state, deficits, enabled, 0
         newly_empty: list[int] = []
         newly_marked: list[int] = []
-        if self.codec == "bytes":
+        is_bytes = self.codec == "bytes"
+        if is_bytes:
             vec = bytearray(state)
             for i in consume:
                 count = vec[i] - 1
@@ -380,7 +371,7 @@ class CompiledNet:
             return child, deficits, enabled, 0
         consumers = self.consumers
         affected: set[int] = set()
-        child_deficits = bytearray(deficits)
+        child_deficits = bytearray(deficits) if is_bytes else list(deficits)
         for i in newly_empty:
             for t in consumers[i]:
                 child_deficits[t] += 1
@@ -394,7 +385,8 @@ class CompiledNet:
         merged = [t for t in enabled if t not in affected]
         merged.extend(t for t in affected if not child_deficits[t])
         merged.sort()
-        return child, bytes(child_deficits), tuple(merged), len(affected)
+        frozen = bytes(child_deficits) if is_bytes else tuple(child_deficits)
+        return child, frozen, tuple(merged), len(affected)
 
     def __repr__(self) -> str:
         return (
@@ -482,16 +474,18 @@ class PackedMarkingView(Mapping[Place, int]):
 
 
 class CompiledSpace:
-    """Demand-driven exploration over packed states.
+    """Demand-driven exploration over packed states — the one
+    exploration core behind every serial engine.
 
-    The compiled counterpart of the dict paths of
-    :class:`~repro.petri.product.LazyStateSpace` — that facade owns one
-    of these when ``backend="compiled"`` and translates at its API
-    boundary.  Discovery order, memoisation, interner-hit accounting,
-    the ``max_states`` budget, the Karp-Miller covering walk (including
-    error message text, with witnesses decoded) and the stubborn-set
-    reduction decisions all mirror the dict engine exactly; parity is
-    enforced by ``tests/petri/test_compiled.py``.
+    :class:`~repro.petri.product.LazyStateSpace` owns one of these and
+    translates at its :class:`Marking`-domain API boundary;
+    :class:`~repro.petri.reachability.ReachabilityGraph` materialises
+    one breadth-first.  Discovery order (breadth-first, children in tid
+    order), memoisation, interner-hit accounting, the ``max_states``
+    budget, the Karp-Miller covering walk (with witnesses decoded into
+    the error) and the stubborn-set reduction decisions live here and
+    only here; ``tests/oracle.py`` is the naive reference they are
+    checked against.
     """
 
     __slots__ = (
@@ -500,10 +494,8 @@ class CompiledSpace:
         "stats",
         "initial",
         "proviso",
-        "_detect_unbounded",
         "_check_covering",
         "_selector",
-        "_filter",
         "_parent",
         "_info",
         "_succ",
@@ -515,19 +507,15 @@ class CompiledSpace:
         cnet: CompiledNet,
         max_states: int,
         stats,
-        detect_unbounded: bool = True,
         selector=None,
-        transition_filter: Callable[[int, PackedState], bool] | None = None,
         proviso: str | None = None,
     ):
         self.cnet = cnet
         self.max_states = max_states
         self.stats = stats
         self.proviso = proviso
-        self._detect_unbounded = detect_unbounded
-        self._check_covering = detect_unbounded and not cnet.bounded_certified
+        self._check_covering = not cnet.bounded_certified
         self._selector = selector
-        self._filter = transition_filter
         self.initial = cnet.initial_state
         #: state -> (parent state, dense transition index) | None; doubles
         #: as the visited set (insertion order == discovery order).
@@ -537,7 +525,7 @@ class CompiledSpace:
         #: Per-state (deficits, enabled); dropped once a state is expanded
         #: — except under the stack proviso, whose DFS driver re-reads the
         #: enabled set of finished states on re-walks and wakes.
-        self._info: dict[PackedState, tuple[bytes, tuple[int, ...]]] = {
+        self._info: dict[PackedState, tuple[Deficits, tuple[int, ...]]] = {
             self.initial: (cnet.initial_deficits, cnet.initial_enabled)
         }
         self._succ: dict[PackedState, tuple[tuple[str, int, PackedState], ...]] = {}
@@ -550,7 +538,7 @@ class CompiledSpace:
     def _discover(
         self,
         parent: PackedState,
-        deficits: bytes,
+        deficits: Deficits,
         enabled: tuple[int, ...],
         dense: int,
     ) -> PackedState:
@@ -602,9 +590,11 @@ class CompiledSpace:
     def _all_targets_fresh(
         self, state: PackedState, dense_set: tuple[int, ...]
     ) -> bool:
-        """Ignoring-prevention proviso on packed states (see the dict
-        engine's docstring): accept a reduced expansion only if every
-        reduced successor is new."""
+        """Ignoring-prevention proviso: a reduced expansion is accepted
+        only if every reduced successor is a *new* state.  Any cycle of
+        the reduced graph therefore contains a fully expanded state (its
+        last-expanded state sees an already-discovered successor), so no
+        enabled transition can be postponed forever."""
         fire = self.cnet.fire
         parents = self._parent
         for dense in dense_set:
@@ -616,16 +606,28 @@ class CompiledSpace:
         self, state: PackedState
     ) -> tuple[tuple[str, int, PackedState], ...]:
         """Outgoing edges as ``(action, tid, target)`` triples, computed
-        on first request and memoised — the packed twin of the dict
-        engine's expansion, including the stubborn-set reduction."""
+        on first request and memoised, including the stubborn-set
+        reduction."""
         cached = self._succ.get(state)
         if cached is not None:
             return cached
         if self._dfs is not None:
             self.ensure_explored()
             result = self._dfs.successor_edges(state)
-            self._succ[state] = result
-            return result
+        else:
+            result = self.expand(state)
+        self._succ[state] = result
+        return result
+
+    def expand(
+        self, state: PackedState
+    ) -> tuple[tuple[str, int, PackedState], ...]:
+        """Discover the successors of one discovered, not yet expanded
+        state and return its edge row *without* memoising it — for a
+        caller that expands every state exactly once and keeps its own
+        copy (the eager graph's materialisation).  Not for stack-proviso
+        spaces, whose DFS walk owns expansion; :meth:`successors` is the
+        memoising entry point."""
         cnet = self.cnet
         deficits, enabled = self._info[state]
         expand = enabled
@@ -645,15 +647,11 @@ class CompiledSpace:
         edges: list[tuple[str, int, PackedState]] = []
         actions = cnet.actions
         tids = cnet.tids
-        fltr = self._filter
         for dense in expand:
-            if fltr is not None and not fltr(dense, state):
-                continue
             target = self._discover(state, deficits, enabled, dense)
             edges.append((actions[dense], tids[dense], target))
         result = tuple(edges)
-        self._succ[state] = result
-        self._info.pop(state, None)
+        del self._info[state]
         self.stats.edges += len(result)
         return result
 
@@ -710,15 +708,14 @@ class CompiledSpace:
 
 
 class _PackedDfsAdapter:
-    """Packed-backend plug for :class:`~repro.petri.dfs.StackProvisoDfs`.
+    """The core's plug for :class:`~repro.petri.dfs.StackProvisoDfs`.
 
     Transitions cross the boundary as tids (the driver, the stubborn
     selector and the sleep sets all work in tid space) and are mapped
     to dense indices here; dense order equals tid order by compilation,
-    so the enabled tuples this hands out are tid-sorted exactly like the
-    dict adapter's — the property that keeps the two backends' reduction
-    decisions byte-identical.  ``probe`` fires without any accounting so
-    proviso checks never perturb the interner-hit counters."""
+    so the enabled tuples this hands out are tid-sorted.  ``probe`` fires
+    without any accounting so proviso checks never perturb the
+    interner-hit counters."""
 
     __slots__ = ("_core",)
 

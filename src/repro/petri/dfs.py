@@ -49,11 +49,11 @@ exploring *more*:
   already fired from that state — the subtraction makes re-wakes of
   fallback-expanded states no-ops instead of duplicate edges.
 
-The driver below implements one iterative DFS shared by both state
-backends; :class:`repro.petri.product.LazyStateSpace` (dict markings)
-and :class:`repro.petri.compiled.CompiledSpace` (packed vectors) plug
-in through a small adapter, which is what keeps the two backends'
-reduction decisions byte-identical (``docs/PERFORMANCE.md`` §3).
+The class below implements one iterative DFS over an abstract state
+space; :class:`repro.petri.compiled.CompiledSpace` (packed vectors)
+plugs in through a small adapter, and
+:class:`repro.petri.product.LazyStateSpace` serves the result in the
+:class:`~repro.petri.marking.Marking` domain.
 
 Because the proviso is a property of the *whole* depth-first search,
 a reduced space driven by this module is explored in full on the first
@@ -72,12 +72,11 @@ from typing import Protocol
 
 
 class DfsAdapter(Protocol):
-    """What a state backend must provide to drive the reduced DFS.
+    """What a state space must provide to drive the reduced DFS.
 
-    States are opaque (dict :class:`~repro.petri.marking.Marking` or a
-    packed vector); transitions are always identified by *tid* so the
-    stubborn selector and the sleep sets work in one domain across
-    backends.
+    States are opaque (packed vectors in the exploration core);
+    transitions are always identified by *tid* so the stubborn selector
+    and the sleep sets work in the net's own transition domain.
     """
 
     def root(self):
@@ -147,7 +146,7 @@ class SleepSets:
 
 
 class StackProvisoDfs:
-    """One reduced depth-first search, resumable and backend-agnostic.
+    """One reduced depth-first search, resumable and representation-agnostic.
 
     Persistent per-space bookkeeping (survives across walks):
 

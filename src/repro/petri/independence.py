@@ -261,7 +261,7 @@ class StubbornSelector:
 
         Determinism matters beyond reproducibility: the DFS driver of
         :mod:`repro.petri.dfs` assumes identical selector proposals on
-        identical markings across runs and backends.  The candidate
+        identical markings across runs.  The candidate
         scan is over the *sorted* preset with a strict ``<`` cost
         comparison (first minimum wins), so the choice is a pure
         function of the net and the marking — no dict/set iteration

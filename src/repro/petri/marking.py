@@ -157,35 +157,3 @@ class Marking(Mapping[Place, int]):
             target = mapping.get(place, place)
             counts[target] = counts.get(target, 0) + count
         return Marking(counts)
-
-
-class MarkingInterner:
-    """Hash-consing table for markings.
-
-    State-space exploration discovers the same marking along many paths;
-    interning keeps a single canonical object per distinct marking so
-    visited-set membership and successor caching work on identity-stable
-    keys (and duplicate markings can be garbage collected immediately).
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self):
-        self._table: dict[Marking, Marking] = {}
-
-    def intern(self, marking: Marking) -> Marking:
-        """The canonical instance equal to ``marking`` (inserting it if new)."""
-        return self._table.setdefault(marking, marking)
-
-    def get(self, marking: Marking) -> Marking | None:
-        """The canonical instance, or ``None`` if never seen."""
-        return self._table.get(marking)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __contains__(self, marking: object) -> bool:
-        return marking in self._table
-
-    def __iter__(self) -> Iterator[Marking]:
-        return iter(self._table)

@@ -96,11 +96,8 @@ class PetriNet:
         #: STG layer (:mod:`repro.stg.guards`).
         self.input_guards: dict[tuple[Place, int], object] = {}
         self._next_tid = 0
-        #: Lazily built place -> consumer-tids index (see
-        #: :meth:`consumer_index`); invalidated on transition mutation.
-        self._consumer_index: dict[Place, tuple[int, ...]] | None = None
         #: Lazily built tid-sorted transition tuple (see
-        #: :meth:`sorted_transitions`); same invalidation discipline.
+        #: :meth:`sorted_transitions`); invalidated on transition mutation.
         self._sorted_transitions: tuple[Transition, ...] | None = None
         #: Lazily built integer-indexed form (see :meth:`compiled`);
         #: additionally invalidated when places or the initial marking
@@ -145,7 +142,6 @@ class PetriNet:
         self.places.update(transition.postset)
         self.actions.add(action)
         self.transitions[tid] = transition
-        self._consumer_index = None
         self._sorted_transitions = None
         self._compiled = None
         return transition
@@ -153,7 +149,6 @@ class PetriNet:
     def remove_transition(self, tid: int) -> None:
         """Remove a transition (its adjacent places remain)."""
         transition = self.transitions.pop(tid)
-        self._consumer_index = None
         self._sorted_transitions = None
         self._compiled = None
         for place in transition.preset:
@@ -198,8 +193,7 @@ class PetriNet:
         Cached — the structural queries below and the exploration
         engines iterate this constantly, and re-sorting
         ``transitions.items()`` per call dominated their set-up cost.
-        Invalidated together with :meth:`consumer_index` on transition
-        mutation.
+        Invalidated on transition mutation.
         """
         if self._sorted_transitions is None:
             self._sorted_transitions = tuple(
@@ -218,25 +212,6 @@ class PetriNet:
     def producers(self, place: Place) -> list[Transition]:
         """Transitions with ``place`` in their postset (the place's preset)."""
         return [t for t in self.sorted_transitions() if place in t.postset]
-
-    def consumer_index(self) -> dict[Place, tuple[int, ...]]:
-        """Place -> tids of its consuming transitions, in tid order.
-
-        Built once on first use and invalidated by transition mutation.
-        This is the index the on-the-fly exploration engine
-        (:mod:`repro.petri.product`) uses to re-check enabledness only
-        for transitions adjacent to the places the last firing changed,
-        instead of scanning the whole transition relation per state.
-        """
-        if self._consumer_index is None:
-            index: dict[Place, list[int]] = {}
-            for transition in self.sorted_transitions():
-                for place in transition.preset:
-                    index.setdefault(place, []).append(transition.tid)
-            self._consumer_index = {
-                place: tuple(tids) for place, tids in index.items()
-            }
-        return self._consumer_index
 
     def compiled(self) -> "CompiledNet":
         """The integer-indexed compiled form of this net.

@@ -41,18 +41,18 @@ snapshot while a message is still in flight; equality across two
 waves rules that out (no sends happened between the waves, so every
 counted message was also consumed).
 
-On ``backend="compiled"`` the explorer picks a **1-safe bitmask
-kernel** whenever the compiled net is eligible (byte codec, <=1-token
-initial marking): states become single ints, enabledness one mask
-compare, firing two bitwise ops — the lean inner loop that lets the
-sharded explorer beat the serial graph builder in wall-clock even
-per-core.  Eligibility is optimistic: every firing checks that no
-produced place is already marked (arcs are structurally unit-weight,
-so that test is exactly "a second token"), and on the first violation
-the whole exploration restarts transparently on the general packed
-kernel.  Counts, deadlock sets and verdicts are identical either way;
-only the per-obligation witness *tie-break* key is kernel-specific
-(still deterministic for a given net across runs and worker counts).
+The explorer picks a **1-safe bitmask kernel** whenever the compiled
+net is eligible (byte codec, <=1-token initial marking): states become
+single ints, enabledness one mask compare, firing two bitwise ops —
+the lean inner loop that lets the sharded explorer beat the serial
+graph construction in wall-clock even per-core.  Eligibility is
+optimistic: every firing checks that no produced place is already
+marked (arcs are structurally unit-weight, so that test is exactly "a
+second token"), and on the first violation the whole exploration
+restarts transparently on the general packed kernel.  Counts, deadlock
+sets and verdicts are identical either way; only the per-obligation
+witness *tie-break* key is kernel-specific (still deterministic for a
+given net across runs and worker counts).
 
 Deliberate non-goals, documented rather than approximated:
 
@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs import metrics as obs
-from repro.petri.compiled import CompiledNet, resolve_backend
+from repro.petri.compiled import CompiledNet
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
 from repro.petri.reachability import ReachabilityGraph, UnboundedNetError
@@ -148,9 +148,9 @@ def _shard_of(key: bytes, nworkers: int) -> int:
 # A kernel is the per-worker exploration core: it rebuilds from a plain
 # picklable spec, expands one node at a time, and maps nodes to stable
 # bytes keys (for sharding and the visited store) and wire forms (for
-# cross-shard batches).  Two kernels mirror the two state backends; a
-# third (the bitmask kernel) is a 1-safe fast path over the compiled
-# arrays that the explorer selects automatically and abandons — by
+# cross-shard batches).  The general kernel runs over the packed states
+# of the compiled net; the bitmask kernel is a 1-safe fast path over the
+# same arrays that the explorer selects automatically and abandons — by
 # restarting on the general packed kernel — the moment a firing would
 # put a second token anywhere.
 
@@ -181,7 +181,7 @@ def _bitmask_eligible(cnet: CompiledNet) -> bool:
 
 
 class _BitmaskKernel:
-    """1-safe fast path (``backend="compiled"`` on eligible nets).
+    """1-safe fast path (eligible nets only).
 
     A node is a single int — bit ``i`` set iff place ``i`` is marked —
     so enabledness is one mask compare, firing is two bitwise ops, and
@@ -272,7 +272,7 @@ class _BitmaskKernel:
 
 
 class _PackedKernel:
-    """Packed-state kernel over the compiled arrays (``backend="compiled"``).
+    """Packed-state kernel over the compiled arrays (any bounded net).
 
     A node is ``(state, deficits, enabled)`` exactly as in
     :class:`~repro.petri.compiled.CompiledSpace`; the wire form drops
@@ -361,84 +361,15 @@ class _PackedKernel:
         return hits
 
 
-class _DictKernel:
-    """Marking-domain kernel (``backend="dict"``): the reference path.
-
-    Nodes are :class:`Marking` objects; the wire/key form is the sorted
-    ``(place, count)`` item tuple (canonical and hash-seed-free).  The
-    net travels as its JSON dict, so the kernel never depends on
-    ``PetriNet`` pickling details.
-    """
-
-    __slots__ = ("net", "obligations")
-
-    def __init__(self, spec):
-        from repro.io.json_io import net_from_dict
-
-        self.net = net_from_dict(spec)
-        self.obligations: list[tuple[int, tuple, tuple]] = []
-
-    @staticmethod
-    def spec_of(net: PetriNet):
-        from repro.io.json_io import net_to_dict
-
-        return net_to_dict(net)
-
-    def load_obligations(self, lowered) -> None:
-        self.obligations = list(lowered)
-
-    def seed_wire(self):
-        return tuple(sorted(self.net.initial.items()))
-
-    def node_of_wire(self, wire):
-        return Marking._fresh(dict(wire))
-
-    def wire_of_node(self, node):
-        return tuple(sorted(node.items()))
-
-    def key_of_node(self, node) -> bytes:
-        return repr(tuple(sorted(node.items()))).encode("utf-8")
-
-    def state_of_node(self, node):
-        return tuple(sorted(node.items()))
-
-    def expand(self, node):
-        children = []
-        count = 0
-        for transition in self.net.enabled_transitions(node):
-            count += 1
-            child = self.net.fire(transition, node, check=False)
-            children.append((transition.tid, child))
-        return count, children
-
-    def failing_obligations(self, node):
-        hits = []
-        for index, producer, consumers in self.obligations:
-            if all(node[p] > 0 for p in producer) and not any(
-                all(node[p] > 0 for p in preset) for preset in consumers
-            ):
-                hits.append(index)
-        return hits
-
-
-#: Kernel *kind*: the two backend kernels plus the 1-safe fast path.
+#: Kernel *kind*: the general packed kernel and the 1-safe fast path.
 _KERNELS = {
     "compiled": _PackedKernel,
-    "dict": _DictKernel,
     "bitmask": _BitmaskKernel,
 }
 
 
 def _build_kernel(kind: str, spec):
     return _KERNELS[kind](spec)
-
-
-def _spec_of(kind: str, net: PetriNet, cnet: CompiledNet | None):
-    if kind == "bitmask":
-        return _BitmaskKernel.spec_of(cnet)
-    if kind == "compiled":
-        return _PackedKernel.spec_of(cnet)
-    return _DictKernel.spec_of(net)
 
 
 # -- the per-shard exploration loop ------------------------------------------
@@ -681,7 +612,6 @@ class ParallelExploration:
     worker count or schedule.
     """
 
-    backend: str
     workers: int
     states: int
     edges: int
@@ -703,44 +633,25 @@ def _budget_error(net: PetriNet, max_states: int) -> UnboundedNetError:
     )
 
 
-def _lower_obligations(obligations, backend: str, cnet: CompiledNet | None):
-    """Ship obligations as ``(index, producer, consumer_alternatives)``;
-    presets become dense indices on the packed kernel."""
-    lowered = []
-    for index, (producer_preset, consumer_presets) in enumerate(obligations):
-        if backend == "compiled":
-            place_index = cnet.place_index
-            lowered.append(
-                (
-                    index,
-                    tuple(place_index[p] for p in sorted(producer_preset)),
-                    tuple(
-                        tuple(place_index[p] for p in sorted(preset))
-                        for preset in consumer_presets
-                    ),
-                )
-            )
-        else:
-            lowered.append(
-                (
-                    index,
-                    tuple(sorted(producer_preset)),
-                    tuple(tuple(sorted(preset)) for preset in consumer_presets),
-                )
-            )
-    return lowered
+def _lower_obligations(obligations, cnet: CompiledNet):
+    """Ship obligations as ``(index, producer, consumer_alternatives)``
+    with presets lowered to dense place indices."""
+    place_index = cnet.place_index
+    return [
+        (
+            index,
+            tuple(place_index[p] for p in sorted(producer_preset)),
+            tuple(
+                tuple(place_index[p] for p in sorted(preset))
+                for preset in consumer_presets
+            ),
+        )
+        for index, (producer_preset, consumer_presets) in enumerate(obligations)
+    ]
 
 
-def _decode_state(state, backend: str, cnet: CompiledNet | None) -> Marking:
-    if backend == "compiled":
-        return cnet.decode(state)
-    return Marking._fresh(dict(state))
-
-
-def _state_key(state, backend: str, cnet: CompiledNet | None) -> bytes:
-    if backend == "compiled":
-        return state if cnet.codec == "bytes" else pack_wide_key(state)
-    return repr(state).encode("utf-8")
+def _state_key(state, cnet: CompiledNet) -> bytes:
+    return state if cnet.codec == "bytes" else pack_wide_key(state)
 
 
 def _run_single(
@@ -969,7 +880,6 @@ def parallel_explore(
     workers: int | None = 1,
     max_states: int = 1_000_000,
     memory_budget: int | None = None,
-    backend: str | None = None,
     obligations=None,
     collect_edges: bool = False,
 ) -> ParallelExploration:
@@ -991,17 +901,12 @@ def parallel_explore(
     *proof* is attempted — see the module docstring.
     """
     workers = resolve_workers(workers)
-    backend = resolve_backend(backend)
-    cnet = net.compiled() if backend == "compiled" else None
-    lowered = _lower_obligations(obligations or [], backend, cnet)
-    kind = (
-        "bitmask"
-        if backend == "compiled" and _bitmask_eligible(cnet)
-        else backend
-    )
+    cnet = net.compiled()
+    lowered = _lower_obligations(obligations or [], cnet)
+    kind = "bitmask" if _bitmask_eligible(cnet) else "compiled"
 
     def attempt(kind: str) -> list[dict]:
-        spec = _spec_of(kind, net, cnet)
+        spec = _KERNELS[kind].spec_of(cnet)
         kernel = _build_kernel(kind, spec)
         kernel.load_obligations(lowered)
         seed_wire = kernel.seed_wire()
@@ -1024,22 +929,19 @@ def parallel_explore(
         )
 
     with obs.span(
-        "engine.parallel.explore",
-        net=net.name,
-        backend=backend,
-        workers=workers,
+        "engine.parallel.explore", net=net.name, workers=workers
     ) as span:
         try:
             reports = attempt(kind)
         except _BitmaskOverflow:
             # The net turned out not to be 1-safe: restart on the
             # general packed kernel (correct for any bounded counts).
-            kind = backend
+            kind = "compiled"
             reports = attempt(kind)
         span.set(kernel=kind)
         deadlocks = sorted(
             (state for report in reports for state in report["deadlocks"]),
-            key=lambda state: _state_key(state, backend, cnet),
+            key=lambda state: _state_key(state, cnet),
         )
         failing: dict[int, tuple[bytes, Any]] = {}
         for report in reports:
@@ -1053,15 +955,12 @@ def parallel_explore(
                 edge for report in reports for edge in report["edge_log"]
             ]
         result = ParallelExploration(
-            backend=backend,
             workers=workers,
             states=sum(report["states"] for report in reports),
             edges=sum(report["edges"] for report in reports),
-            deadlocks=[
-                _decode_state(state, backend, cnet) for state in deadlocks
-            ],
+            deadlocks=[cnet.decode(state) for state in deadlocks],
             failing={
-                index: _decode_state(witness[1], backend, cnet)
+                index: cnet.decode(witness[1])
                 for index, witness in sorted(failing.items())
             },
             frontier_peak=max(
@@ -1080,66 +979,29 @@ def parallel_reachability_graph(
     workers: int | None = 1,
     max_states: int = 1_000_000,
     memory_budget: int | None = None,
-    backend: str | None = None,
 ) -> ReachabilityGraph:
     """A :class:`ReachabilityGraph` built by the sharded explorer.
 
     The returned object is a *real* ``ReachabilityGraph`` — same
-    states, same per-state successor lists (dense/tid ascending, as the
-    serial engines emit them), same property queries (``is_live``,
-    ``deadlocks`` …) — just constructed by gathering worker edge logs
-    instead of a serial BFS.  Gathering materialises the graph, so this
+    states, same discovery order, same per-state successor lists (tid
+    ascending, as every shard expands a state in dense order), same
+    property queries (``is_live``, ``deadlocks`` …) — materialised from
+    the gathered worker edge logs by the same breadth-first routine the
+    serial graph uses.  Gathering materialises the graph, so this
     entry point parallelises the *exploration* but is not the
     spill-scalable path; the verdict-only flows
     (:func:`parallel_explore` without ``collect_edges``) are.
     """
-    backend = resolve_backend(backend)
     result = parallel_explore(
         net,
         workers=workers,
         max_states=max_states,
         memory_budget=memory_budget,
-        backend=backend,
         collect_edges=True,
     )
-    cnet = net.compiled() if backend == "compiled" else None
-    decoded: dict[Any, Marking] = {}
-
-    def marking_of(state) -> Marking:
-        marking = decoded.get(state)
-        if marking is None:
-            marking = _decode_state(state, backend, cnet)
-            decoded[state] = marking
-        return marking
-
-    graph = ReachabilityGraph.__new__(ReachabilityGraph)
-    graph.net = net
-    graph.initial = net.initial
-    graph.backend = backend
-    graph.frontier_peak = result.frontier_peak
-    graph._num_edges = result.edges
-    successors: dict[Marking, list[tuple[str, int, Marking]]] = {
-        marking_of(
-            cnet.initial_state
-            if backend == "compiled"
-            else tuple(sorted(net.initial.items()))
-        ): []
-    }
-    if backend == "compiled":
-        actions, tids = cnet.actions, cnet.tids
-    else:
-        transitions = net.transitions
-    for source, label, target in result.edge_log:
-        if backend == "compiled":
-            action, tid = actions[label], tids[label]
-        else:
-            action, tid = transitions[label].action, label
-        source_marking = marking_of(source)
-        target_marking = marking_of(target)
-        successors.setdefault(target_marking, [])
-        successors.setdefault(source_marking, []).append(
-            (action, tid, target_marking)
-        )
-    graph._successors = successors
-    graph.states = set(successors)
-    return graph
+    cnet = net.compiled()
+    actions, tids = cnet.actions, cnet.tids
+    rows: dict[Any, list[tuple[str, int, Any]]] = {}
+    for source, dense, target in result.edge_log:
+        rows.setdefault(source, []).append((actions[dense], tids[dense], target))
+    return ReachabilityGraph.from_packed(net, lambda state: rows.pop(state, ()))

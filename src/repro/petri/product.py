@@ -7,13 +7,13 @@ of it — the exact blowup the paper's compositional discipline
 the demand-driven counterpart:
 
 * :class:`LazyStateSpace` — a reachability graph whose successor
-  relation is computed (and memoised) only when asked.  Markings are
-  interned, enabled sets are maintained *incrementally*: after firing a
-  transition, only the consumers of the places whose token count
-  changed are re-checked (via :meth:`PetriNet.consumer_index`), instead
-  of scanning the whole transition relation per state.  Every state
-  keeps a parent pointer, so a firable counterexample trace from the
-  initial marking can be reconstructed for free.
+  relation is computed (and memoised) only when asked, by the packed
+  exploration core :class:`~repro.petri.compiled.CompiledSpace`: states
+  are token-count vectors, enabled sets are maintained *incrementally*
+  (after a firing only the consumers of the places that became empty
+  or marked are re-checked), and every state keeps a parent pointer, so
+  a firable counterexample trace from the initial marking can be
+  reconstructed for free.
 
 * :class:`SynchronousProduct` — the lazy synchronous product of two
   state spaces (rendez-vous on a synchronisation alphabet, free
@@ -39,28 +39,23 @@ predicates over declared places, and the visible-action language
 exactly — so every verification verdict matches the other two engines
 while independent interleavings collapse.
 
-The eager paths stay available everywhere behind ``engine="eager"`` and
-serve as the test oracle for this module.
+The eager paths stay available everywhere behind ``engine="eager"``:
+the same core, exhausted without early exit.  The differential suites
+check every engine against one naive breadth-first search over
+markings (``tests/oracle.py``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.obs import metrics as obs
-from repro.petri.compiled import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    CompiledSpace,
-    resolve_backend,
-)
-from repro.petri.dfs import StackProvisoDfs
+from repro.petri.compiled import CompiledSpace
 from repro.petri.independence import IndependenceRelation, StubbornSelector
-from repro.petri.marking import Marking, MarkingInterner, Place
-from repro.petri.net import EPSILON, PetriNet, Transition
-from repro.petri.reachability import UnboundedNetError
+from repro.petri.marking import Marking, Place
+from repro.petri.net import EPSILON, PetriNet
 
 #: The recognised exploration engines; verification entry points accept
 #: an ``engine=`` argument drawn from this set.  ``por`` is the
@@ -144,7 +139,7 @@ class ExplorationStats:
     def interner_hit_rate(self) -> float:
         """Fraction of interner lookups that found an existing marking.
 
-        Per-space: every :meth:`LazyStateSpace._discover` call performs
+        Per-space: every :meth:`CompiledSpace._discover` call performs
         exactly one lookup, a miss creates a state, and the initial
         marking is interned without a lookup — so the lookup count is
         ``interner_hits + states - 1``.
@@ -168,29 +163,25 @@ class ExplorationStats:
 class LazyStateSpace:
     """Demand-driven reachability over one net.
 
-    Nothing is explored at construction time beyond interning the
+    Nothing is explored at construction time beyond encoding the
     initial marking; :meth:`successors` expands one state at a time and
     memoises the result.  Exhausting :meth:`iter_bfs` yields exactly the
     states (in exactly the discovery order) of the eager
     :class:`~repro.petri.reachability.ReachabilityGraph`, including the
-    same :class:`UnboundedNetError` behaviour — which is what makes the
-    eager graph a drop-in oracle for this class.
+    same :class:`UnboundedNetError` behaviour — both are views of the
+    same exploration core.
 
-    Parameters mirror ``ReachabilityGraph``: ``max_states`` aborts with
-    :class:`UnboundedNetError` (with ``bound`` and ``frontier`` set),
-    ``transition_filter`` restricts which firings are followed, and
-    ``detect_unbounded`` enables the Karp-Miller strict-covering
-    heuristic along the discovery-parent chain.
+    ``max_states`` aborts with :class:`UnboundedNetError` (with
+    ``bound`` and ``frontier`` set), and the Karp-Miller strict-covering
+    test along the discovery-parent chain proves unboundedness (skipped
+    when compilation certified a bound).
 
-    ``backend`` selects the state representation: ``"compiled"`` (the
-    default) runs the exploration over the packed integer-indexed core
-    of :mod:`repro.petri.compiled` — same discovery order, same
-    reduction decisions, same errors — while this class keeps its
+    The exploration runs over the packed integer-indexed core of
+    :mod:`repro.petri.compiled` while this class keeps its
     Marking-domain API by translating at the boundary (packed states
-    are decoded at most once each).  ``"dict"`` is the string-keyed
-    reference path.  Callers that can work on token-count vectors
-    directly should use :meth:`iter_raw`/:meth:`decode` to skip the
-    translation entirely.
+    are decoded at most once each).  Callers that can work on
+    token-count vectors directly should use :meth:`iter_raw` /
+    :meth:`decode` to skip the translation entirely.
 
     Partial-order reduction (``engine="por"``) is switched on with
     ``reduction=True`` (or an explicit
@@ -227,21 +218,14 @@ class LazyStateSpace:
         self,
         net: PetriNet,
         max_states: int = 1_000_000,
-        transition_filter: Callable[[Transition, Marking], bool] | None = None,
-        detect_unbounded: bool = True,
         reduction: "StubbornSelector | bool" = False,
         visible_actions: Iterable[str] | None = None,
         visible_places: Iterable[Place] = (),
-        backend: str | None = None,
         proviso: str | None = None,
     ):
         self.net = net
-        self.backend = resolve_backend(backend)
         self.max_states = max_states
         self.stats = ExplorationStats()
-        self._filter = transition_filter
-        self._detect_unbounded = detect_unbounded
-        self._transitions = net.transitions
         self.visible_actions: frozenset[str] | None = None
         self._selector: StubbornSelector | None = None
         if proviso is not None and not reduction:
@@ -250,12 +234,6 @@ class LazyStateSpace:
             )
         self.proviso: str | None = resolve_proviso(proviso) if reduction else None
         if reduction:
-            if transition_filter is not None:
-                raise ValueError(
-                    "partial-order reduction cannot be combined with a"
-                    " transition_filter (the independence relation is"
-                    " computed on the unfiltered net)"
-                )
             if isinstance(reduction, StubbornSelector):
                 self._selector = reduction
             else:
@@ -274,54 +252,12 @@ class LazyStateSpace:
                 self._selector = StubbornSelector(net, visible_tids, relation)
         self.stats.states = 1
         self._succ: dict[Marking, tuple[tuple[str, int, Marking], ...]] = {}
-        if self.backend == "compiled":
-            self._init_compiled(net, transition_filter)
-        else:
-            self._init_dict(net)
-
-    def _init_dict(self, net: PetriNet) -> None:
-        self._core: CompiledSpace | None = None
-        self._consumers = net.consumer_index()
-        #: Transitions with an empty preset are enabled in every marking.
-        self._always_enabled = tuple(
-            t.tid for t in net.sorted_transitions() if not t.preset
-        )
-        self._interner = MarkingInterner()
-        self.initial = self._interner.intern(net.initial)
-        self._parent: dict[Marking, tuple[Marking, int] | None] = {
-            self.initial: None
-        }
-        self._enabled: dict[Marking, tuple[int, ...]] = {
-            self.initial: self._scan_enabled(self.initial)
-        }
-        self._dfs: StackProvisoDfs | None = None
-        if self._selector is not None and self.proviso == "stack":
-            self._dfs = StackProvisoDfs(
-                _MarkingDfsAdapter(self), self._selector, self.stats
-            )
-
-    def _init_compiled(
-        self,
-        net: PetriNet,
-        transition_filter: Callable[[Transition, Marking], bool] | None,
-    ) -> None:
-        cnet = net.compiled()
-        self._cnet = cnet
-        wrapped: Callable[[int, object], bool] | None = None
-        if transition_filter is not None:
-            transitions = cnet.transitions
-
-            def wrapped(dense: int, state) -> bool:
-                return transition_filter(transitions[dense], self._decode(state))
-
-        self._dfs = None
+        self._cnet = net.compiled()
         self._core = CompiledSpace(
-            cnet,
-            max_states=self.max_states,
+            self._cnet,
+            max_states=max_states,
             stats=self.stats,
-            detect_unbounded=self._detect_unbounded,
             selector=self._selector,
-            transition_filter=wrapped,
             proviso=self.proviso,
         )
         self.initial = net.initial
@@ -330,28 +266,23 @@ class LazyStateSpace:
         self._mark_of = {self._core.initial: self.initial}
         self._pack_of = {self.initial: self._core.initial}
 
-    # -- compiled-backend plumbing -----------------------------------------
+    # -- packed <-> Marking translation ------------------------------------
 
     @property
     def compiled_net(self):
-        """The :class:`~repro.petri.compiled.CompiledNet` behind a
-        compiled-backend space (``None`` for the dict backend)."""
-        return self._cnet if self.backend == "compiled" else None
+        """The :class:`~repro.petri.compiled.CompiledNet` this space
+        explores."""
+        return self._cnet
 
-    def _decode(self, state) -> Marking:
+    def decode(self, state) -> Marking:
+        """The canonical :class:`Marking` of a packed state yielded by
+        :meth:`iter_raw`."""
         marking = self._mark_of.get(state)
         if marking is None:
             marking = self._cnet.decode(state)
             self._mark_of[state] = marking
             self._pack_of[marking] = state
         return marking
-
-    def decode(self, state) -> Marking:
-        """The canonical :class:`Marking` of a packed state yielded by
-        :meth:`iter_raw` (identity transform on the dict backend)."""
-        if self.backend == "compiled":
-            return self._decode(state)
-        return state
 
     def _lookup_packed(self, marking: Marking):
         """The packed form of an already-discovered marking; raises
@@ -369,85 +300,6 @@ class LazyStateSpace:
         self._pack_of[marking] = packed
         return packed
 
-    # -- enabledness (incremental) ----------------------------------------
-
-    def _is_enabled(self, tid: int, marking: Marking) -> bool:
-        self.stats.enabledness_checks += 1
-        transition = self._transitions[tid]
-        return all(marking[place] > 0 for place in transition.preset)
-
-    def _scan_enabled(self, marking: Marking) -> tuple[int, ...]:
-        """Full enabledness scan — used only for the initial marking."""
-        candidates: set[int] = set(self._always_enabled)
-        for place in marking:
-            candidates.update(self._consumers.get(place, ()))
-        return tuple(
-            tid for tid in sorted(candidates) if self._is_enabled(tid, marking)
-        )
-
-    def _enabled_after(
-        self, parent_enabled: tuple[int, ...], fired: Transition, child: Marking
-    ) -> tuple[int, ...]:
-        """Enabled set of ``child`` from its parent's, re-checking only the
-        consumers of the places whose token count the firing changed."""
-        changed = (fired.preset - fired.postset) | (fired.postset - fired.preset)
-        affected: set[int] = set()
-        for place in changed:
-            affected.update(self._consumers.get(place, ()))
-        if not affected:
-            return parent_enabled
-        merged = [tid for tid in parent_enabled if tid not in affected]
-        merged.extend(
-            tid for tid in affected if self._is_enabled(tid, child)
-        )
-        merged.sort()
-        return tuple(merged)
-
-    # -- expansion ---------------------------------------------------------
-
-    def _discover(self, parent: Marking, transition: Transition) -> Marking:
-        child = parent.fire(
-            transition.preset - transition.postset,
-            transition.postset - transition.preset,
-        )
-        canonical = self._interner.get(child)
-        if canonical is not None:
-            self.stats.interner_hits += 1
-            return canonical
-        if len(self._interner) >= self.max_states:
-            reduced = (
-                " (partial-order reduction active: the bound counts"
-                " states of the reduced space)"
-                if self._selector is not None
-                else ""
-            )
-            raise UnboundedNetError(
-                f"more than {self.max_states} reachable states in"
-                f" {self.net.name!r}; net may be unbounded{reduced}",
-                witness=child,
-                bound=self.max_states,
-                frontier=child,
-            )
-        self._interner.intern(child)
-        self.stats.states += 1
-        self._parent[child] = (parent, transition.tid)
-        self._enabled[child] = self._enabled_after(
-            self._enabled[parent], transition, child
-        )
-        if self._detect_unbounded:
-            cursor: Marking | None = parent
-            while cursor is not None:
-                if child.covers(cursor) and child != cursor:
-                    raise UnboundedNetError(
-                        f"net {self.net.name!r} is unbounded:"
-                        f" {child!r} strictly covers ancestor {cursor!r}",
-                        witness=child,
-                        frontier=child,
-                    )
-                link = self._parent[cursor]
-                cursor = link[0] if link is not None else None
-        return child
-
     @property
     def is_reduced(self) -> bool:
         """``True`` when stubborn-set partial-order reduction is active."""
@@ -457,32 +309,6 @@ class LazyStateSpace:
     def _stack_driven(self) -> bool:
         """``True`` when the DFS-stack proviso drives the exploration."""
         return self._selector is not None and self.proviso == "stack"
-
-    def _ensure_explored(self) -> None:
-        """Force the stack-proviso DFS to completion (no-op otherwise).
-
-        The stack proviso is an invariant of the finished search, so
-        any API that serves reduced successors must run it first."""
-        if self._core is not None:
-            self._core.ensure_explored()
-        elif self._dfs is not None:
-            self._dfs.run_to_completion()
-
-    def _all_targets_fresh(self, marking: Marking, tids: tuple[int, ...]) -> bool:
-        """Ignoring-prevention proviso: a reduced expansion is accepted
-        only if every reduced successor is a *new* marking.  Any cycle
-        of the reduced graph therefore contains a fully expanded state
-        (its last-expanded state sees an already-discovered successor),
-        so no enabled transition can be postponed forever."""
-        for tid in tids:
-            transition = self._transitions[tid]
-            child = marking.fire(
-                transition.preset - transition.postset,
-                transition.postset - transition.preset,
-            )
-            if self._interner.get(child) is not None:
-                return False
-        return True
 
     def successors(self, marking: Marking) -> tuple[tuple[str, int, Marking], ...]:
         """Outgoing edges of a state as ``(action, tid, target)`` triples,
@@ -498,36 +324,13 @@ class LazyStateSpace:
         cached = self._succ.get(marking)
         if cached is not None:
             return cached
-        if self._dfs is not None:
-            self._ensure_explored()
-            result = self._dfs.successor_edges(marking)
-            self._succ[marking] = result
-            return result
-        if self._core is not None:
-            packed = self._lookup_packed(marking)
-            decode = self._decode
-            result = tuple(
-                (action, tid, decode(target))
-                for action, tid, target in self._core.successors(packed)
-            )
-            self._succ[marking] = result
-            return result
-        expand = self._enabled[marking]
-        if self._selector is not None and len(expand) > 1:
-            reduced = self._selector.reduced_enabled(marking, expand)
-            if reduced is not None and self._all_targets_fresh(marking, reduced):
-                expand = reduced
-                self.stats.reduced_states += 1
-        edges: list[tuple[str, int, Marking]] = []
-        for tid in expand:
-            transition = self._transitions[tid]
-            if self._filter is not None and not self._filter(transition, marking):
-                continue
-            target = self._discover(marking, transition)
-            edges.append((transition.action, tid, target))
-        result = tuple(edges)
+        packed = self._lookup_packed(marking)
+        decode = self.decode
+        result = tuple(
+            (action, tid, decode(target))
+            for action, tid, target in self._core.successors(packed)
+        )
         self._succ[marking] = result
-        self.stats.edges += len(result)
         return result
 
     # -- traversal ---------------------------------------------------------
@@ -543,30 +346,18 @@ class LazyStateSpace:
         :meth:`iter_discovery` for the traversal that streams states as
         the active exploration finds them.
         """
-        self._ensure_explored()
-        yield self.initial
-        seen = {self.initial}
-        queue: deque[Marking] = deque([self.initial])
-        while queue:
-            marking = queue.popleft()
-            for _, _, target in self.successors(marking):
-                if target not in seen:
-                    seen.add(target)
-                    queue.append(target)
-                    if len(queue) > self.stats.frontier_peak:
-                        self.stats.frontier_peak = len(queue)
-                    yield target
+        decode = self.decode
+        for state in self.iter_raw():
+            yield decode(state)
 
     def iter_raw(self) -> Iterator:
-        """BFS over *packed* states (compiled backend only) — the
-        allocation-light twin of :meth:`iter_bfs` for callers that only
-        probe token counts per state (e.g. the Prop 5.5 predicate) and
-        can decode the rare interesting state via :meth:`decode`.
-        Discovery order is identical to :meth:`iter_bfs`."""
-        if self._core is None:
-            raise ValueError("iter_raw requires the compiled backend")
-        self._ensure_explored()
+        """BFS over *packed* states — the allocation-light twin of
+        :meth:`iter_bfs` for callers that only probe token counts per
+        state (e.g. the Prop 5.5 predicate) and can decode the rare
+        interesting state via :meth:`decode`.  Discovery order is
+        identical to :meth:`iter_bfs`."""
         core = self._core
+        core.ensure_explored()
         stats = self.stats
         yield core.initial
         seen = {core.initial}
@@ -591,32 +382,13 @@ class LazyStateSpace:
         configuration it is a plain depth-first walk over
         :meth:`successors`.
         """
-        if self._dfs is not None:
-            yield from self._dfs.iterate()
-            return
-        if self._core is not None:
-            decode = self._decode
-            for state in self._core.iter_dfs():
-                yield decode(state)
-            return
-        yield self.initial
-        seen = {self.initial}
-        stack = [iter(self.successors(self.initial))]
-        while stack:
-            for _, _, target in stack[-1]:
-                if target not in seen:
-                    seen.add(target)
-                    yield target
-                    stack.append(iter(self.successors(target)))
-                    break
-            else:
-                stack.pop()
+        decode = self.decode
+        for state in self._core.iter_dfs():
+            yield decode(state)
 
     def iter_raw_dfs(self) -> Iterator:
-        """DFS over *packed* states (compiled backend only) — the
-        allocation-light twin of :meth:`iter_dfs`."""
-        if self._core is None:
-            raise ValueError("iter_raw_dfs requires the compiled backend")
+        """DFS over *packed* states — the allocation-light twin of
+        :meth:`iter_dfs`."""
         return self._core.iter_dfs()
 
     def iter_discovery(self) -> Iterator[Marking]:
@@ -633,29 +405,20 @@ class LazyStateSpace:
         return self.iter_bfs()
 
     def iter_raw_discovery(self) -> Iterator:
-        """Packed twin of :meth:`iter_discovery` (compiled backend
-        only)."""
-        if self._core is None:
-            raise ValueError("iter_raw_discovery requires the compiled backend")
+        """Packed twin of :meth:`iter_discovery`."""
         if self._stack_driven:
             return self._core.iter_dfs()
         return self.iter_raw()
 
     def explore_all(self) -> int:
         """Force full exploration; returns the number of reachable states."""
-        if self._core is not None:
-            for _ in self.iter_raw():
-                pass
-            return self._core.num_states()
-        for _ in self.iter_bfs():
+        for _ in self.iter_raw():
             pass
-        return len(self._interner)
+        return self._core.num_states()
 
     def num_explored(self) -> int:
         """States discovered so far (== total states after ``explore_all``)."""
-        if self._core is not None:
-            return self._core.num_states()
-        return len(self._interner)
+        return self._core.num_states()
 
     # -- observability -----------------------------------------------------
 
@@ -699,73 +462,19 @@ class LazyStateSpace:
         """A firable ``(tid, action)`` path from the initial marking to a
         discovered state, via the discovery-parent pointers.
 
-        On the compiled backend the argument may be either a
-        :class:`Marking` or a packed state from :meth:`iter_raw`.
+        The argument may be either a :class:`Marking` or a packed state
+        from :meth:`iter_raw`.
         """
-        if self._core is not None:
-            packed = (
-                self._lookup_packed(marking)
-                if isinstance(marking, Marking)
-                else marking
-            )
-            return self._core.trace_to(packed)
-        steps: list[tuple[int, str]] = []
-        cursor = self._interner.get(marking)
-        if cursor is None:
-            raise KeyError(f"{marking!r} has not been discovered")
-        while True:
-            link = self._parent[cursor]
-            if link is None:
-                break
-            parent, tid = link
-            steps.append((tid, self._transitions[tid].action))
-            cursor = parent
-        return tuple(reversed(steps))
+        packed = (
+            self._lookup_packed(marking)
+            if isinstance(marking, Marking)
+            else marking
+        )
+        return self._core.trace_to(packed)
 
     def action_trace(self, marking: Marking) -> tuple[str, ...]:
         """The action labels of :meth:`trace_to`."""
         return tuple(action for _, action in self.trace_to(marking))
-
-
-class _MarkingDfsAdapter:
-    """Dict-backend plug for :class:`~repro.petri.dfs.StackProvisoDfs`.
-
-    States are interned :class:`Marking` objects; ``probe`` fires
-    without any bookkeeping so proviso checks never perturb the interner
-    accounting, while ``discover`` routes through the space's full
-    discovery path (interning, budget, Karp-Miller covering)."""
-
-    __slots__ = ("_space",)
-
-    def __init__(self, space: LazyStateSpace):
-        self._space = space
-
-    def root(self) -> Marking:
-        return self._space.initial
-
-    def discovered(self) -> Iterator[Marking]:
-        return iter(self._space._parent)
-
-    def enabled(self, state: Marking) -> tuple[int, ...]:
-        return self._space._enabled[state]
-
-    def view(self, state: Marking) -> Marking:
-        return state
-
-    def probe(self, state: Marking, tid: int) -> Marking:
-        transition = self._space._transitions[tid]
-        child = state.fire(
-            transition.preset - transition.postset,
-            transition.postset - transition.preset,
-        )
-        canonical = self._space._interner.get(child)
-        return child if canonical is None else canonical
-
-    def discover(self, state: Marking, tid: int) -> Marking:
-        return self._space._discover(state, self._space._transitions[tid])
-
-    def action(self, tid: int) -> str:
-        return self._space._transitions[tid].action
 
 
 # -- synchronous product ------------------------------------------------------
@@ -955,7 +664,6 @@ def compare_languages(
     alphabet: Iterable[str] | None = None,
     max_states: int = 1_000_000,
     reduction: bool = False,
-    backend: str | None = None,
 ) -> LanguageComparison:
     """Compare visible trace languages without materialising either
     state space: determinise both nets on the fly and walk the pair
@@ -989,14 +697,12 @@ def compare_languages(
         max_states=max_states,
         reduction=reduction,
         visible_actions=frozenset(net1.actions) - silent1_set,
-        backend=backend,
     )
     space2 = LazyStateSpace(
         net2,
         max_states=max_states,
         reduction=reduction,
         visible_actions=frozenset(net2.actions) - silent2_set,
-        backend=backend,
     )
     dfa1 = _LazyDfa(space1, silent1_set)
     dfa2 = _LazyDfa(space2, silent2_set)
@@ -1069,7 +775,6 @@ def deterministic_bisimulation(
     net1: PetriNet,
     net2: PetriNet,
     max_states: int = 100_000,
-    backend: str | None = None,
 ) -> tuple[bool | None, ExplorationStats]:
     """Strong-bisimulation check by synchronous walk, exact on
     deterministic systems.
@@ -1082,8 +787,8 @@ def deterministic_bisimulation(
     is encountered — the caller must fall back to the eager
     partition-refinement oracle.
     """
-    space1 = LazyStateSpace(net1, max_states=max_states, backend=backend)
-    space2 = LazyStateSpace(net2, max_states=max_states, backend=backend)
+    space1 = LazyStateSpace(net1, max_states=max_states)
+    space2 = LazyStateSpace(net2, max_states=max_states)
 
     def combined() -> ExplorationStats:
         space1.publish_metrics()

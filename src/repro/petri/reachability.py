@@ -11,10 +11,14 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterable
+from typing import TYPE_CHECKING
 
 from repro.obs import metrics as obs
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet, Transition
+
+if TYPE_CHECKING:
+    from repro.petri.compiled import PackedState
 
 
 class UnboundedNetError(Exception):
@@ -53,10 +57,9 @@ class _EdgeView:
     """Read-only iterable of a graph's edges as ``(source, action, tid,
     target)`` tuples, flattened on demand from the successor map.
 
-    The eager graph used to materialise this exact list next to
-    ``_successors``, doubling edge memory; since the successor map is
-    keyed in discovery order and states are expanded in discovery
-    order, flattening reproduces the historical append order.
+    The successor map is keyed in discovery order and states are
+    expanded in discovery order, so flattening yields the edges in the
+    order the exploration found them; nothing is stored twice.
     """
 
     __slots__ = ("_successors", "_count")
@@ -81,6 +84,14 @@ class _EdgeView:
 class ReachabilityGraph:
     """Explicit-state reachability graph of a bounded Petri net.
 
+    A materialised view over the exploration core
+    (:class:`~repro.petri.compiled.CompiledSpace`, the same core the
+    on-the-fly engine runs on demand): one breadth-first pass exhausts
+    the core, decoding each packed state to a :class:`Marking` once and
+    building its edge row as it goes.  The state budget, the
+    Karp-Miller covering detection and their :class:`UnboundedNetError`
+    messages are the core's; this class only keeps the result.
+
     Parameters
     ----------
     net:
@@ -89,172 +100,78 @@ class ReachabilityGraph:
         Exploration aborts with :class:`UnboundedNetError` past this many
         states.  This is a resource guard; use
         :mod:`repro.petri.coverability` for a genuine unboundedness test.
-    transition_filter:
-        Optional predicate limiting which transitions are followed
-        (used e.g. for guard-aware exploration at the STG layer).
-    backend:
-        State representation used *during* exploration: ``"compiled"``
-        (default) explores over the packed integer-indexed form of
-        :mod:`repro.petri.compiled` and decodes each state to a
-        :class:`Marking` once at discovery; ``"dict"`` explores over
-        markings directly.  The resulting graph — states, edges, edge
-        order, error behaviour — is identical either way.
+
+    ``states`` is a set-like view of the reachable markings that iterates
+    in breadth-first discovery order (children in tid order), so scans
+    over it are deterministic and agree with the on-the-fly engine.
     """
 
-    def __init__(
-        self,
-        net: PetriNet,
-        max_states: int = 1_000_000,
-        transition_filter: Callable[[Transition, Marking], bool] | None = None,
-        backend: str | None = None,
-    ):
-        from repro.petri.compiled import resolve_backend
+    def __init__(self, net: PetriNet, max_states: int = 1_000_000):
+        from repro.petri.compiled import CompiledSpace
+        from repro.petri.product import ExplorationStats
 
-        self.net = net
-        self.initial = net.initial
-        self.backend = resolve_backend(backend)
-        self.states: set[Marking] = set()
-        self._successors: dict[Marking, list[tuple[str, int, Marking]]] = {}
-        self._num_edges = 0
-        #: High-water mark of the BFS queue during construction.
-        self.frontier_peak = 0
-        with obs.span(
-            "engine.eager.explore", net=net.name, backend=self.backend
-        ) as span:
-            if self.backend == "compiled":
-                self._explore_compiled(max_states, transition_filter)
-            else:
-                self._explore(max_states, transition_filter)
+        with obs.span("engine.eager.explore", net=net.name) as span:
+            cnet = net.compiled()
+            core = CompiledSpace(cnet, max_states, ExplorationStats())
+            self._materialise(net, core.expand)
             span.set(states=len(self.states), edges=self._num_edges)
         obs.count("engine.eager.states", len(self.states))
         obs.count("engine.eager.edges", self._num_edges)
         obs.gauge_max("engine.eager.frontier_peak", self.frontier_peak)
 
-    def _explore(
-        self,
-        max_states: int,
-        transition_filter: Callable[[Transition, Marking], bool] | None,
-    ) -> None:
-        queue: deque[Marking] = deque([self.initial])
-        self.states.add(self.initial)
-        self._successors[self.initial] = []
-        # Unboundedness witness: a strictly covering marking on a path.
-        ancestors: dict[Marking, Marking | None] = {self.initial: None}
-        while queue:
-            marking = queue.popleft()
-            for transition in self.net.enabled_transitions(marking):
-                if transition_filter and not transition_filter(transition, marking):
-                    continue
-                successor = self.net.fire(transition, marking, check=False)
-                self._successors[marking].append(
-                    (transition.action, transition.tid, successor)
-                )
-                self._num_edges += 1
-                if successor not in self.states:
-                    if len(self.states) >= max_states:
-                        raise UnboundedNetError(
-                            f"more than {max_states} reachable states in"
-                            f" {self.net.name!r}; net may be unbounded",
-                            witness=successor,
-                            bound=max_states,
-                            frontier=successor,
-                        )
-                    self.states.add(successor)
-                    self._successors[successor] = []
-                    ancestors[successor] = marking
-                    # Cheap unboundedness heuristic: strict self-covering
-                    # along the ancestor chain (Karp-Miller condition).
-                    cursor = marking
-                    while cursor is not None:
-                        if successor.covers(cursor) and successor != cursor:
-                            raise UnboundedNetError(
-                                f"net {self.net.name!r} is unbounded:"
-                                f" {successor!r} strictly covers ancestor"
-                                f" {cursor!r}",
-                                witness=successor,
-                                frontier=successor,
-                            )
-                        cursor = ancestors[cursor]
-                    queue.append(successor)
-                    if len(queue) > self.frontier_peak:
-                        self.frontier_peak = len(queue)
+    @classmethod
+    def from_packed(
+        cls,
+        net: PetriNet,
+        expand: Callable[[PackedState], Iterable[tuple[str, int, PackedState]]],
+    ) -> "ReachabilityGraph":
+        """A graph built from an already-explored packed edge relation
+        (e.g. the sharded explorer's gathered edge logs): ``expand``
+        returns the ``(action, tid, target)`` row of a packed state of
+        ``net.compiled()``, and is called once per reachable state."""
+        graph = cls.__new__(cls)
+        graph._materialise(net, expand)
+        return graph
 
-    def _explore_compiled(
+    def _materialise(
         self,
-        max_states: int,
-        transition_filter: Callable[[Transition, Marking], bool] | None,
+        net: PetriNet,
+        expand: Callable[[PackedState], Iterable[tuple[str, int, PackedState]]],
     ) -> None:
-        """The same BFS over packed states (see
-        :mod:`repro.petri.compiled`): firing and visited-set membership
-        run in the integer domain, each state is decoded to a
-        :class:`Marking` exactly once at discovery.  Check ordering and
-        error messages mirror :meth:`_explore` verbatim — states, edges
-        and edge order are backend-independent."""
-        cnet = self.net.compiled()
-        initial = cnet.initial_state
-        mark_of = {initial: self.initial}
-        info = {initial: (cnet.initial_deficits, cnet.initial_enabled)}
-        # When compilation certified a bound (a non-increasing weighted
-        # token total), no reachable marking can strictly cover an
-        # ancestor, so the Karp-Miller walk is provably a no-op: skip it
-        # and its ancestor-chain bookkeeping entirely.
-        check_covering = not cnet.bounded_certified
-        ancestors: dict[bytes | tuple, bytes | tuple | None] = {initial: None}
-        queue: deque = deque([initial])
-        self.states.add(self.initial)
-        self._successors[self.initial] = []
-        transitions = cnet.transitions
-        actions = cnet.actions
-        tids = cnet.tids
-        covers = cnet.covers
+        """One breadth-first pass from the initial state: each packed
+        state is decoded once, on first sight, and its edge row is
+        rebuilt over the decoded markings before the next state is
+        expanded."""
+        self.net = net
+        self.initial = net.initial
+        cnet = net.compiled()
+        decode = cnet.decode
+        start = cnet.initial_state
+        mark_of = {start: self.initial}
+        self._successors: dict[Marking, list[tuple[str, int, Marking]]] = {
+            self.initial: []
+        }
+        successors = self._successors
+        self._num_edges = 0
+        #: High-water mark of the BFS queue during construction.
+        self.frontier_peak = 0
+        self._scc: tuple[list[set[Marking]], dict[Marking, int]] | None = None
+        queue: deque = deque([start])
         while queue:
             state = queue.popleft()
-            marking = mark_of[state]
-            row = self._successors[marking]
-            deficits, enabled = info.pop(state)
-            for dense in enabled:
-                if transition_filter and not transition_filter(
-                    transitions[dense], marking
-                ):
-                    continue
-                child, child_deficits, child_enabled, _ = cnet.successor(
-                    state, deficits, enabled, dense
-                )
-                successor = mark_of.get(child)
-                fresh = successor is None
-                if fresh:
-                    successor = cnet.decode(child)
-                row.append((actions[dense], tids[dense], successor))
-                self._num_edges += 1
-                if fresh:
-                    if len(self.states) >= max_states:
-                        raise UnboundedNetError(
-                            f"more than {max_states} reachable states in"
-                            f" {self.net.name!r}; net may be unbounded",
-                            witness=successor,
-                            bound=max_states,
-                            frontier=successor,
-                        )
-                    mark_of[child] = successor
-                    info[child] = (child_deficits, child_enabled)
-                    self.states.add(successor)
-                    self._successors[successor] = []
-                    if check_covering:
-                        ancestors[child] = state
-                        cursor = state
-                        while cursor is not None:
-                            if covers(child, cursor):
-                                raise UnboundedNetError(
-                                    f"net {self.net.name!r} is unbounded:"
-                                    f" {successor!r} strictly covers ancestor"
-                                    f" {mark_of[cursor]!r}",
-                                    witness=successor,
-                                    frontier=successor,
-                                )
-                            cursor = ancestors[cursor]
+            row = successors[mark_of[state]]
+            for action, tid, child in expand(state):
+                target = mark_of.get(child)
+                if target is None:
+                    target = decode(child)
+                    mark_of[child] = target
+                    successors[target] = []
                     queue.append(child)
                     if len(queue) > self.frontier_peak:
                         self.frontier_peak = len(queue)
+                row.append((action, tid, target))
+            self._num_edges += len(row)
+        self.states = successors.keys()
 
     # -- queries -----------------------------------------------------------
 
@@ -370,6 +287,14 @@ class ReachabilityGraph:
     # -- internals ----------------------------------------------------------
 
     def _condensation(self) -> tuple[list[set[Marking]], dict[Marking, int]]:
+        """Tarjan SCCs of the reachability graph, computed once per graph
+        (``is_live``, ``is_reversible`` and ``is_strongly_connected``
+        share them)."""
+        if self._scc is None:
+            self._scc = self._tarjan()
+        return self._scc
+
+    def _tarjan(self) -> tuple[list[set[Marking]], dict[Marking, int]]:
         """Tarjan SCCs of the reachability graph (iterative)."""
         index_counter = 0
         stack: list[Marking] = []

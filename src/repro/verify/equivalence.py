@@ -40,8 +40,8 @@ Trace = tuple[str, ...]
 class _Lts:
     """A finite labeled transition system extracted from a net."""
 
-    def __init__(self, net: PetriNet, max_states: int, backend: str | None = None):
-        graph = ReachabilityGraph(net, max_states=max_states, backend=backend)
+    def __init__(self, net: PetriNet, max_states: int):
+        graph = ReachabilityGraph(net, max_states=max_states)
         self.states: list[Marking] = sorted(graph.states, key=repr)
         self.index = {state: i for i, state in enumerate(self.states)}
         self.start = self.index[graph.initial]
@@ -123,7 +123,7 @@ def _bisim_key(
 ) -> str | None:
     """Verdict-memo key for a bisimulation check, ``None`` when caching
     is off or a net has opaque guards.  Keyed by check semantics only;
-    engine/backend never change the verdict (strong bisimulation is
+    the engine never changes the verdict (strong bisimulation is
     engine-invariant by construction, and every engine path here is an
     exact decision procedure)."""
     from repro.cache import verdicts
@@ -174,7 +174,6 @@ def strongly_bisimilar(
     net2: PetriNet,
     max_states: int = 100_000,
     engine: str = DEFAULT_ENGINE,
-    backend: str | None = None,
 ) -> bool:
     """Strong bisimulation equivalence of two bounded nets' behaviours.
 
@@ -197,9 +196,7 @@ def strongly_bisimilar(
             span.set(verdict=hit, cached=True)
             return hit
         if engine != "eager":
-            verdict, _ = deterministic_bisimulation(
-                net1, net2, max_states, backend=backend
-            )
+            verdict, _ = deterministic_bisimulation(net1, net2, max_states)
             if verdict is not None:
                 span.set(verdict=verdict)
                 _bisim_publish(cache_key, verdict, max_states, engine)
@@ -212,13 +209,12 @@ def strongly_bisimilar(
                 mode="equal",
                 silent=(),
                 max_states=max_states,
-                backend=backend,
             ).verdict:
                 span.set(verdict=False)
                 _bisim_publish(cache_key, False, max_states, engine)
                 return False
-        lts1 = _Lts(net1, max_states, backend=backend)
-        lts2 = _Lts(net2, max_states, backend=backend)
+        lts1 = _Lts(net1, max_states)
+        lts2 = _Lts(net2, max_states)
         verdict = _partition_refinement(
             lts1, lts2, lts1.successors, lts2.successors
         )
@@ -254,7 +250,6 @@ def weakly_bisimilar(
     silent: Iterable[str] = (EPSILON,),
     max_states: int = 100_000,
     engine: str = DEFAULT_ENGINE,
-    backend: str | None = None,
 ) -> bool:
     """Weak bisimulation equivalence with the given silent labels.
 
@@ -281,14 +276,13 @@ def weakly_bisimilar(
                 silent=silent,
                 max_states=max_states,
                 reduction=engine == "por",
-                backend=backend,
             ).verdict:
                 span.set(verdict=False)
                 _bisim_publish(cache_key, False, max_states, engine)
                 return False
         silent_set = set(silent)
-        lts1 = _Lts(net1, max_states, backend=backend)
-        lts2 = _Lts(net2, max_states, backend=backend)
+        lts1 = _Lts(net1, max_states)
+        lts2 = _Lts(net2, max_states)
         verdict = _partition_refinement(
             lts1, lts2, _weak_moves(lts1, silent_set), _weak_moves(lts2, silent_set)
         )

@@ -58,7 +58,6 @@ def dfa_of_net(
     silent: Iterable[str] = (EPSILON,),
     alphabet: Iterable[str] | None = None,
     max_states: int = 1_000_000,
-    backend: str | None = None,
 ) -> Dfa:
     """The minimal DFA of the visible trace language of a bounded net.
 
@@ -67,7 +66,7 @@ def dfa_of_net(
     silent labels; supplying a larger alphabet lets two nets be compared
     over a common symbol set.
     """
-    graph = ReachabilityGraph(net, max_states=max_states, backend=backend)
+    graph = ReachabilityGraph(net, max_states=max_states)
     silent_set = set(silent)
     if alphabet is None:
         visible = frozenset(net.actions - silent_set)
@@ -220,7 +219,7 @@ def _language_key(
     """The verdict-memo key for a language comparison, or ``None`` when
     caching is off (or a net has opaque guards).  Keyed by the check's
     semantics only — mode, content hashes, silent set — never by
-    engine/backend (all engines are exact and always agree)."""
+    engine (all engines are exact and always agree)."""
     from repro.cache import verdicts
 
     if verdicts.active_store() is None:
@@ -271,7 +270,6 @@ def languages_equal(
     silent: Iterable[str] = (EPSILON,),
     max_states: int = 1_000_000,
     engine: str = DEFAULT_ENGINE,
-    backend: str | None = None,
 ) -> bool:
     """Exact visible-trace-language equality of two bounded nets.
 
@@ -287,7 +285,7 @@ def languages_equal(
     is INCONCLUSIVE.  All are exact, so they always agree — which is
     why the verdict memo (:mod:`repro.cache`, active stores only) keys
     entries by content hashes, mode, silent set and budget but *not*
-    by engine or backend.
+    by engine.
     """
     engine = resolve_engine(engine, extra=("symbolic",))
     cache_key = _language_key("equal", net1, net2, silent)
@@ -310,7 +308,6 @@ def languages_equal(
                 silent=silent,
                 max_states=max_states,
                 reduction=False,
-                backend=backend,
             ).verdict
         elif engine != "eager":
             verdict = compare_languages(
@@ -320,12 +317,11 @@ def languages_equal(
                 silent=silent,
                 max_states=max_states,
                 reduction=engine == "por",
-                backend=backend,
             ).verdict
         else:
             common = (net1.actions | net2.actions) - set(silent)
-            d1 = dfa_of_net(net1, silent, common, max_states, backend=backend)
-            d2 = dfa_of_net(net2, silent, common, max_states, backend=backend)
+            d1 = dfa_of_net(net1, silent, common, max_states)
+            d2 = dfa_of_net(net2, silent, common, max_states)
             verdict = dfa_equal(d1, d2)
         span.set(verdict=verdict)
         _language_publish(cache_key, bool(verdict), max_states, engine)
@@ -338,7 +334,6 @@ def language_contained(
     silent: Iterable[str] = (EPSILON,),
     max_states: int = 1_000_000,
     engine: str = DEFAULT_ENGINE,
-    backend: str | None = None,
 ) -> bool:
     """Exact visible-trace containment ``L(net1) <= L(net2)``."""
     engine = resolve_engine(engine, extra=("symbolic",))
@@ -364,7 +359,6 @@ def language_contained(
                 silent=silent,
                 max_states=max_states,
                 reduction=False,
-                backend=backend,
             ).verdict
         elif engine != "eager":
             verdict = compare_languages(
@@ -374,12 +368,11 @@ def language_contained(
                 silent=silent,
                 max_states=max_states,
                 reduction=engine == "por",
-                backend=backend,
             ).verdict
         else:
             common = (net1.actions | net2.actions) - set(silent)
-            d1 = dfa_of_net(net1, silent, common, max_states, backend=backend)
-            d2 = dfa_of_net(net2, silent, common, max_states, backend=backend)
+            d1 = dfa_of_net(net1, silent, common, max_states)
+            d2 = dfa_of_net(net2, silent, common, max_states)
             verdict = dfa_contained(d1, d2)
         span.set(verdict=verdict)
         _language_publish(cache_key, bool(verdict), max_states, engine)
@@ -392,7 +385,6 @@ def distinguishing_trace(
     silent: Iterable[str] = (EPSILON,),
     max_states: int = 1_000_000,
     engine: str = DEFAULT_ENGINE,
-    backend: str | None = None,
 ) -> tuple[str, ...] | None:
     """A shortest trace in exactly one of the two languages, or ``None``.
 
@@ -416,11 +408,10 @@ def distinguishing_trace(
             silent=silent,
             max_states=max_states,
             reduction=engine == "por",
-            backend=backend,
         ).counterexample
     common = (net1.actions | net2.actions) - set(silent)
-    d1 = dfa_of_net(net1, silent, common, max_states, backend=backend)
-    d2 = dfa_of_net(net2, silent, common, max_states, backend=backend)
+    d1 = dfa_of_net(net1, silent, common, max_states)
+    d2 = dfa_of_net(net2, silent, common, max_states)
     start = (d1.start, d2.start)
     parents: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {
         start: None

@@ -269,15 +269,14 @@ def _reachability_failures(
     composite: Stg,
     obligations: list[SyncObligation],
     max_states: int,
-    backend: str | None = None,
 ) -> tuple[list[ReceptivenessFailure], int]:
-    """The eager oracle: materialise the full composite state space,
-    then scan it per obligation."""
+    """The eager path: materialise the full composite state space, then
+    scan it per obligation in breadth-first discovery order — so each
+    witness is the first failing marking the on-the-fly search would
+    discover too, independent of hash seeds."""
     from repro.petri.reachability import ReachabilityGraph
 
-    graph = ReachabilityGraph(
-        composite.net, max_states=max_states, backend=backend
-    )
+    graph = ReachabilityGraph(composite.net, max_states=max_states)
     failures: list[ReceptivenessFailure] = []
     for obligation in obligations:
         for marking in graph.states:
@@ -293,7 +292,6 @@ def _onthefly_failures(
     max_states: int,
     stop_at_first: bool = False,
     reduce: bool = False,
-    backend: str | None = None,
     proviso: str | None = None,
 ) -> tuple[list[ReceptivenessFailure], int, int]:
     """Demand-driven Proposition 5.5 search: obligations are checked as
@@ -303,6 +301,11 @@ def _onthefly_failures(
     failing compositions.  Witnesses come with a firable trace from the
     initial marking (shortest without reduction, where discovery is
     breadth-first).
+
+    Obligation presets are lowered to dense place indices once, so the
+    failure predicate reads token counts straight out of the packed
+    state vectors — no :class:`Marking` is materialised until a witness
+    is found (and then only for the witnesses themselves).
 
     With ``reduce`` the space is explored under stubborn-set
     partial-order reduction, governed by ``proviso``
@@ -341,53 +344,12 @@ def _onthefly_failures(
             reduction=True,
             visible_actions=(),
             visible_places=predicate_places,
-            backend=backend,
             proviso=proviso,
         )
     else:
-        space = LazyStateSpace(
-            composite.net, max_states=max_states, backend=backend
-        )
-    if space.backend == "compiled":
-        return _onthefly_failures_packed(space, obligations, stop_at_first)
-    pending = list(obligations)
-    failures: list[ReceptivenessFailure] = []
-    for marking in space.iter_discovery():
-        if not pending:
-            break
-        remaining: list[SyncObligation] = []
-        for obligation in pending:
-            if _is_failure_marking(obligation, marking):
-                steps = space.trace_to(marking)
-                failures.append(
-                    ReceptivenessFailure(
-                        obligation,
-                        marking,
-                        trace=tuple(action for _, action in steps),
-                        tids=tuple(tid for tid, _ in steps),
-                    )
-                )
-                if stop_at_first:
-                    space.publish_metrics("engine.lazy")
-                    return failures, space.num_explored(), space.stats.reduced_states
-            else:
-                remaining.append(obligation)
-        pending = remaining
-    space.publish_metrics("engine.lazy")
-    return failures, space.num_explored(), space.stats.reduced_states
-
-
-def _onthefly_failures_packed(
-    space, obligations: list[SyncObligation], stop_at_first: bool
-) -> tuple[list[ReceptivenessFailure], int, int]:
-    """Prop 5.5 search over the compiled backend's packed states.
-
-    Obligation presets are lowered to dense place indices once, so the
-    failure predicate reads token counts straight out of the packed
-    vectors — no :class:`Marking` is materialised until a witness is
-    found (and then only for the witnesses themselves)."""
+        space = LazyStateSpace(composite.net, max_states=max_states)
     index = space.compiled_net.place_index
-    packed_obligations = [
+    pending = [
         (
             obligation,
             tuple(index[p] for p in sorted(obligation.producer_preset)),
@@ -398,7 +360,6 @@ def _onthefly_failures_packed(
         )
         for obligation in obligations
     ]
-    pending = packed_obligations
     failures: list[ReceptivenessFailure] = []
     for state in space.iter_raw_discovery():
         if not pending:
@@ -436,7 +397,6 @@ def _parallel_failures(
     composite: Stg,
     obligations: list[SyncObligation],
     max_states: int,
-    backend: str | None,
     workers: int,
     memory_budget: int | None,
 ) -> tuple[list[ReceptivenessFailure], int]:
@@ -457,7 +417,6 @@ def _parallel_failures(
         workers=workers,
         max_states=max_states,
         memory_budget=memory_budget,
-        backend=backend,
         obligations=[
             (obligation.producer_preset, obligation.consumer_presets)
             for obligation in obligations
@@ -544,7 +503,6 @@ def check_receptiveness(
     max_states: int = 1_000_000,
     engine: str | None = None,
     stop_at_first: bool = False,
-    backend: str | None = None,
     workers: int | None = None,
     memory_budget: int | None = None,
     proviso: str | None = None,
@@ -567,8 +525,10 @@ def check_receptiveness(
     trace); ``"por"`` additionally applies stubborn-set partial-order
     reduction with the obligation places declared visible, so the
     Prop 5.5 verdict is unchanged while fewer interleavings are
-    explored; ``"eager"`` materialises the full graph first — the
-    oracle path; ``"symbolic"`` first attempts to decide every
+    explored; ``"eager"`` materialises the full graph first (the same
+    exploration core without early exit; its witnesses are the first
+    failing markings in breadth-first discovery order, as on the
+    on-the-fly path); ``"symbolic"`` first attempts to decide every
     obligation by state-equation reasoning alone
     (:mod:`repro.petri.symbolic`: exact-rational linear feasibility
     with trap refinement — no marking is ever constructed, so
@@ -593,11 +553,6 @@ def check_receptiveness(
     that point; only the per-obligation attribution of *later* failures
     is lost).
 
-    ``backend`` selects the state representation used by the explorer
-    (``"compiled"`` packed vectors by default, ``"dict"`` for the
-    plain-``Marking`` baseline); the verdict, witnesses and traces are
-    identical either way — see ``docs/PERFORMANCE.md``.
-
     ``workers`` > 1 (or any ``memory_budget``) routes the reachability
     method through the sharded parallel explorer
     (:mod:`repro.petri.parallel`): hash-partitioned visited sets with
@@ -614,7 +569,6 @@ def check_receptiveness(
     same events are also forwarded to any recorder already active in the
     caller, e.g. the one behind ``cip verify --profile``.
     """
-    from repro.petri.compiled import resolve_backend
     from repro.petri.parallel import resolve_workers
     from repro.petri.product import (
         DEFAULT_ENGINE,
@@ -626,7 +580,6 @@ def check_receptiveness(
         engine if engine is not None else DEFAULT_ENGINE,
         extra=("symbolic",),
     )
-    backend = resolve_backend(backend)
     workers = resolve_workers(workers)
     if (workers > 1 or memory_budget is not None) and engine == "symbolic":
         raise ValueError(
@@ -666,14 +619,13 @@ def check_receptiveness(
             max_states,
             engine,
             stop_at_first,
-            backend,
             recorder,
             workers,
             memory_budget,
             proviso,
         )
     report.metrics = recorder.to_dict()
-    _receptiveness_publish(cache_key, report, max_states, backend, workers)
+    _receptiveness_publish(cache_key, report, max_states, workers)
     return report
 
 
@@ -684,8 +636,8 @@ def _receptiveness_key(
     is off or either net has opaque guards.  Keyed by the semantics only
     (STG content hashes, requested method, ``stop_at_first`` — the
     latter changes which failures are attributed, so reports differ);
-    engine/backend/workers never change the verdict or the witnesses'
-    validity and stay provenance-only."""
+    engine/workers never change the verdict or the witnesses' validity
+    and stay provenance-only."""
     from repro.cache import verdicts
 
     if verdicts.active_store() is None:
@@ -778,7 +730,6 @@ def _receptiveness_publish(
     cache_key: str | None,
     report: ReceptivenessReport,
     max_states: int,
-    backend: str,
     workers: int,
 ) -> None:
     from repro.cache import verdicts
@@ -814,11 +765,7 @@ def _receptiveness_publish(
         conclusive=True,
         floor=report.states_explored or 0,
         proven_at=max_states,
-        provenance={
-            "engine": report.engine,
-            "backend": backend,
-            "workers": workers,
-        },
+        provenance={"engine": report.engine, "workers": workers},
     )
 
 
@@ -829,7 +776,6 @@ def _checked_receptiveness(
     max_states: int,
     engine: str,
     stop_at_first: bool,
-    backend: str,
     recorder: obs.MetricsRecorder,
     workers: int = 1,
     memory_budget: int | None = None,
@@ -920,7 +866,6 @@ def _checked_receptiveness(
         with obs.span(
             "verify.receptiveness.search",
             engine=search_engine,
-            backend=backend,
             workers=workers,
             proviso=proviso or "-",
         ) as search:
@@ -929,7 +874,6 @@ def _checked_receptiveness(
                     composite,
                     pending,
                     max_states,
-                    backend,
                     workers,
                     memory_budget,
                 )
@@ -940,12 +884,11 @@ def _checked_receptiveness(
                     max_states,
                     stop_at_first=stop_at_first,
                     reduce=search_engine == "por",
-                    backend=backend,
                     proviso=proviso,
                 )
             else:
                 failures, explored = _reachability_failures(
-                    composite, pending, max_states, backend=backend
+                    composite, pending, max_states
                 )
             search.set(states=explored)
         failures = symbolic_failures + failures
@@ -988,7 +931,6 @@ def check_receptiveness_with_hiding(
     stg2: Stg,
     max_states: int = 1_000_000,
     engine: str | None = None,
-    backend: str | None = None,
     workers: int | None = None,
     memory_budget: int | None = None,
     proviso: str | None = None,
@@ -1016,7 +958,6 @@ def check_receptiveness_with_hiding(
         method="reachability",
         max_states=max_states,
         engine=engine,
-        backend=backend,
         workers=workers,
         memory_budget=memory_budget,
         proviso=proviso,

@@ -1,7 +1,7 @@
 """The corpus differential harness over the checked-in mini-corpus.
 
-This is the PR's acceptance gate: every net in ``tests/corpus/``
-through engines x backends with zero disagreements, one schema-valid
+The acceptance gate: every net in ``tests/corpus/`` through every
+engine with zero disagreements, one schema-valid
 ``repro.obs/v1`` payload per instance, and the algebra laws holding on
 the parsed nets.
 """
@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.bench.corpus import (
-    BACKENDS,
     ENGINES,
     CellResult,
     CorpusError,
@@ -64,15 +63,11 @@ class TestFullMatrix:
         assert report.law_violations == []
 
     def test_every_instance_ran_the_full_matrix(self, report):
-        # The three explicit engines sweep every backend; the symbolic
-        # engine explores no states, so it contributes one backend-less
-        # cell per instance.
-        explicit = len(ENGINES) - 1
+        # One cell per engine, the non-enumerating symbolic one included.
         for instance in report.instances:
-            assert len(instance.cells) == explicit * len(BACKENDS) + 1
+            assert [c.engine for c in instance.cells] == list(ENGINES)
             symbolic = [c for c in instance.cells if c.engine == "symbolic"]
             assert len(symbolic) == 1
-            assert symbolic[0].backend == "-"
             assert symbolic[0].conclusive is not None
 
     def test_one_valid_payload_per_instance(self, report):
@@ -128,67 +123,53 @@ class TestBoundExceeded:
 
 
 class TestDiffCells:
-    def ok(self, engine, backend, states=5, edges=7, dead=()):
-        return CellResult(
-            engine, backend, "ok", states, edges, frozenset(dead)
-        )
-
-    def test_backend_count_mismatch_flagged(self):
-        problems = diff_cells(
-            [self.ok("eager", "dict"), self.ok("eager", "compiled", states=6)]
-        )
-        assert any("backend mismatch" in p for p in problems)
+    def ok(self, engine, states=5, edges=7, dead=()):
+        return CellResult(engine, "ok", states, edges, frozenset(dead))
 
     def test_engine_count_mismatch_flagged(self):
-        problems = diff_cells(
-            [self.ok("eager", "dict"), self.ok("onthefly", "dict", edges=9)]
-        )
+        problems = diff_cells([self.ok("eager"), self.ok("onthefly", edges=9)])
         assert any("engine mismatch" in p for p in problems)
 
     def test_por_deadlock_divergence_flagged(self):
         marking = Marking({"p": 1})
         problems = diff_cells(
             [
-                self.ok("eager", "dict", dead=(marking,)),
-                self.ok("por", "dict", states=3, edges=3),
+                self.ok("eager", dead=(marking,)),
+                self.ok("por", states=3, edges=3),
             ]
         )
         assert any("deadlock set differs" in p for p in problems)
 
     def test_por_exploring_more_flagged(self):
         problems = diff_cells(
-            [self.ok("eager", "dict"), self.ok("por", "dict", states=9)]
+            [self.ok("eager"), self.ok("por", states=9)]
         )
         assert any("explored more" in p for p in problems)
 
     def test_por_bound_exceeded_when_reference_ok_flagged(self):
         problems = diff_cells(
             [
-                self.ok("eager", "dict"),
-                CellResult("por", "dict", "bound-exceeded"),
+                self.ok("eager"),
+                CellResult("por", "bound-exceeded"),
             ]
         )
         assert any("although the full space completed" in p for p in problems)
 
     def test_por_smaller_space_is_fine(self):
         problems = diff_cells(
-            [self.ok("eager", "dict"), self.ok("por", "dict", states=3, edges=3)]
+            [self.ok("eager"), self.ok("por", states=3, edges=3)]
         )
         assert problems == []
 
-    def test_outcome_mismatch_across_backends_flagged(self):
+    def test_outcome_mismatch_across_engines_flagged(self):
         problems = diff_cells(
-            [
-                self.ok("eager", "dict"),
-                CellResult("eager", "compiled", "unbounded"),
-            ]
+            [self.ok("eager"), CellResult("onthefly", "unbounded")]
         )
-        assert any("backend mismatch" in p for p in problems)
+        assert any("engine mismatch" in p for p in problems)
 
     def symbolic(self, outcome="ok", conclusive=True, dead=()):
         return CellResult(
             "symbolic",
-            "-",
             outcome,
             conclusive=conclusive,
             dead_actions=frozenset(dead),
@@ -199,7 +180,7 @@ class TestDiffCells:
         covering is a soundness bug and must be loud."""
         problems = diff_cells(
             [
-                CellResult("eager", "dict", "unbounded"),
+                CellResult("eager", "unbounded"),
                 self.symbolic(outcome="ok", conclusive=True),
             ]
         )
@@ -208,7 +189,7 @@ class TestDiffCells:
     def test_symbolic_inconclusive_against_unbounded_is_fine(self):
         problems = diff_cells(
             [
-                CellResult("eager", "dict", "unbounded"),
+                CellResult("eager", "unbounded"),
                 self.symbolic(outcome="inconclusive", conclusive=False),
             ]
         )
@@ -218,7 +199,6 @@ class TestDiffCells:
         cells = [
             CellResult(
                 "eager",
-                "dict",
                 "ok",
                 5,
                 7,
@@ -234,7 +214,6 @@ class TestDiffCells:
         cells = [
             CellResult(
                 "eager",
-                "dict",
                 "ok",
                 5,
                 7,
@@ -276,8 +255,6 @@ class TestCliBench:
                 str(corpus_dir),
                 "--engines",
                 "eager,onthefly",
-                "--backends",
-                "dict",
                 "--max-states",
                 "5000",
                 "--out",
@@ -286,7 +263,7 @@ class TestCliBench:
         )
         assert status == 0
         out = capsys.readouterr().out
-        assert "# all engines and backends agree" in out
+        assert "# all engines agree" in out
         payloads = sorted(out_dir.glob("*.obs.json"))
         assert len(payloads) >= 20
         for payload_path in payloads:
@@ -305,8 +282,6 @@ class TestCliBench:
                 str(corpus_dir),
                 "--engines",
                 "onthefly,symbolic",
-                "--backends",
-                "dict",
                 "--max-states",
                 "5000",
                 "--out",
@@ -315,12 +290,12 @@ class TestCliBench:
         )
         assert status == 0
         out = capsys.readouterr().out
-        assert "# all engines and backends agree" in out
-        assert "symbolic/-" in out
+        assert "# all engines agree" in out
+        assert "symbolic: " in out
         index = json.loads((out_dir / "INDEX.json").read_text())
         assert index["disagreements"] == []
         for entry in index["instances"]:
-            cell = entry["cells"]["symbolic/-"]
+            cell = entry["cells"]["symbolic"]
             assert cell["conclusive"] in (True, False)
             assert "dead action" in cell["summary"]
 

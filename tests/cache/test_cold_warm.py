@@ -163,7 +163,7 @@ class TestCliBenchParity:
         warm_out = self.bench(capsys, corpus_dir, tmp_path / "warm", *flags)
         assert diff_bench_dirs(tmp_path / "nocache", tmp_path / "cold") == []
         assert diff_bench_dirs(tmp_path / "cold", tmp_path / "warm") == []
-        assert "all engines and backends agree" in warm_out
+        assert "all engines agree" in warm_out
         index = json.loads(
             (tmp_path / "warm" / "INDEX.json").read_text(encoding="utf-8")
         )

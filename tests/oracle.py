@@ -1,0 +1,87 @@
+"""The naive reference breadth-first search over markings: the single
+oracle the exploration core is checked against.
+
+It reads only ``net.initial`` and the tid-sorted transition relation,
+fires with its own token arithmetic and builds
+:class:`~repro.petri.marking.Marking` values itself; no exploration code
+of :mod:`repro.petri` is involved.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+from repro.petri.marking import Marking
+
+
+def fire(marking: Marking, preset, postset) -> Marking | None:
+    """The successor of ``marking`` under one transition, or ``None``
+    when some input place is empty."""
+    if any(marking[place] < 1 for place in preset):
+        return None
+    counts = dict(marking.items())
+    for place in preset:
+        counts[place] -= 1
+    for place in postset:
+        counts[place] = counts.get(place, 0) + 1
+    return Marking({place: count for place, count in counts.items() if count})
+
+
+class Oracle:
+    """The reachability graph of a net, breadth-first, up to ``limit``
+    markings.  ``rows`` maps every marking, in discovery order, to its
+    ``(action, tid, target)`` edges in tid order; ``parent`` maps it to
+    ``(predecessor, tid)`` (``None`` for the initial marking).
+    ``complete`` is false when the search stopped at ``limit``."""
+
+    def __init__(self, net, limit: int = 5000):
+        relation = [
+            (t.tid, t.action, t.preset, t.postset)
+            for _, t in sorted(net.transitions.items())
+        ]
+        self.initial = Marking({p: c for p, c in net.initial.items() if c})
+        self.rows: dict[Marking, list] = {self.initial: []}
+        self.parent: dict[Marking, tuple[Marking, int] | None] = {
+            self.initial: None
+        }
+        self.complete = True
+        queue = deque([self.initial])
+        while queue:
+            marking = queue.popleft()
+            for tid, action, preset, postset in relation:
+                target = fire(marking, preset, postset)
+                if target is None:
+                    continue
+                if target not in self.rows:
+                    if len(self.rows) >= limit:
+                        self.complete = False
+                        return
+                    self.rows[target] = []
+                    self.parent[target] = (marking, tid)
+                    queue.append(target)
+                self.rows[marking].append((action, tid, target))
+
+    def states(self) -> list[Marking]:
+        return list(self.rows)
+
+    def deadlocks(self) -> list[Marking]:
+        return [marking for marking, row in self.rows.items() if not row]
+
+    def path(self, marking: Marking) -> list[tuple[Marking, int]]:
+        """The discovery path to ``marking``: ``(predecessor, tid)``
+        steps from the initial marking on."""
+        steps = []
+        while self.parent[marking] is not None:
+            steps.append(self.parent[marking])
+            marking = steps[-1][0]
+        return steps[::-1]
+
+    def first_covering(self) -> Marking | None:
+        """The first marking, in discovery order, that strictly covers a
+        marking on its own discovery path (the Karp-Miller condition),
+        or ``None``."""
+        for marking in self.rows:
+            for ancestor, _ in self.path(marking):
+                if marking != ancestor and marking.covers(ancestor):
+                    return marking
+        return None

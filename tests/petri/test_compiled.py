@@ -1,37 +1,30 @@
-"""Compiled backend: lowering correctness and dict-parity guarantees.
+"""The compiled exploration core: lowering correctness and agreement
+with the naive reference search.
 
-The compiled backend must be *observationally identical* to the dict
-backend — same states, same discovery order, same errors (to the byte),
-same witnesses, same reduction decisions — only faster.  This module
-pins that contract:
+Every engine explores through the packed core of
+:mod:`repro.petri.compiled`; it must be *observationally identical* to
+a plain breadth-first search over markings (``tests/oracle.py``) — same
+states, same discovery order, same edge lists, same deadlocks, and a
+genuine covering witness whenever it declares a net unbounded.  This
+module pins that contract:
 
 * unit tests of the lowering itself (indices, codecs, encode/decode,
   deficit counters);
-* hypothesis differential tests running both backends on random nets
-  (enabledness, firing walks, hashing/equality, eager and lazy BFS,
-  unboundedness witnesses, POR reduction);
-* a CLI differential asserting byte-identical ``cip verify`` output
-  across ``--backend dict/compiled`` x ``--engine eager/onthefly/por``
-  on the Fig 5-8 case-study nets.
+* hypothesis properties comparing the oracle against the core on random
+  nets (enabledness, firing walks, hashing/equality, the eager graph,
+  the exhausted lazy space, unboundedness witnesses, POR reduction).
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cli import main
-from repro.petri.compiled import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    CompiledNet,
-    PackedMarkingView,
-    compile_net,
-    resolve_backend,
-)
+from repro.petri.compiled import PackedMarkingView, compile_net
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
 from repro.petri.product import LazyStateSpace
 from repro.petri.reachability import ReachabilityGraph, UnboundedNetError
 
+from tests.oracle import Oracle
 from tests.strategies import petri_nets, bounded_nets, bounded_multi_token_nets
 
 RELAXED = settings(
@@ -39,6 +32,16 @@ RELAXED = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
 )
+
+#: The oracle suite proper: every exhaustive view of the core against
+#: the reference search.
+ORACLE = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+BOUNDED = st.one_of(bounded_nets(), bounded_multi_token_nets())
 
 
 def demo_net() -> PetriNet:
@@ -49,20 +52,6 @@ def demo_net() -> PetriNet:
     net.add_transition({"p1", "p3"}, "c", {"p0", "p3"}, tid=2)
     net.set_initial(Marking({"p0": 1, "p3": 1}))
     return net
-
-
-class TestResolveBackend:
-    def test_default(self):
-        assert resolve_backend(None) == DEFAULT_BACKEND
-        assert DEFAULT_BACKEND in BACKENDS
-
-    def test_identity_on_known(self):
-        for backend in BACKENDS:
-            assert resolve_backend(backend) == backend
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("sparse")
 
 
 class TestLowering:
@@ -189,6 +178,8 @@ class TestPackedMarkingView:
 
 class TestDeficitCounters:
     def test_initial_enabled_matches_dict_engine(self):
+        """The initial enabled set agrees with the net's own firing
+        rule (:meth:`PetriNet.enabled_transitions`)."""
         net = demo_net()
         cnet = net.compiled()
         expected = tuple(
@@ -210,14 +201,29 @@ class TestDeficitCounters:
             )
             assert (deficits, enabled) == cnet.analyze_state(state)
 
+    def test_preset_wider_than_a_byte(self):
+        """A transition with more than 255 input places has deficits
+        beyond a byte: the net takes the wide codec and its counters."""
+        net = PetriNet("wide-join")
+        places = [f"p{i:03d}" for i in range(300)]
+        net.add_transition(set(places), "join", {"done"})
+        net.add_transition({"p000"}, "step", {"q"})
+        net.set_initial(Marking({"p000": 1}))
+        cnet = net.compiled()
+        assert cnet.codec == "wide"
+        assert max(cnet.initial_deficits) == 299
+        graph = ReachabilityGraph(net)
+        assert graph.num_states() == 2
+        assert graph.fired_tids() == {1}
+
 
 @RELAXED
-@given(net=st.one_of(bounded_nets(), bounded_multi_token_nets()))
+@given(net=BOUNDED)
 def test_enabledness_and_firing_parity(net):
     """Walk the whole reachable space firing through both
     representations in lockstep: enabled sets, successors and the
-    incremental deficit counters agree with the dict engine at every
-    state."""
+    incremental deficit counters agree with the net's own firing rule
+    at every state."""
     cnet = net.compiled()
     seen = set()
     stack = [(net.initial, cnet.encode(net.initial))]
@@ -244,14 +250,24 @@ def test_enabledness_and_firing_parity(net):
             stack.append((successor, child))
 
 
+def assert_matches_oracle(states, rows, oracle: Oracle) -> None:
+    """A fully explored view of the core equals the reference search:
+    the same markings in the same discovery order, the same edge list
+    per marking (order included) and hence the same deadlocks."""
+    assert oracle.complete
+    assert list(states) == oracle.states()
+    for marking in oracle.rows:
+        assert list(rows(marking)) == oracle.rows[marking]
+    assert [m for m in states if not rows(m)] == oracle.deadlocks()
+
+
 @RELAXED
-@given(net=st.one_of(bounded_nets(), bounded_multi_token_nets()))
+@given(net=BOUNDED)
 def test_hashing_and_equality_parity(net):
     """Packed states are equal (and hash-equal) exactly when the
     markings they encode are equal — the visited-set contract."""
-    graph = ReachabilityGraph(net, backend="dict")
     cnet = net.compiled()
-    packed = {marking: cnet.encode(marking) for marking in graph.states}
+    packed = {marking: cnet.encode(marking) for marking in Oracle(net).rows}
     assert len(set(packed.values())) == len(packed)
     for marking, state in packed.items():
         again = cnet.encode(Marking(dict(marking)))
@@ -261,139 +277,90 @@ def test_hashing_and_equality_parity(net):
         assert hash(cnet.decode(state)) == hash(marking)
 
 
-@RELAXED
-@given(net=st.one_of(bounded_nets(), bounded_multi_token_nets()))
+@ORACLE
+@given(net=BOUNDED)
 def test_eager_graph_parity(net):
-    """Full ReachabilityGraph equality across backends: states, edge
-    lists (including order), deadlocks, bound and frontier peak."""
-    dict_graph = ReachabilityGraph(net, backend="dict")
-    compiled_graph = ReachabilityGraph(net, backend="compiled")
-    assert compiled_graph.states == dict_graph.states
-    assert list(compiled_graph.edges) == list(dict_graph.edges)
-    assert compiled_graph.num_edges() == dict_graph.num_edges()
-    assert sorted(map(repr, compiled_graph.deadlocks())) == sorted(
-        map(repr, dict_graph.deadlocks())
+    """The eager graph — the core exhausted in one breadth-first pass —
+    equals the reference search."""
+    graph = ReachabilityGraph(net)
+    oracle = Oracle(net)
+    assert_matches_oracle(graph.states, graph.successors, oracle)
+    assert graph.num_edges() == sum(len(row) for row in oracle.rows.values())
+    assert graph.deadlocks() == oracle.deadlocks()
+    assert graph.bound() == max(
+        (count for m in oracle.rows for count in m.values()), default=0
     )
-    assert compiled_graph.bound() == dict_graph.bound()
-    assert compiled_graph.frontier_peak == dict_graph.frontier_peak
 
 
 @RELAXED
 @given(net=petri_nets())
 def test_unboundedness_witness_parity(net):
-    """On arbitrary (possibly unbounded) nets both backends either
-    succeed with the same space or raise UnboundedNetError with the
-    same message and the same witness marking."""
-    outcomes = {}
-    for backend in BACKENDS:
-        try:
-            graph = ReachabilityGraph(net, max_states=300, backend=backend)
-            outcomes[backend] = ("ok", graph.num_states(), graph.num_edges())
-        except UnboundedNetError as error:
-            outcomes[backend] = ("err", str(error), error.witness)
-    assert outcomes["compiled"] == outcomes["dict"]
+    """On arbitrary (possibly unbounded) nets the core either completes
+    with the reference space, stops at the budget exactly when the
+    reference does, or proves unboundedness with the first marking (in
+    discovery order) that strictly covers a marking on its own replayed
+    discovery path."""
+    oracle = Oracle(net, limit=300)
+    covering = oracle.first_covering()
+    try:
+        graph = ReachabilityGraph(net, max_states=300)
+    except UnboundedNetError as error:
+        if error.bound is None:
+            assert error.witness == covering
+            marking = oracle.initial
+            replayed = [marking]
+            for _, tid in oracle.path(error.witness):
+                transition = net.transitions[tid]
+                marking = net.fire(transition, marking)
+                replayed.append(marking)
+            assert marking == error.witness
+            assert any(
+                error.witness.covers(m) and error.witness != m
+                for m in replayed[:-1]
+            )
+        else:
+            assert covering is None
+            assert not oracle.complete
+            assert error.bound == 300
+    else:
+        assert covering is None
+        assert_matches_oracle(graph.states, graph.successors, oracle)
 
 
-@RELAXED
-@given(net=st.one_of(bounded_nets(), bounded_multi_token_nets()))
+@ORACLE
+@given(net=BOUNDED)
 def test_lazy_space_parity(net):
-    """Demand-driven parity: BFS discovery sequence, successor edges
-    and shortest traces agree across backends."""
-    dict_space = LazyStateSpace(net, backend="dict")
-    compiled_space = LazyStateSpace(net, backend="compiled")
-    dict_seq = list(dict_space.iter_bfs())
-    compiled_seq = list(compiled_space.iter_bfs())
-    assert compiled_seq == dict_seq
-    for marking in dict_seq:
-        assert compiled_space.successors(marking) == dict_space.successors(
-            marking
-        )
-        assert compiled_space.trace_to(marking) == dict_space.trace_to(marking)
-    assert compiled_space.num_explored() == dict_space.num_explored()
-    assert compiled_space.stats.edges == dict_space.stats.edges
+    """An exhausted lazy space equals the reference search — discovery
+    sequence, successor edges — and its discovery traces are the
+    reference's breadth-first paths."""
+    space = LazyStateSpace(net)
+    oracle = Oracle(net)
+    sequence = list(space.iter_bfs())
+    assert_matches_oracle(sequence, space.successors, oracle)
+    for marking in sequence:
+        assert [tid for tid, _ in space.trace_to(marking)] == [
+            tid for _, tid in oracle.path(marking)
+        ]
+    assert space.num_explored() == len(oracle.rows)
+    assert space.stats.edges == sum(len(row) for row in oracle.rows.values())
 
 
 @RELAXED
-@given(net=st.one_of(bounded_nets(), bounded_multi_token_nets()))
+@given(net=BOUNDED)
 def test_por_reduction_parity(net):
-    """Stubborn-set decisions are backend-independent: the reduced
-    space has the same states, edges and reduction count."""
-    spaces = {
-        backend: LazyStateSpace(net, reduction=True, backend=backend)
-        for backend in BACKENDS
-    }
-    explored = {b: s.explore_all() for b, s in spaces.items()}
-    assert explored["compiled"] == explored["dict"]
-    assert (
-        spaces["compiled"].stats.reduced_states
-        == spaces["dict"].stats.reduced_states
-    )
-    assert spaces["compiled"].stats.edges == spaces["dict"].stats.edges
-
-
-@pytest.fixture(scope="module")
-def fig_files(tmp_path_factory):
-    """The Fig 5-8 case-study modules as .json CLI inputs."""
-    from repro.io.json_io import save
-    from repro.models.protocol_translator import (
-        inconsistent_sender,
-        receiver,
-        sender,
-        translator,
-    )
-
-    root = tmp_path_factory.mktemp("figs")
-    paths = {}
-    for name, model in (
-        ("fig5_sender", sender),
-        ("fig6_receiver", receiver),
-        ("fig7_translator", translator),
-        ("fig8_inconsistent", inconsistent_sender),
-    ):
-        path = root / f"{name}.json"
-        save(model(), str(path))
-        paths[name] = str(path)
-    return paths
-
-
-class TestCliBackendDifferential:
-    """`cip verify` must print byte-identical output and return the
-    same exit code for every engine x backend combination."""
-
-    @pytest.mark.parametrize("engine", ["eager", "onthefly", "por"])
-    @pytest.mark.parametrize(
-        "left,right,expected",
-        [("fig5_sender", "fig7_translator", 0), ("fig8_inconsistent", "fig7_translator", 1)],
-    )
-    def test_verify_outputs_identical(
-        self, fig_files, capsys, engine, left, right, expected
-    ):
-        outputs = {}
-        for backend in BACKENDS:
-            code = main(
-                [
-                    "verify",
-                    fig_files[left],
-                    fig_files[right],
-                    "--engine",
-                    engine,
-                    "--backend",
-                    backend,
-                ]
-            )
-            assert code == expected
-            outputs[backend] = capsys.readouterr().out
-        assert outputs["compiled"] == outputs["dict"]
-
-    def test_info_outputs_identical(self, fig_files, capsys):
-        outputs = {}
-        for backend in BACKENDS:
-            assert (
-                main(["info", fig_files["fig7_translator"], "--backend", backend])
-                == 0
-            )
-            outputs[backend] = capsys.readouterr().out
-        assert outputs["compiled"] == outputs["dict"]
+    """The reduced space is a subgraph of the reference graph with
+    exactly its deadlocks, under both provisos."""
+    oracle = Oracle(net)
+    for proviso in ("fresh", "stack"):
+        space = LazyStateSpace(net, reduction=True, proviso=proviso)
+        states = list(space.iter_bfs())
+        assert set(states) <= set(oracle.rows)
+        for marking in states:
+            assert set(space.successors(marking)) <= set(oracle.rows[marking])
+        assert {m for m in states if not space.successors(m)} == set(
+            oracle.deadlocks()
+        )
+        assert space.stats.reduced_states <= len(states) <= len(oracle.rows)
 
 
 class TestObsMetrics:
@@ -411,20 +378,3 @@ class TestObsMetrics:
         assert payload["gauges"]["compile.encode_width_bytes"] == len(
             net.places
         )
-
-    def test_search_span_records_backend(self):
-        from repro.models.library import four_phase_master, four_phase_slave
-        from repro.verify.receptiveness import check_receptiveness
-
-        report = check_receptiveness(
-            four_phase_master(),
-            four_phase_slave(),
-            method="reachability",
-            backend="compiled",
-        )
-        span = next(
-            s
-            for s in report.metrics["spans"]
-            if s["name"] == "verify.receptiveness.search"
-        )
-        assert span["meta"]["backend"] == "compiled"

@@ -81,12 +81,11 @@ def test_parse_memory_budget_rejects_invalid(bad):
 # -- exploration contract ----------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["dict", "compiled"])
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_counts_and_deadlocks_match_serial(backend, workers):
+def test_counts_and_deadlocks_match_serial(workers):
     net = deadlocking_net()
     serial = ReachabilityGraph(net)
-    result = parallel_explore(net, workers=workers, backend=backend)
+    result = parallel_explore(net, workers=workers)
     assert result.states == serial.num_states()
     assert result.edges == serial.num_edges()
     assert result.deadlock_set() == frozenset(serial.deadlocks())
@@ -191,21 +190,14 @@ def overflow_net() -> PetriNet:
 def test_one_safe_net_selects_bitmask_kernel():
     net = channel_bank(2).net
     with obs.record() as recorder:
-        parallel_explore(net, workers=1, backend="compiled")
+        parallel_explore(net, workers=1)
     assert _explore_kernel(recorder) == "bitmask"
 
 
 def test_multi_token_initial_marking_selects_general_kernel():
     with obs.record() as recorder:
-        parallel_explore(deadlocking_net(), workers=1, backend="compiled")
+        parallel_explore(deadlocking_net(), workers=1)
     assert _explore_kernel(recorder) == "compiled"
-
-
-def test_dict_backend_never_uses_bitmask():
-    net = channel_bank(2).net
-    with obs.record() as recorder:
-        parallel_explore(net, workers=1, backend="dict")
-    assert _explore_kernel(recorder) == "dict"
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -216,7 +208,7 @@ def test_bitmask_overflow_falls_back_to_general_kernel(workers):
     net = overflow_net()
     serial = ReachabilityGraph(net)
     with obs.record() as recorder:
-        result = parallel_explore(net, workers=workers, backend="compiled")
+        result = parallel_explore(net, workers=workers)
     assert _explore_kernel(recorder) == "compiled"
     assert result.states == serial.num_states()
     assert result.edges == serial.num_edges()
@@ -238,14 +230,13 @@ def test_bitmask_graph_keeps_exact_successor_order():
 # -- graph reconstruction ----------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["dict", "compiled"])
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_reachability_graph_reconstruction(backend, workers):
+def test_reachability_graph_reconstruction(workers):
     """The gathered graph is indistinguishable from a serial build:
     same states, same per-state successor multisets, same queries."""
     net = channel_bank(2).net
     serial = ReachabilityGraph(net)
-    graph = parallel_reachability_graph(net, workers=workers, backend=backend)
+    graph = parallel_reachability_graph(net, workers=workers)
     assert graph.states == serial.states
     assert graph.num_states() == serial.num_states()
     assert graph.num_edges() == serial.num_edges()

@@ -1,9 +1,11 @@
 """Differential testing of the sharded parallel explorer.
 
-Every property runs the same exploration question serially (the eager
-oracle) and through :func:`repro.petri.parallel.parallel_explore` at
-``workers in {1, 2, 4}`` x ``{dict, compiled}``, and asserts agreement
-on state counts, edge counts, deadlock sets and Prop 5.5 verdicts.
+Every property runs the same exploration question through the naive
+reference search (``tests/oracle.py``) and through
+:func:`repro.petri.parallel.parallel_explore` at ``workers in {1, 2,
+4}``, and asserts agreement on state counts, edge counts, deadlock sets
+and Prop 5.5 verdicts; :func:`parallel_reachability_graph` must rebuild
+the reference graph exactly.
 The parallel engine's whole value rests on these being byte-identical:
 a sharded exploration that drops, double-counts or re-orders even one
 state is worse than no parallel engine at all.
@@ -24,18 +26,17 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.io.json_io import net_to_dict
 from repro.petri.net import PetriNet
-from repro.petri.parallel import parallel_explore
-from repro.petri.reachability import ReachabilityGraph
+from repro.petri.parallel import parallel_explore, parallel_reachability_graph
 from repro.stg.stg import Stg
 from repro.verify.receptiveness import check_receptiveness
 
+from tests.oracle import Oracle
 from tests.strategies import bounded_multi_token_nets, bounded_nets
 
-BACKENDS = ("dict", "compiled")
 WORKER_COUNTS = (1, 2, 4)
 
 #: In-process (workers=1) properties: cheap, so run many examples.
@@ -45,7 +46,7 @@ THOROUGH = settings(
     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
 )
 
-#: Multiprocess matrix: each example spawns 2+4 workers per backend.
+#: Multiprocess matrix: each example spawns 2+4 workers.
 HEAVY = settings(
     max_examples=25,
     deadline=None,
@@ -81,20 +82,19 @@ class persists_counterexamples:
 
 
 def serial_reference(net: PetriNet):
-    graph = ReachabilityGraph(net, max_states=5000)
+    oracle = Oracle(net)
+    assert oracle.complete
     return (
-        graph.num_states(),
-        graph.num_edges(),
-        frozenset(graph.deadlocks()),
+        len(oracle.rows),
+        sum(len(row) for row in oracle.rows.values()),
+        frozenset(oracle.deadlocks()),
     )
 
 
-def assert_cell_matches(net: PetriNet, reference, workers: int, backend: str):
-    result = parallel_explore(
-        net, workers=workers, max_states=5000, backend=backend
-    )
+def assert_cell_matches(net: PetriNet, reference, workers: int):
+    result = parallel_explore(net, workers=workers, max_states=5000)
     states, edges, deadlocks = reference
-    label = f"workers={workers}/{backend}"
+    label = f"workers={workers}"
     assert result.states == states, label
     assert result.edges == edges, label
     assert result.deadlock_set() == deadlocks, label
@@ -102,13 +102,12 @@ def assert_cell_matches(net: PetriNet, reference, workers: int, backend: str):
 
 @THOROUGH
 @given(net=bounded_multi_token_nets())
-def test_single_worker_matches_serial_both_backends(net):
-    """workers=1 (the serial degradation) over both backends, plus the
-    forced-spill path: identical counts and deadlock sets."""
+def test_single_worker_matches_serial(net):
+    """workers=1 (the serial degradation), plus the forced-spill path:
+    identical counts and deadlock sets."""
     with persists_counterexamples("single_worker", net=net):
         reference = serial_reference(net)
-        for backend in BACKENDS:
-            assert_cell_matches(net, reference, workers=1, backend=backend)
+        assert_cell_matches(net, reference, workers=1)
         spilled = parallel_explore(
             net, workers=1, max_states=5000, memory_budget=0
         )
@@ -122,14 +121,33 @@ def test_single_worker_matches_serial_both_backends(net):
 @HEAVY
 @given(net=bounded_multi_token_nets())
 def test_worker_matrix_matches_serial(net):
-    """The full workers x backends matrix agrees with the oracle."""
+    """Every multiprocess worker count agrees with the oracle."""
     with persists_counterexamples("worker_matrix", net=net):
         reference = serial_reference(net)
-        for backend in BACKENDS:
-            for workers in WORKER_COUNTS[1:]:
-                assert_cell_matches(
-                    net, reference, workers=workers, backend=backend
-                )
+        for workers in WORKER_COUNTS[1:]:
+            assert_cell_matches(net, reference, workers=workers)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(net=st.one_of(bounded_nets(), bounded_multi_token_nets()))
+def test_reachability_graph_matches_oracle(net):
+    """The graph gathered from the shards at one and two workers is the
+    reference graph: same markings in the same discovery order, same
+    edge list per marking."""
+    with persists_counterexamples("graph", net=net):
+        oracle = Oracle(net)
+        assert oracle.complete
+        for workers in (1, 2):
+            graph = parallel_reachability_graph(
+                net, workers=workers, max_states=5000
+            )
+            assert list(graph.states) == oracle.states(), workers
+            for marking, row in oracle.rows.items():
+                assert graph.successors(marking) == row, workers
 
 
 @HEAVY

@@ -1,15 +1,11 @@
 """Determinism of the reduced exploration (``engine="por"``).
 
 The DFS driver of :mod:`repro.petri.dfs` assumes the stubborn-set
-selector proposes the *same* subset at the same marking every time —
-across repeated runs, and across the ``dict`` and ``compiled``
-backends, whose state encodings differ but whose decisions must not.
+selector proposes the *same* subset at the same marking every time.
 These tests pin that contract end to end:
 
 * the full explored-state *sequence* (not just the set) of a reduced
   exploration is identical run over run, under both provisos;
-* the ``dict`` and ``compiled`` backends discover byte-identical
-  marking sequences and agree on every reduction counter;
 * :meth:`StubbornSelector._scapegoat` — the one spot where a sloppy
   implementation could consult set iteration order — is a pure
   function of the net and the marking: shuffling the declaration order
@@ -44,12 +40,11 @@ def channel_bank(channels: int):
     return compose_many(modules)
 
 
-def discovery_sequence(net, backend: str, proviso: str) -> list[Marking]:
+def discovery_sequence(net, proviso: str) -> list[Marking]:
     space = LazyStateSpace(
         net,
         reduction=True,
         visible_actions=(),
-        backend=backend,
         proviso=proviso,
     )
     sequence = list(space.iter_discovery())
@@ -61,8 +56,8 @@ class TestRunToRunDeterminism:
     @pytest.mark.parametrize("proviso", ["fresh", "stack"])
     def test_identical_explored_state_sequences(self, proviso):
         net = channel_bank(3).net
-        first = discovery_sequence(net, "dict", proviso)
-        second = discovery_sequence(net, "dict", proviso)
+        first = discovery_sequence(net, proviso)
+        second = discovery_sequence(net, proviso)
         assert first == second
 
     @pytest.mark.parametrize("proviso", ["fresh", "stack"])
@@ -87,38 +82,6 @@ class TestRunToRunDeterminism:
                 )
             )
         assert runs[0] == runs[1]
-
-
-class TestBackendDeterminism:
-    @pytest.mark.parametrize("proviso", ["fresh", "stack"])
-    def test_dict_and_compiled_discover_identical_sequences(self, proviso):
-        net = channel_bank(3).net
-        assert discovery_sequence(net, "dict", proviso) == (
-            discovery_sequence(net, "compiled", proviso)
-        )
-
-    def test_backends_agree_on_reduction_counters(self):
-        net = channel_bank(3).net
-        counters = []
-        for backend in ("dict", "compiled"):
-            space = LazyStateSpace(
-                net,
-                reduction=True,
-                visible_actions=(),
-                backend=backend,
-                proviso="stack",
-            )
-            space.explore_all()
-            counters.append(
-                (
-                    space.stats.states,
-                    space.stats.edges,
-                    space.stats.reduced_states,
-                    space.stats.sleep_skips,
-                    space.stats.cycle_expansions,
-                )
-            )
-        assert counters[0] == counters[1]
 
 
 class TestScapegoatDeterminism:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.models.library import four_phase_master, four_phase_slave
-from repro.petri.marking import Marking, MarkingInterner
+from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
 from repro.petri.product import (
     LazyStateSpace,
@@ -49,30 +49,6 @@ class TestMarkingSupport:
         with pytest.raises(ValueError):
             Marking({"p": 1}).fire({"q"}, set())
 
-    def test_interner_canonicalises(self):
-        interner = MarkingInterner()
-        first = interner.intern(Marking({"p": 1}))
-        second = interner.intern(Marking({"p": 1}))
-        assert first is second
-        assert len(interner) == 1
-        assert Marking({"p": 1}) in interner
-
-
-class TestConsumerIndex:
-    def test_index_contents(self):
-        net = loop("n", ["a", "b"])
-        index = net.consumer_index()
-        assert set(index) == {"n0", "n1"}
-        assert index["n0"] == (0,)
-
-    def test_index_invalidated_on_mutation(self):
-        net = loop("n", ["a", "b"])
-        net.consumer_index()
-        added = net.add_transition({"n0"}, "c", {"n1"})
-        assert added.tid in net.consumer_index()["n0"]
-        net.remove_transition(added.tid)
-        assert added.tid not in net.consumer_index()["n0"]
-
 
 class TestLazyStateSpace:
     def test_matches_eager_on_composition(self):
@@ -96,11 +72,11 @@ class TestLazyStateSpace:
         assert lazy.stats.enabledness_checks == checks
 
     def test_empty_preset_transition_always_enabled(self):
-        net = PetriNet("source")
-        net.add_transition(set(), "a", {"p"})
+        net = PetriNet("idle")
+        net.add_transition(set(), "a", set())
         net.add_transition({"p"}, "b", set())
         net.set_initial(Marking({}))
-        lazy = LazyStateSpace(net, max_states=5, detect_unbounded=False)
+        lazy = LazyStateSpace(net, max_states=5)
         actions = {action for action, _, _ in lazy.successors(lazy.initial)}
         assert actions == {"a"}
 
@@ -250,15 +226,6 @@ class TestPartialOrderReduction:
         assert reduced.is_reduced
         assert reduced.stats.reduced_states == 1
         assert not full.is_reduced
-
-    def test_reduction_rejects_transition_filter(self):
-        net = self.independent_pair()
-        with pytest.raises(ValueError, match="transition_filter"):
-            LazyStateSpace(
-                net,
-                reduction=True,
-                transition_filter=lambda t, m: True,
-            )
 
     def test_unbounded_budget_message_mentions_reduction(self):
         """Regression: the max_states bound counts states of the

@@ -708,8 +708,6 @@ class TestParallelFlags:
                     str(corpus),
                     "--engines",
                     "eager,onthefly",
-                    "--backends",
-                    "compiled",
                     "--max-states",
                     "5000",
                     "--parallel",

@@ -93,6 +93,31 @@ class TestReachabilityMethod:
         )
         assert report.is_receptive()
 
+    def test_eager_witnesses_match_onthefly_on_fig8(self):
+        """The eager engine scans its graph in breadth-first discovery
+        order, so every obligation's witness is the first failing
+        marking the on-the-fly search discovers too — never one picked
+        by set iteration order (which would vary with the hash seed)."""
+        from repro.models.protocol_translator import (
+            inconsistent_sender,
+            translator,
+        )
+
+        witnesses = {}
+        for engine in ("eager", "onthefly"):
+            report = check_receptiveness(
+                inconsistent_sender(),
+                translator(),
+                method="reachability",
+                engine=engine,
+            )
+            witnesses[engine] = {
+                failure.obligation: failure.marking
+                for failure in report.failures
+            }
+        assert len(witnesses["eager"]) == 16
+        assert witnesses["eager"] == witnesses["onthefly"]
+
 
 class TestStructuralMethod:
     def test_marked_graph_receptive_handshake(self):
