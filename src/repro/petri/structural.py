@@ -235,25 +235,13 @@ def is_structurally_bounded(net: PetriNet) -> bool:
     firing can increase (``exists x > 0 with x^T C <= 0``).
 
     Structural boundedness implies boundedness for *every* initial
-    marking.  Solved exactly with Fourier-Motzkin over rationals for the
-    small nets of this domain.
+    marking.  Decided by :func:`repro.petri.symbolic.bounded`, whose
+    float proposal for ``x`` is accepted only after an exact integer
+    check and whose exact rational simplex decides otherwise.
     """
-    places, _, matrix = incidence_matrix(net)
-    if not places:
-        return True
-    # x^T C <= 0, x >= 1 feasibility via scipy linprog (exact enough at
-    # this scale; certificates are integral for integral C).
-    from scipy.optimize import linprog
+    from repro.petri.symbolic import bounded
 
-    count = len(places)
-    result = linprog(
-        c=np.ones(count),
-        A_ub=matrix.T.astype(float),
-        b_ub=np.zeros(matrix.shape[1]),
-        bounds=[(1, None)] * count,
-        method="highs",
-    )
-    return bool(result.success)
+    return bounded(net).conclusive
 
 
 def fraction_rank(matrix: np.ndarray) -> int:

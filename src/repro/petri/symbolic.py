@@ -30,13 +30,17 @@ Three refinements sharpen the over-approximation:
   state equation characterises reachability exactly, so a feasible
   (integral) solution is a CONCLUSIVE witness, not merely inconclusive.
 
-Every CONCLUSIVE verdict rests on exact arithmetic
-(:class:`fractions.Fraction`; a dependency-free phase-1 simplex using
-Dantzig's rule with a Bland fallback for anti-cycling) — no float drift
-can flip a verdict.  A floating-point *screen* runs first: a
-float-feasible system is reported feasible directly (feasible only ever
-means INCONCLUSIVE, so floats are sound there), while float
-infeasibility is always re-proven exactly before anything is concluded.
+Every CONCLUSIVE verdict rests on exact arithmetic — no float drift
+can flip a verdict.  Incidence rows and initial markings are Python
+integers, lifted to :class:`fractions.Fraction` only in constraint
+rows, which the exact solver (a dependency-free phase-1 simplex using
+Dantzig's rule with a Bland fallback for anti-cycling) pivots on.  A
+floating-point *screen* runs first: a float-feasible system is reported
+feasible directly where feasible only ever means INCONCLUSIVE, while
+float infeasibility is always re-proven exactly before anything is
+concluded.  :func:`bounded` is one such system, solved shifted, whose
+feasible float proposal concludes something and is therefore accepted
+only after an exact integer check of the weighting it proposes.
 
 An optional SMT-LIB backend (:func:`smt_unreachable`) strengthens the
 state equation to *integers* and adds BMC + k-induction, shelling out
@@ -54,6 +58,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _product
+from math import lcm
 
 from repro.obs import metrics as obs
 from repro.petri.marking import Marking
@@ -84,6 +89,20 @@ DEFAULT_PIVOT_BUDGET = 64
 #: what stalls the exact solver — entries past this size make every
 #: further pivot slower, so the solve is abandoned as undecided.
 PIVOT_ENTRY_BITS = 256
+
+#: Denominator bound when rounding a float proposal to rationals; a
+#: rounded weighting that fails the exact check goes to the exact
+#: simplex, so the bound trades only speed, never soundness.
+ROUNDING_DENOMINATOR = 1 << 16
+
+#: Incidence entries are -1, 0 or +1: constraint rows reuse these three
+#: exact coefficients instead of building one Fraction per entry.
+_SHARED = {value: Fraction(value) for value in (-1, 0, 1)}
+
+
+def _rational(value) -> Fraction:
+    shared = _SHARED.get(value)
+    return shared if shared is not None else Fraction(value)
 
 
 # -- exact linear feasibility ------------------------------------------------
@@ -133,13 +152,13 @@ class LinearSystem:
     constraints: list[Constraint] = field(default_factory=list)
 
     def _add(self, coeffs, relation: str, rhs, tag: str) -> Constraint:
-        row = tuple(Fraction(c) for c in coeffs)
+        row = tuple(map(_rational, coeffs))
         if len(row) != len(self.variables):
             raise ValueError(
                 f"constraint {tag!r} has {len(row)} coefficients for"
                 f" {len(self.variables)} variables"
             )
-        constraint = Constraint(row, relation, Fraction(rhs), tag)
+        constraint = Constraint(row, relation, _rational(rhs), tag)
         self.constraints.append(constraint)
         return constraint
 
@@ -519,19 +538,18 @@ class StateEquation:
         self.variables: tuple[str, ...] = tuple(
             f"x{tid}" for tid in self.tids
         )
-        self.m0: dict[str, Fraction] = {
-            place: Fraction(net.initial[place]) for place in self.places
+        self.m0: dict[str, int] = {
+            place: net.initial[place] for place in self.places
         }
         column_of = {tid: j for j, tid in enumerate(all_tids)}
-        self._rows: dict[str, tuple[Fraction, ...]] = {}
+        self._rows: dict[str, tuple[int, ...]] = {}
         if not self.oversized:
+            columns = [column_of[tid] for tid in self.tids]
             for place in self.places:
-                row = matrix[row_of[place]]
-                self._rows[place] = tuple(
-                    Fraction(int(row[column_of[tid]])) for tid in self.tids
-                )
+                row = matrix[row_of[place]].tolist()
+                self._rows[place] = tuple(row[j] for j in columns)
 
-    def coefficients(self, place: str) -> tuple[Fraction, ...]:
+    def coefficients(self, place: str) -> tuple[int, ...]:
         """The incidence row of ``place`` over the restricted tids."""
         return self._rows[place]
 
@@ -569,7 +587,7 @@ class StateEquation:
         """``M(place) == tokens``."""
         system.equality(
             self._rows[place],
-            Fraction(tokens) - self.m0[place],
+            tokens - self.m0[place],
             tag=f"exact[{place}]",
         )
 
@@ -579,8 +597,8 @@ class StateEquation:
         """``sum(M(p) for p in trap) >= 1`` — sound for every reachable
         marking when ``trap`` is an initially-marked trap."""
         members = sorted(trap)
-        coeffs = [Fraction(0)] * len(self.variables)
-        total_m0 = Fraction(0)
+        coeffs = [0] * len(self.variables)
+        total_m0 = 0
         for place in members:
             row = self._rows[place]
             coeffs = [a - b for a, b in zip(coeffs, row)]
@@ -592,14 +610,12 @@ class StateEquation:
         )
 
     def marking_of(self, solution: dict[str, Fraction]) -> dict[str, Fraction]:
-        """``M0 + C·x`` at an exact solution, per restricted place."""
+        """``M0 + C·x`` at a solution, per restricted place (exact at an
+        exact solution)."""
         x = [solution[name] for name in self.variables]
         return {
             place: self.m0[place]
-            + sum(
-                (c * v for c, v in zip(self._rows[place], x)),
-                Fraction(0),
-            )
+            + sum(c * v for c, v in zip(self._rows[place], x) if c)
             for place in self.places
         }
 
@@ -609,7 +625,7 @@ class StateEquation:
         values = self.marking_of(solution)
         counts: dict[str, int] = {}
         for place in sorted(self.net.places):
-            value = values.get(place, Fraction(self.net.initial[place]))
+            value = values.get(place, self.net.initial[place])
             if value:
                 counts[place] = int(value)
         return Marking(counts)
@@ -687,7 +703,8 @@ class SymbolicVerdict:
     means the procedure could not decide (``holds`` is ``None``) and
     the caller must fall back to an explicit engine.  ``witness`` is a
     query-specific certificate when one exists (a :class:`Marking` for
-    exact-mode reachability, a word for language separation)."""
+    exact-mode reachability, a word for language separation, an integer
+    place weighting for boundedness)."""
 
     conclusive: bool
     holds: bool | None
@@ -847,58 +864,85 @@ def marking_unreachable(
     )
 
 
+def _checked_weighting(
+    columns: list[list[int]], y: Iterable[Fraction]
+) -> list[int] | None:
+    """``y`` scaled to integers when ``y >= 1`` and ``C^T y <= 0`` hold
+    exactly (``columns`` are the rows of ``C^T``), else ``None``."""
+    y = list(y)
+    scale = lcm(*(value.denominator for value in y))
+    weights = [value.numerator * (scale // value.denominator) for value in y]
+    if any(weight < scale for weight in weights):
+        return None
+    for column in columns:
+        if sum(c * w for c, w in zip(column, weights) if c) > 0:
+            return None
+    return weights
+
+
 def bounded(net: PetriNet) -> SymbolicVerdict:
     """Is the net bounded from its initial marking?
 
-    CONCLUSIVE/holds via invariant coverage (complete basis only — a
-    truncated basis proves nothing and is reported in ``stats``) or a
-    structural-boundedness certificate ``exists y >= 1: C^T y <= 0``,
-    solved exactly.  Unboundedness is never concluded symbolically —
+    CONCLUSIVE/holds on a structural-boundedness certificate: a place
+    weighting ``y >= 1`` with ``C^T y <= 0``, which no firing increases,
+    so ``y . M <= y . M0`` bounds every reachable marking.  It is one
+    linear system, solved shifted as ``y = 1 + z`` with ``z >= 0`` and
+    one row ``C^T z <= -C^T 1`` per transition (the bounds need no rows,
+    and a conservative net is feasible at ``z = 0``).  The float
+    simplex's ``z``, rounded to nearby rationals, is accepted only if
+    ``y >= 1`` and ``C^T y <= 0`` hold exactly in integers; otherwise
+    the exact simplex decides.  A certificate with ``C^T y = 0`` is a
+    positive P-invariant, and a net covered by P-invariants always has
+    one (their sum).  The integer weighting is the verdict's
+    ``witness``.  Unboundedness is never concluded symbolically —
     absence of a certificate is INCONCLUSIVE.
     """
     if not net.places:
         return SymbolicVerdict(True, True, "no places", {"systems": 0})
-    invariants, truncated = p_invariants_partial(net)
-    covered: set[str] = set()
-    for invariant in invariants:
-        covered.update(invariant)
-    stats: dict = {"systems": 0, "invariants": len(invariants)}
-    if truncated:
-        stats["invariant_basis_truncated"] = True
-    if not truncated and covered >= net.places:
-        return SymbolicVerdict(
-            True,
-            True,
-            f"every place covered by one of {len(invariants)}"
-            " P-invariants",
-            stats,
-        )
     places, tids, matrix = incidence_matrix(net)
+    columns = matrix.T.tolist()
     system = LinearSystem(tuple(places))
-    for j, tid in enumerate(tids):
-        system.inequality(
-            tuple(Fraction(int(matrix[i][j])) for i in range(len(places))),
-            Fraction(0),
-            tag=f"column[{tid}]",
+    for tid, column in zip(tids, columns):
+        system.inequality(column, -sum(column), tag=f"column[{tid}]")
+    stats = {"systems": 1, "constraints": system.num_constraints()}
+    weights = None
+    status, proposal = system._solve_float()
+    if status == "feasible":
+        weights = _checked_weighting(
+            columns,
+            (
+                1 + Fraction(proposal[place]).limit_denominator(
+                    ROUNDING_DENOMINATOR
+                )
+                for place in places
+            ),
         )
-    for i, place in enumerate(places):
-        unit = [Fraction(0)] * len(places)
-        unit[i] = Fraction(-1)
-        system.inequality(tuple(unit), Fraction(-1), tag=f"positive[{place}]")
-    stats["systems"] = 1
-    stats["constraints"] = system.num_constraints()
-    if system.solve() is not None:
-        return SymbolicVerdict(
-            True,
-            True,
-            "structurally bounded: a positive place weighting is"
-            " non-increasing under every firing",
+    if weights is None:
+        solution = system.solve()
+        if solution is not None:
+            weights = _checked_weighting(
+                columns, (1 + solution[place] for place in places)
+            )
+    if weights is None:
+        return _inconclusive(
+            "no structural boundedness certificate (the net may be"
+            " unbounded)",
             stats,
         )
-    return _inconclusive(
-        "no structural boundedness certificate (the net may be"
-        " unbounded)",
+    conserved = all(
+        sum(c * w for c, w in zip(column, weights) if c) == 0
+        for column in columns
+    )
+    return SymbolicVerdict(
+        True,
+        True,
+        "every place covered by a positive P-invariant: the weighting"
+        " is conserved by every firing"
+        if conserved
+        else "structurally bounded: a positive place weighting is"
+        " non-increasing under every firing",
         stats,
+        witness=dict(zip(places, weights)),
     )
 
 
@@ -1038,13 +1082,19 @@ def failure_miss_choices(obligation) -> list[list[str]]:
 
 def obligation_system(
     net: PetriNet, obligation, choice: Iterable[str]
-) -> tuple[StateEquation, LinearSystem]:
+) -> tuple[StateEquation, LinearSystem | None]:
     """The (unrefined) Prop 5.5 failure system for one miss choice:
     producer preset fully marked, each chosen consumer place empty,
-    every restricted place non-negative, all over ``M = M0 + C·x``."""
+    every restricted place non-negative, all over ``M = M0 + C·x``.
+
+    The system is ``None`` when the restricted component is
+    :attr:`~StateEquation.oversized`: no row is built, and the caller
+    leaves the obligation undecided."""
     choice = tuple(sorted(set(choice)))
     focus = set(obligation.producer_preset) | set(choice)
     equation = StateEquation(net, focus)
+    if equation.oversized:
+        return equation, None
     system = equation.base_system()
     for place in sorted(obligation.producer_preset):
         equation.require_marked(system, place)
@@ -1113,7 +1163,7 @@ def symbolic_receptiveness(
         all_infeasible = True
         for choice in _product(*choices):
             equation, system = obligation_system(net, obligation, choice)
-            if equation.oversized:
+            if system is None:
                 all_infeasible = False
                 break
             status, solution, rounds = equation.refine(

@@ -11,6 +11,7 @@ solver verdicts only when one is installed).
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,8 @@ from repro.petri.symbolic import (
     symbolic_receptiveness,
 )
 
+CORPUS = Path(__file__).parent.parent / "corpus"
+
 
 def cycle() -> PetriNet:
     net = PetriNet("cycle")
@@ -61,6 +64,13 @@ def source_net() -> PetriNet:
     net = PetriNet("source")
     net.add_transition({"p"}, "grow", {"p", "q"})
     net.set_initial(Marking({"p": 1}))
+    return net
+
+
+def drain_net() -> PetriNet:
+    net = PetriNet("drain")
+    net.add_transition({"p", "q"}, "a", {"q"})
+    net.set_initial(Marking({"p": 1, "q": 1}))
     return net
 
 
@@ -202,10 +212,7 @@ class TestBounded:
         """A strictly-consumed place lies in no P-semiflow, but a
         positive weighting that never increases still certifies
         boundedness."""
-        net = PetriNet("drain")
-        net.add_transition({"p", "q"}, "a", {"q"})
-        net.set_initial(Marking({"p": 1, "q": 1}))
-        verdict = bounded(net)
+        verdict = bounded(drain_net())
         assert verdict.conclusive and verdict.holds
         assert "structurally bounded" in verdict.reason
 
@@ -216,6 +223,56 @@ class TestBounded:
     def test_empty_net(self):
         verdict = bounded(PetriNet("empty"))
         assert verdict.conclusive and verdict.holds
+
+    def test_fig7_translator_certified_without_exact_simplex(
+        self, monkeypatch
+    ):
+        """The Fig 7 translator's P-invariant basis overflows its
+        budget; the float proposal, checked in integers, decides alone."""
+        from repro.io.formats import load_stg
+
+        net = load_stg(str(CORPUS / "fig7_translator.net")).net
+
+        def refuse(self, pivot_budget=None):
+            raise AssertionError("the exact simplex was consulted")
+
+        monkeypatch.setattr(LinearSystem, "solve", refuse)
+        verdict = bounded(net)
+        assert verdict.conclusive and verdict.holds
+        assert verdict.stats["systems"] == 1
+
+    @pytest.mark.parametrize(
+        "float_answer",
+        [
+            lambda self: (
+                "feasible",
+                {name: -0.5 for name in self.variables},
+            ),
+            lambda self: ("infeasible", None),
+        ],
+        ids=["rejected-proposal", "float-infeasible"],
+    )
+    @pytest.mark.parametrize(
+        "make, conclusive",
+        [(cycle, True), (drain_net, True), (source_net, False)],
+        ids=["cycle", "drain", "source"],
+    )
+    def test_exact_simplex_decides_without_a_checked_proposal(
+        self, monkeypatch, float_answer, make, conclusive
+    ):
+        calls = []
+        solve = LinearSystem.solve
+
+        def counted(self, pivot_budget=None):
+            calls.append(self)
+            return solve(self, pivot_budget)
+
+        monkeypatch.setattr(LinearSystem, "_solve_float", float_answer)
+        monkeypatch.setattr(LinearSystem, "solve", counted)
+        verdict = bounded(make())
+        assert len(calls) == 1
+        assert verdict.conclusive == conclusive
+        assert verdict.holds == (True if conclusive else None)
 
 
 class TestDeadActions:
@@ -297,6 +354,34 @@ class TestSymbolicReceptiveness:
         assert len(outcome.safe) == len(obligations)
         assert not outcome.failed and not outcome.undecided
         assert outcome.stats["systems"] >= 1
+
+    def test_oversized_components_fall_back_to_search(self, monkeypatch):
+        """Obligations whose component exceeds the system size limits
+        are undecided (no row is built) and the on-the-fly search
+        answers them, exactly as the onthefly engine would."""
+        from repro.models.library import four_phase_master, four_phase_slave
+        from repro.petri import symbolic
+        from repro.verify.receptiveness import check_receptiveness
+
+        monkeypatch.setattr(symbolic, "MAX_SYSTEM_VARIABLES", 1)
+        reports = {
+            engine: check_receptiveness(
+                four_phase_master(),
+                four_phase_slave(),
+                method="reachability",
+                engine=engine,
+            )
+            for engine in ("symbolic", "onthefly")
+        }
+        symbolic_report, onthefly = reports["symbolic"], reports["onthefly"]
+        assert symbolic_report.symbolic["undecided"] == len(
+            onthefly.obligations
+        )
+        assert symbolic_report.symbolic["systems"] == 0
+        assert symbolic_report.method == onthefly.method == "reachability"
+        assert symbolic_report.is_receptive() == onthefly.is_receptive()
+        assert symbolic_report.failures == onthefly.failures
+        assert symbolic_report.states_explored == onthefly.states_explored
 
     def test_counters_emitted(self):
         from repro.models.library import four_phase_master, four_phase_slave

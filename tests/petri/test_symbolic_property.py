@@ -26,7 +26,9 @@ from repro.petri.marking import Marking
 from repro.petri.net import EPSILON, PetriNet
 from repro.petri.product import LazyStateSpace, compare_languages
 from repro.petri.reachability import ReachabilityGraph, UnboundedNetError
+from repro.petri.structural import incidence_matrix, p_invariants_partial
 from repro.petri.symbolic import (
+    LinearSystem,
     bounded,
     dead_actions,
     language_precheck,
@@ -36,7 +38,7 @@ from repro.petri.symbolic import (
 from repro.stg.stg import Stg
 from repro.verify.receptiveness import check_receptiveness
 
-from tests.strategies import bounded_nets, multi_token_nets
+from tests.strategies import bounded_nets, multi_token_nets, petri_nets
 
 RELAXED = settings(
     max_examples=60,
@@ -46,6 +48,12 @@ RELAXED = settings(
 
 THOROUGH = settings(
     max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+EXHAUSTIVE = settings(
+    max_examples=200,
     deadline=None,
     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
 )
@@ -100,6 +108,39 @@ def test_bounded_verdict_sound(net):
             raise AssertionError(
                 f"symbolic called an unbounded net bounded: {verdict.reason}"
             ) from None
+
+
+@EXHAUSTIVE
+@given(net=multi_token_nets() | bounded_nets() | petri_nets())
+def test_bounded_matches_exact_unshifted_system(net):
+    """The certified shifted LP concludes exactly when the unshifted
+    system ``{y >= 1, C^T y <= 0}`` is feasible under the exact simplex,
+    its witness is such a ``y`` in integers, and a complete P-invariant
+    basis covering every place always yields a conclusive verdict."""
+    with persists_counterexamples("bounded_exact", net=net):
+        verdict = bounded(net)
+        places, tids, matrix = incidence_matrix(net)
+        system = LinearSystem(tuple(places))
+        for j in range(len(tids)):
+            system.inequality([int(v) for v in matrix[:, j]], 0)
+        for i in range(len(places)):
+            system.inequality(
+                [-1 if k == i else 0 for k in range(len(places))], -1
+            )
+        assert verdict.conclusive == (system.solve() is not None)
+        if verdict.conclusive and places:
+            weights = [verdict.witness[place] for place in places]
+            assert all(
+                isinstance(weight, int) and weight >= 1 for weight in weights
+            )
+            for j in range(len(tids)):
+                assert sum(
+                    int(matrix[i, j]) * weights[i] for i in range(len(places))
+                ) <= 0
+        invariants, truncated = p_invariants_partial(net)
+        covered = set().union(*invariants)
+        if not truncated and covered >= net.places:
+            assert verdict.conclusive and verdict.holds, verdict.reason
 
 
 @THOROUGH
