@@ -531,7 +531,7 @@ class CompiledSpace:
         self._succ: dict[PackedState, tuple[tuple[str, int, PackedState], ...]] = {}
         self._dfs: StackProvisoDfs | None = None
         if selector is not None and proviso == "stack":
-            self._dfs = StackProvisoDfs(_PackedDfsAdapter(self), selector, stats)
+            self._dfs = StackProvisoDfs(self, selector, stats)
 
     # -- expansion ---------------------------------------------------------
 
@@ -705,44 +705,3 @@ class CompiledSpace:
             steps.append((cnet.tids[dense], cnet.actions[dense]))
             cursor = parent
         return tuple(reversed(steps))
-
-
-class _PackedDfsAdapter:
-    """The core's plug for :class:`~repro.petri.dfs.StackProvisoDfs`.
-
-    Transitions cross the boundary as tids (the driver, the stubborn
-    selector and the sleep sets all work in tid space) and are mapped
-    to dense indices here; dense order equals tid order by compilation,
-    so the enabled tuples this hands out are tid-sorted.  ``probe`` fires
-    without any accounting so proviso checks never perturb the
-    interner-hit counters."""
-
-    __slots__ = ("_core",)
-
-    def __init__(self, core: CompiledSpace):
-        self._core = core
-
-    def root(self) -> PackedState:
-        return self._core.initial
-
-    def discovered(self):
-        return iter(self._core._parent)
-
-    def enabled(self, state: PackedState) -> tuple[int, ...]:
-        tids = self._core.cnet.tids
-        return tuple(tids[dense] for dense in self._core._info[state][1])
-
-    def view(self, state: PackedState) -> PackedMarkingView:
-        return PackedMarkingView(self._core.cnet, state)
-
-    def probe(self, state: PackedState, tid: int) -> PackedState:
-        cnet = self._core.cnet
-        return cnet.fire(state, cnet.tid_index[tid])
-
-    def discover(self, state: PackedState, tid: int) -> PackedState:
-        core = self._core
-        deficits, enabled = core._info[state]
-        return core._discover(state, deficits, enabled, core.cnet.tid_index[tid])
-
-    def action(self, tid: int) -> str:
-        return self._core.cnet.actions[self._core.cnet.tid_index[tid]]

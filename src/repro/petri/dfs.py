@@ -49,9 +49,8 @@ exploring *more*:
   already fired from that state — the subtraction makes re-wakes of
   fallback-expanded states no-ops instead of duplicate edges.
 
-The class below implements one iterative DFS over an abstract state
-space; :class:`repro.petri.compiled.CompiledSpace` (packed vectors)
-plugs in through a small adapter, and
+The class below implements one iterative DFS over the packed states
+of a :class:`repro.petri.compiled.CompiledSpace`, and
 :class:`repro.petri.product.LazyStateSpace` serves the result in the
 :class:`~repro.petri.marking.Marking` domain.
 
@@ -68,39 +67,6 @@ its own stack, and finishes the job.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import Protocol
-
-
-class DfsAdapter(Protocol):
-    """What a state space must provide to drive the reduced DFS.
-
-    States are opaque (packed vectors in the exploration core);
-    transitions are always identified by *tid* so the stubborn selector
-    and the sleep sets work in the net's own transition domain.
-    """
-
-    def root(self):
-        """The initial state."""
-
-    def discovered(self) -> Iterator:
-        """All discovered states, in discovery order."""
-
-    def enabled(self, state) -> tuple[int, ...]:
-        """Enabled transitions of a discovered state, sorted by tid."""
-
-    def view(self, state):
-        """A place -> count mapping view for the stubborn selector."""
-
-    def probe(self, state, tid):
-        """The successor state alone — no discovery bookkeeping."""
-
-    def discover(self, state, tid):
-        """Fire ``tid`` with full discovery bookkeeping (interning,
-        budget, parent pointers, Karp-Miller covering) and return the
-        canonical successor state."""
-
-    def action(self, tid: int) -> str:
-        """The action label of a transition."""
 
 
 class SleepSets:
@@ -146,7 +112,16 @@ class SleepSets:
 
 
 class StackProvisoDfs:
-    """One reduced depth-first search, resumable and representation-agnostic.
+    """One reduced depth-first search over a compiled space, resumable.
+
+    The driver reads the space's enabled sets and calls its
+    ``_discover`` for every new firing.  Transitions are identified by
+    *tid* here (the stubborn selector and the sleep sets work in the
+    net's own transition domain) and mapped to the core's dense indices
+    at each call; dense order equals tid order by compilation, so
+    enabled tuples stay tid-sorted.  Proviso checks fire through
+    ``cnet.fire``, without any accounting, so they never perturb the
+    interner-hit counters.
 
     Persistent per-space bookkeeping (survives across walks):
 
@@ -160,7 +135,7 @@ class StackProvisoDfs:
     """
 
     __slots__ = (
-        "_adapter",
+        "_core",
         "_selector",
         "_stats",
         "_sleep",
@@ -172,8 +147,8 @@ class StackProvisoDfs:
         "complete",
     )
 
-    def __init__(self, adapter: DfsAdapter, selector, stats):
-        self._adapter = adapter
+    def __init__(self, core, selector, stats):
+        self._core = core
         self._selector = selector
         self._stats = stats
         self._sleep = SleepSets(selector.relation, selector.visible)
@@ -196,7 +171,7 @@ class StackProvisoDfs:
         """States in discovery order: a live walk when exploration is
         unfinished, a replay of the recorded order afterwards."""
         if self.complete:
-            return iter(tuple(self._adapter.discovered()))
+            return iter(tuple(self._core._parent))
         return self.walk()
 
     def walk(self) -> Iterator:
@@ -204,7 +179,14 @@ class StackProvisoDfs:
         state the first time this walk visits it — new states exactly
         at discovery.  Completing the generator establishes the proviso
         invariant for the whole reduced graph and sets ``complete``."""
-        a = self._adapter
+        from repro.petri.compiled import PackedMarkingView
+
+        core = self._core
+        cnet = core.cnet
+        info = core._info
+        fire = cnet.fire
+        tids = cnet.tids
+        tid_index = cnet.tid_index
         stats = self._stats
         sleep_of = self.sleep_of
         fired_of = self.fired
@@ -216,6 +198,9 @@ class StackProvisoDfs:
         on_stack: set = set()
         frames: list[list] = []  # [state, work list of tids, cursor]
         frame_of: dict = {}
+
+        def enabled_tids(state) -> tuple[int, ...]:
+            return tuple(tids[dense] for dense in info[state][1])
 
         def upgrade(frame: list, enabled: tuple[int, ...]) -> None:
             """Extend a frame to the full proviso expansion — every
@@ -236,7 +221,7 @@ class StackProvisoDfs:
                     stats.reduced_states -= 1
 
         def open_frame(state, extra=()) -> list:
-            enabled = a.enabled(state)
+            enabled = enabled_tids(state)
             fired = fired_of.setdefault(state, set())
             recorded = edges_of.setdefault(state, [])
             sleep = sleep_of[state]
@@ -247,7 +232,7 @@ class StackProvisoDfs:
                 # expansion, re-checking the proviso on *this* stack.
                 work = [tid for _, tid, _ in recorded]
                 for tid in work:
-                    if a.probe(state, tid) in on_stack:
+                    if fire(state, tid_index[tid]) in on_stack:
                         present = set(work)
                         work.extend(
                             t
@@ -265,7 +250,7 @@ class StackProvisoDfs:
                 base: tuple[int, ...] | list[int] = enabled
                 if self._selector is not None and len(enabled) > 1:
                     proposal = self._selector.reduced_enabled(
-                        a.view(state), enabled, asleep=sleep
+                        PackedMarkingView(cnet, state), enabled, asleep=sleep
                     )
                     if proposal is not None:
                         base = proposal
@@ -285,7 +270,7 @@ class StackProvisoDfs:
                     stats.sleep_skips += len(base) - len(chosen)
                 if len(chosen) < len(enabled):
                     for tid in chosen:
-                        if a.probe(state, tid) in on_stack:
+                        if fire(state, tid_index[tid]) in on_stack:
                             present = set(chosen)
                             chosen.extend(
                                 t
@@ -320,7 +305,7 @@ class StackProvisoDfs:
                 stats.frontier_peak = len(frames)
             return frame
 
-        root = a.root()
+        root = core.initial
         sleep_of.setdefault(root, frozenset())
         enter(root)
         yield root
@@ -335,12 +320,14 @@ class StackProvisoDfs:
             tid = frame[1][frame[2]]
             frame[2] += 1
             fired = fired_of[state]
+            dense = tid_index[tid]
             if tid in fired:
-                target = a.probe(state, tid)
+                target = fire(state, dense)
             else:
-                target = a.discover(state, tid)
+                deficits, dense_enabled = info[state]
+                target = core._discover(state, deficits, dense_enabled, dense)
                 fired.add(tid)
-                edges_of[state].append((a.action(tid), tid, target))
+                edges_of[state].append((cnet.actions[dense], tid, target))
                 stats.edges += 1
             incoming = sleeper.child(sleep_of[state], fired, tid)
             stored = sleep_of.get(target)
@@ -365,7 +352,7 @@ class StackProvisoDfs:
             sleep_of[target] = stored & incoming  # type: ignore[operator]
             if target in full:
                 continue
-            enabled = a.enabled(target)
+            enabled = enabled_tids(target)
             enabled_set = set(enabled)
             already = fired_of.get(target, set())
             todo = [
@@ -389,7 +376,7 @@ class StackProvisoDfs:
             # proviso for them (conservatively, against today's stack).
             if target not in full:
                 for u in todo:
-                    if a.probe(target, u) in on_stack:
+                    if fire(target, tid_index[u]) in on_stack:
                         upgrade(live, enabled)
                         break
         self.complete = True

@@ -353,28 +353,27 @@ def siphon_trap_property(net: PetriNet) -> bool:
     """
     marked = net.initial.marked_places()
     for siphon in minimal_siphons(net):
-        if not _contains_marked_trap(net, siphon, marked):
+        if not maximal_trap(net, siphon) & marked:
             return False
     return True
 
 
-def _contains_marked_trap(
-    net: PetriNet, siphon: frozenset[str], marked: frozenset[str]
-) -> bool:
-    # The maximal trap inside a set is computed by iteratively removing
-    # places whose consumers are not all producers of the set.
-    current = set(siphon)
+def maximal_trap(net: PetriNet, places) -> frozenset[str]:
+    """The maximal trap inside ``places`` (empty when there is none).
+
+    Traps are closed under union, so iteratively dropping every place
+    with a consumer that puts no token back into the set converges to
+    it."""
+    current = set(places)
+    consumers: dict[str, list] = {place: [] for place in current}
+    for transition in net.transitions.values():
+        for place in transition.preset & current:
+            consumers[place].append(transition)
     changed = True
-    while changed and current:
+    while changed:
         changed = False
-        producers = preset_transitions(net, frozenset(current))
         for place in list(current):
-            consumers = {
-                tid
-                for tid, t in net.transitions.items()
-                if place in t.preset
-            }
-            if not consumers <= producers:
+            if any(not t.postset & current for t in consumers[place]):
                 current.discard(place)
                 changed = True
-    return bool(current & marked)
+    return frozenset(current)

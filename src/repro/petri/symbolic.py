@@ -33,14 +33,17 @@ Three refinements sharpen the over-approximation:
 Every CONCLUSIVE verdict rests on exact arithmetic — no float drift
 can flip a verdict.  Incidence rows and initial markings are Python
 integers, lifted to :class:`fractions.Fraction` only in constraint
-rows, which the exact solver (a dependency-free phase-1 simplex using
-Dantzig's rule with a Bland fallback for anti-cycling) pivots on.  A
-floating-point *screen* runs first: a float-feasible system is reported
-feasible directly where feasible only ever means INCONCLUSIVE, while
-float infeasibility is always re-proven exactly before anything is
-concluded.  :func:`bounded` is one such system, solved shifted, whose
-feasible float proposal concludes something and is therefore accepted
-only after an exact integer check of the weighting it proposes.
+rows.  One dependency-free phase-1 simplex (Dantzig's rule) decides
+every system, in two arithmetics: over ``Fraction`` with tolerance 0
+(the authority; Bland's rule takes over past an iteration limit, so
+the run terminates) and over floats with tolerance ``1e-9·scale`` (a
+*screen* that runs first and gives up at that limit).  A float-feasible
+system is reported feasible directly where feasible only ever means
+INCONCLUSIVE, while float infeasibility is always re-proven exactly
+before anything is concluded.  :func:`bounded` is one such system,
+solved shifted, whose feasible float proposal concludes something and
+is therefore accepted only after an exact integer check of the
+weighting it proposes.
 
 An optional SMT-LIB backend (:func:`smt_unreachable`) strengthens the
 state equation to *integers* and adds BMC + k-induction, shelling out
@@ -63,7 +66,11 @@ from math import lcm
 from repro.obs import metrics as obs
 from repro.petri.marking import Marking
 from repro.petri.net import EPSILON, PetriNet
-from repro.petri.structural import incidence_matrix, p_invariants_partial
+from repro.petri.structural import (
+    incidence_matrix,
+    maximal_trap,
+    p_invariants_partial,
+)
 
 #: Trap-constraint refinement rounds per system before giving up.
 DEFAULT_TRAP_ROUNDS = 8
@@ -105,15 +112,17 @@ def _rational(value) -> Fraction:
     return shared if shared is not None else Fraction(value)
 
 
-# -- exact linear feasibility ------------------------------------------------
+# -- linear feasibility ------------------------------------------------------
 
 
 class PivotBudgetExceeded(Exception):
     """The exact simplex hit its pivot budget before reaching a verdict.
 
     Raised only when :meth:`LinearSystem.solve` is given an explicit
-    ``pivot_budget``; callers translate it into an INCONCLUSIVE
-    verdict, which is always sound for a semi-decision procedure."""
+    ``pivot_budget`` (:meth:`LinearSystem.screened_solve` reports the
+    same outcome as ``"unknown"``); callers translate it into an
+    INCONCLUSIVE verdict, which is always sound for a semi-decision
+    procedure."""
 
 
 @dataclass(frozen=True)
@@ -138,15 +147,16 @@ class Constraint:
 @dataclass
 class LinearSystem:
     """A feasibility problem ``{x >= 0, constraints}`` over named
-    variables, solved exactly.
+    variables.
 
-    The solver is a phase-1 simplex over :class:`fractions.Fraction`
-    (Dantzig entering rule, Bland fallback past an iteration budget for
-    anti-cycling): inequalities get slack variables,
-    rows are normalised to non-negative right-hand sides, artificial
-    variables form the starting basis, and their sum is minimised.  The
-    system is feasible iff that minimum is zero; the final basis then
-    yields an exact rational solution."""
+    One phase-1 simplex (:meth:`_phase1`) decides it: inequalities get
+    slack variables, rows are normalised to non-negative right-hand
+    sides, artificial variables form the starting basis, and their sum
+    is minimised with Dantzig's entering rule.  The system is feasible
+    iff that minimum is zero; the final basis then yields a solution.
+    The routine runs over :class:`fractions.Fraction` (:meth:`solve`,
+    the authority) or over floats (the screen of
+    :meth:`screened_solve`)."""
 
     variables: tuple[str, ...]
     constraints: list[Constraint] = field(default_factory=list)
@@ -173,106 +183,93 @@ class LinearSystem:
     def num_constraints(self) -> int:
         return len(self.constraints)
 
-    def solve(
-        self, pivot_budget: int | None = None
-    ) -> dict[str, Fraction] | None:
-        """An exact feasible point, or ``None`` when infeasible.
+    def _phase1(
+        self, exact: bool, pivot_budget: int | None = None
+    ) -> tuple[str, dict | None]:
+        """Phase 1 over ``Fraction`` rows with tolerance 0 (``exact``)
+        or over ``float`` rows with tolerance ``1e-9·scale``, ``scale``
+        being the largest right-hand side magnitude (at least 1).
 
-        Only rows that cannot start from their own slack — equalities,
-        and inequalities whose right-hand side is negative — receive an
-        artificial variable; on state-equation systems that is a
-        handful of obligation rows against hundreds of non-negativity
-        rows, so phase 1 starts almost feasible.
+        Returns ``("feasible", values)``, ``("infeasible", None)`` or
+        ``("unknown", None)``.  Only rows that cannot start from their
+        own slack — equalities, and inequalities whose right-hand side
+        is negative — receive an artificial variable; on state-equation
+        systems that is a handful of obligation rows against hundreds
+        of non-negativity rows, so phase 1 starts almost feasible.
 
-        ``pivot_budget`` bounds the number of pivots; exceeding it
-        raises :class:`PivotBudgetExceeded` (exact rational pivot cost
-        grows with coefficient size, so a budget keeps worst-case
-        systems from stalling the engine — the caller reports the
-        query undecided, which is always sound)."""
+        Dantzig's rule is fast in practice but can cycle on degenerate
+        systems.  Past an iteration limit the float run answers
+        ``"unknown"`` and the exact run switches to Bland's rule, which
+        terminates.  ``pivot_budget`` (exact runs only) answers
+        ``"unknown"`` past that many pivots, or once a pivot row holds
+        an entry longer than :data:`PIVOT_ENTRY_BITS`: exact rational
+        pivot cost grows with coefficient size, so a budget keeps
+        worst-case systems from stalling the engine."""
+        number = Fraction if exact else float
+        zero, one = number(0), number(1)
         n = len(self.variables)
         slacks = sum(1 for c in self.constraints if c.relation == "<=")
         total = n + slacks
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        basis_hint: list[int | None] = []
-        slack_column = n
+        width = total + 1 + sum(
+            1 for c in self.constraints if c.relation != "<=" or c.rhs < 0
+        )
+        tableau: list[list] = []
+        basis: list[int] = []
+        cost = [zero] * width
+        slack, artificial = n, total
         for constraint in self.constraints:
-            row = list(constraint.coeffs) + [Fraction(0)] * slacks
-            hint: int | None = None
-            if constraint.relation == "<=":
-                row[slack_column] = Fraction(1)
-                if constraint.rhs >= 0:
-                    hint = slack_column
-                slack_column += 1
-            elif constraint.relation != "==":
+            if constraint.relation not in ("<=", "=="):
                 raise ValueError(
                     f"unknown relation {constraint.relation!r}"
                 )
-            b = constraint.rhs
-            if b < 0:
+            coeffs = constraint.coeffs
+            row = (
+                list(coeffs) if exact else [float(c) for c in coeffs]
+            ) + [zero] * (width - n)
+            row[-1] = number(constraint.rhs)
+            if constraint.relation == "<=":
+                row[slack] = one
+                slack += 1
+            if constraint.rhs < 0:
                 row = [-v for v in row]
-                b = -b
-            rows.append(row)
-            rhs.append(b)
-            basis_hint.append(hint)
-        if total == 0:
-            # No variables at all: only 0 == rhs rows can remain.
-            return {} if all(b == 0 for b in rhs) else None
-        m = len(rows)
-        artificial_rows = [
-            i for i, hint in enumerate(basis_hint) if hint is None
-        ]
-        num_artificial = len(artificial_rows)
-        width = total + num_artificial + 1
-        artificial_of = {
-            i: total + k for k, i in enumerate(artificial_rows)
-        }
-        tableau: list[list[Fraction]] = []
-        basis: list[int] = []
-        for i in range(m):
-            artificial = [Fraction(0)] * num_artificial
-            hint = basis_hint[i]
-            if hint is None:
-                artificial[artificial_of[i] - total] = Fraction(1)
-                basis.append(artificial_of[i])
+            if constraint.relation == "<=" and constraint.rhs >= 0:
+                basis.append(slack - 1)
             else:
-                basis.append(hint)
-            tableau.append(rows[i] + artificial + [rhs[i]])
-        cost = [Fraction(0)] * width
-        for i in artificial_rows:
-            row = tableau[i]
-            for j in range(width):
-                cost[j] += row[j]
+                row[artificial] = one
+                basis.append(artificial)
+                artificial += 1
+                cost = [c + v for c, v in zip(cost, row)]
+            tableau.append(row)
+        m = len(tableau)
+        tolerance = 0
+        if not exact:
+            tolerance = 1e-9 * max([1.0, *(row[-1] for row in tableau)])
         iterations = 0
-        bland_after = 4 * (m + total) + 64
+        limit = 4 * (m + total) + 64
         while True:
-            # Dantzig's rule (steepest cost) is fast in practice but can
-            # cycle on degenerate systems; after a generous iteration
-            # budget, fall back to Bland's rule, which terminates.
             iterations += 1
             if pivot_budget is not None and iterations > pivot_budget:
-                raise PivotBudgetExceeded(
-                    f"no verdict after {pivot_budget} pivots"
-                    f" ({m} rows, {total} columns)"
-                )
+                return "unknown", None
             entering = None
-            if iterations <= bland_after:
-                best_cost = Fraction(0)
+            if iterations <= limit:
+                best_cost = tolerance
                 for j in range(total):
                     if cost[j] > best_cost:
                         best_cost = cost[j]
                         entering = j
-            else:
+            elif exact:
                 entering = next(
                     (j for j in range(total) if cost[j] > 0), None
                 )
+            else:
+                return "unknown", None
             if entering is None:
                 break
             leaving = None
-            best: Fraction | None = None
+            best = None
             for i in range(m):
                 coefficient = tableau[i][entering]
-                if coefficient > 0:
+                if coefficient > tolerance:
                     ratio = tableau[i][-1] / coefficient
                     if (
                         best is None
@@ -281,8 +278,8 @@ class LinearSystem:
                     ):
                         best = ratio
                         leaving = i
-            if leaving is None:  # pragma: no cover - phase 1 is bounded
-                raise RuntimeError("phase-1 simplex objective unbounded")
+            if leaving is None:  # float round-off: phase 1 is bounded
+                return "unknown", None
             # Sparse pivot: state-equation rows carry a handful of
             # nonzeros, so touching only the pivot row's nonzero
             # columns is the difference between O(nnz) and O(width)
@@ -299,10 +296,7 @@ class LinearSystem:
                 > PIVOT_ENTRY_BITS
                 for j in nonzero
             ):
-                raise PivotBudgetExceeded(
-                    f"tableau entries past {PIVOT_ENTRY_BITS} bits"
-                    f" after {iterations} pivots"
-                )
+                return "unknown", None
             for i in range(m):
                 if i == leaving:
                     continue
@@ -316,160 +310,60 @@ class LinearSystem:
                 for j in nonzero:
                     cost[j] -= factor * pivot_row[j]
             basis[leaving] = entering
-        if cost[-1] != 0:
-            return None
-        values = {name: Fraction(0) for name in self.variables}
-        for i, column in enumerate(basis):
-            if column < n:
-                values[self.variables[column]] = tableau[i][-1]
-        return values
-
-    def _solve_float(
-        self,
-    ) -> tuple[str, dict[str, float] | None]:
-        """A floating-point run of the same phase-1 simplex.
-
-        Returns ``("feasible", values)`` with approximate values,
-        ``("infeasible", None)``, or ``("unknown", None)`` when the
-        iteration budget runs out.  This is only a *screen*: float
-        feasibility may be trusted solely on paths where feasible
-        means inconclusive, and float infeasibility must be re-proven
-        by :meth:`solve` before concluding anything.  Exact rational
-        pivoting dominates the solver's cost on feasible systems, so
-        screening them out here is the difference between milliseconds
-        and seconds per obligation on composite nets."""
-        n = len(self.variables)
-        slacks = sum(1 for c in self.constraints if c.relation == "<=")
-        total = n + slacks
-        if total == 0:
-            return "unknown", None
-        rows: list[list[float]] = []
-        rhs: list[float] = []
-        basis_hint: list[int | None] = []
-        slack_column = n
-        scale = 1.0
-        for constraint in self.constraints:
-            row = [float(c) for c in constraint.coeffs] + [0.0] * slacks
-            hint: int | None = None
-            if constraint.relation == "<=":
-                row[slack_column] = 1.0
-                if constraint.rhs >= 0:
-                    hint = slack_column
-                slack_column += 1
-            b = float(constraint.rhs)
-            if b < 0:
-                row = [-v for v in row]
-                b = -b
-            scale = max(scale, b)
-            rows.append(row)
-            rhs.append(b)
-            basis_hint.append(hint)
-        m = len(rows)
-        artificial_rows = [
-            i for i, hint in enumerate(basis_hint) if hint is None
-        ]
-        num_artificial = len(artificial_rows)
-        width = total + num_artificial + 1
-        artificial_of = {
-            i: total + k for k, i in enumerate(artificial_rows)
-        }
-        tableau: list[list[float]] = []
-        basis: list[int] = []
-        for i in range(m):
-            artificial = [0.0] * num_artificial
-            hint = basis_hint[i]
-            if hint is None:
-                artificial[artificial_of[i] - total] = 1.0
-                basis.append(artificial_of[i])
-            else:
-                basis.append(hint)
-            tableau.append(rows[i] + artificial + [rhs[i]])
-        cost = [0.0] * width
-        for i in artificial_rows:
-            row = tableau[i]
-            for j in range(width):
-                cost[j] += row[j]
-        eps = 1e-9 * scale
-        budget = 8 * (m + total) + 256
-        for _ in range(budget):
-            entering = None
-            best_cost = eps
-            for j in range(total):
-                if cost[j] > best_cost:
-                    best_cost = cost[j]
-                    entering = j
-            if entering is None:
-                break
-            leaving = None
-            best: float | None = None
-            for i in range(m):
-                coefficient = tableau[i][entering]
-                if coefficient > eps:
-                    ratio = tableau[i][-1] / coefficient
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and basis[i] < basis[leaving])
-                    ):
-                        best = ratio
-                        leaving = i
-            if leaving is None:
-                return "unknown", None
-            pivot_row = tableau[leaving]
-            pivot = pivot_row[entering]
-            nonzero = [j for j, v in enumerate(pivot_row) if v != 0.0]
-            if pivot != 1.0:
-                for j in nonzero:
-                    pivot_row[j] /= pivot
-            for i in range(m):
-                if i == leaving:
-                    continue
-                row = tableau[i]
-                factor = row[entering]
-                if factor != 0.0:
-                    for j in nonzero:
-                        row[j] -= factor * pivot_row[j]
-            factor = cost[entering]
-            if factor != 0.0:
-                for j in nonzero:
-                    cost[j] -= factor * pivot_row[j]
-            basis[leaving] = entering
-        else:
-            return "unknown", None
-        if abs(cost[-1]) > 1e-7 * scale:
+        if abs(cost[-1]) > tolerance:
             return "infeasible", None
-        values = {name: 0.0 for name in self.variables}
+        values = {name: zero for name in self.variables}
         for i, column in enumerate(basis):
             if column < n:
                 values[self.variables[column]] = tableau[i][-1]
         return "feasible", values
+
+    def solve(
+        self, pivot_budget: int | None = None
+    ) -> dict[str, Fraction] | None:
+        """An exact feasible point, or ``None`` when infeasible.
+
+        Exceeding ``pivot_budget`` raises :class:`PivotBudgetExceeded`
+        (the caller reports the query undecided, which is always
+        sound)."""
+        status, values = self._phase1(True, pivot_budget)
+        if status == "unknown":
+            raise PivotBudgetExceeded(
+                f"no verdict within {pivot_budget} pivots of entries"
+                f" up to {PIVOT_ENTRY_BITS} bits"
+            )
+        return values
+
+    def _solve_float(self) -> tuple[str, dict[str, float] | None]:
+        """The float run of :meth:`_phase1`: a *screen* whose
+        feasibility may be trusted solely where feasible means
+        inconclusive, and whose infeasibility must be re-proven
+        exactly before anything is concluded."""
+        return self._phase1(False)
 
     def screened_solve(
         self,
         need_exact: bool = False,
         pivot_budget: int | None = DEFAULT_PIVOT_BUDGET,
     ) -> tuple[str, dict | None]:
-        """Feasibility with a float screen in front of the exact solver.
+        """Feasibility with the float screen in front of the exact run.
 
         Returns ``(status, solution)`` with status ``"feasible"``,
         ``"infeasible"``, or ``"unknown"``.  Infeasibility is always
-        exact — a float "infeasible" (or "unknown") is re-proven by
-        :meth:`solve`.  When ``need_exact`` is false, a float-feasible
+        exact — a float "infeasible" (or "unknown") is re-proven by the
+        exact run.  When ``need_exact`` is false, a float-feasible
         system is accepted as feasible and the returned solution is a
         float dict good only for heuristics (trap discovery); when
         true, the screen is skipped and the solution is exact.  An
-        exact solve past ``pivot_budget`` yields ``"unknown"``."""
+        exact run past ``pivot_budget`` yields ``"unknown"``.  Exact
+        rational pivoting dominates the solver's cost on feasible
+        systems, so screening them out is the difference between
+        milliseconds and seconds per obligation on composite nets."""
         if not need_exact:
             status, values = self._solve_float()
             if status == "feasible":
-                return "feasible", values
-        try:
-            exact = self.solve(pivot_budget)
-        except PivotBudgetExceeded:
-            return "unknown", None
-        if exact is None:
-            return "infeasible", None
-        return "feasible", exact
+                return status, values
+        return self._phase1(True, pivot_budget)
 
 
 # -- the state equation over a component-restricted subnet -------------------
@@ -630,27 +524,6 @@ class StateEquation:
                 counts[place] = int(value)
         return Marking(counts)
 
-    def _maximal_trap(self, places: set[str]) -> frozenset[str]:
-        """The maximal trap inside ``places`` (restricted transitions;
-        identical to the full net by component closure): iteratively
-        drop places with a consumer that is not a producer of the set."""
-        current = set(places)
-        transitions = [self.net.transitions[tid] for tid in self.tids]
-        changed = True
-        while changed and current:
-            changed = False
-            producers = {
-                t.tid for t in transitions if t.postset & current
-            }
-            for place in list(current):
-                consumers = {
-                    t.tid for t in transitions if place in t.preset
-                }
-                if not consumers <= producers:
-                    current.discard(place)
-                    changed = True
-        return frozenset(current)
-
     def refine(
         self,
         system: LinearSystem,
@@ -682,7 +555,7 @@ class StateEquation:
             zeros = {
                 place for place, v in marking.items() if abs(v) <= 1e-9
             }
-            trap = self._maximal_trap(zeros)
+            trap = maximal_trap(self.net, zeros)
             if not trap or not any(self.m0[place] for place in trap):
                 break
             self.require_trap(system, trap)
@@ -731,6 +604,15 @@ def _inconclusive(reason: str, stats: dict | None = None) -> SymbolicVerdict:
     return SymbolicVerdict(False, None, reason, stats or {})
 
 
+def _sum_stats(*parts: dict) -> dict:
+    """The solver statistics (systems, constraints, trap refinement
+    rounds) summed over ``parts``."""
+    return {
+        key: sum(part.get(key, 0) for part in parts)
+        for key in ("systems", "constraints", "refinement_rounds")
+    }
+
+
 def exactness_applies(net: PetriNet) -> bool:
     """``True`` iff state-equation feasibility *characterises*
     reachability on ``net`` — live marked graphs (Theorem 5.7 /
@@ -744,94 +626,53 @@ def _integral(marking: dict[str, Fraction]) -> bool:
     return all(value.denominator == 1 for value in marking.values())
 
 
-def predicate_unreachable(
-    net: PetriNet,
-    marked: Iterable[str] = (),
-    empty: Iterable[str] = (),
-    trap_rounds: int = DEFAULT_TRAP_ROUNDS,
-    exact: bool | None = None,
-) -> SymbolicVerdict:
-    """Is every marking with ``marked`` places marked and ``empty``
-    places empty unreachable?
+def _predicate_system(
+    net: PetriNet, marked: Iterable[str], empty: Iterable[str]
+) -> tuple[StateEquation, LinearSystem | None]:
+    """The (unrefined) system "every ``marked`` place marked, every
+    ``empty`` place empty, every place non-negative" over ``M = M0 +
+    C·x``, restricted to the components of those places.
 
-    CONCLUSIVE/holds when the (trap-refined) state equation is
-    infeasible.  On nets where :func:`exactness_applies` (pass
-    ``exact`` to override the classification), a feasible integral
-    solution is a CONCLUSIVE/fails verdict with a witness marking.
-    """
-    marked = tuple(sorted(set(marked)))
-    empty = tuple(sorted(set(empty)))
-    equation = StateEquation(net, set(marked) | set(empty))
+    The system is ``None`` when the restricted component is
+    :attr:`~StateEquation.oversized`: no row is built."""
+    marked = sorted(set(marked))
+    empty = sorted(set(empty))
+    equation = StateEquation(net, {*marked, *empty})
     if equation.oversized:
-        return _inconclusive(
-            f"restricted system too large ({len(equation.tids)}"
-            f" transitions, {len(equation.places)} places)"
-        )
+        return equation, None
     system = equation.base_system()
     for place in marked:
         equation.require_marked(system, place)
     for place in empty:
         equation.require_empty(system, place)
-    if exact is None:
-        exact = exactness_applies(net)
-    status, solution, rounds = equation.refine(
-        system, trap_rounds, need_exact=exact
-    )
-    stats = {
-        "systems": 1,
-        "constraints": system.num_constraints(),
-        "refinement_rounds": rounds,
-    }
-    if status == "infeasible":
-        return SymbolicVerdict(
-            True,
-            True,
-            f"state equation infeasible ({system.num_constraints()}"
-            f" constraints, {rounds} trap refinements)",
-            stats,
-        )
-    if status == "unknown":
-        return _inconclusive("exact solver pivot budget exhausted", stats)
-    if exact:
-        marking = equation.marking_of(solution)
-        if _integral(marking):
-            return SymbolicVerdict(
-                True,
-                False,
-                "state equation feasible and exact for live marked"
-                " graphs: a witness marking is reachable",
-                stats,
-                witness=equation.witness_marking(solution),
-            )
-    return _inconclusive(
-        "state equation feasible (reachability not refuted)", stats
-    )
+    return equation, system
 
 
-def marking_unreachable(
-    net: PetriNet,
-    target: Marking,
-    trap_rounds: int = DEFAULT_TRAP_ROUNDS,
-    exact: bool | None = None,
+def _solve_and_judge(
+    equation: StateEquation,
+    system: LinearSystem | None,
+    trap_rounds: int,
+    exact: bool | None,
+    scope: str,
+    found: str,
 ) -> SymbolicVerdict:
-    """Is the *exact* marking ``target`` (zero on unlisted places)
-    unreachable?  Same semantics as :func:`predicate_unreachable`."""
-    unknown = set(target) - net.places
-    if unknown:
-        raise ValueError(
-            f"target marks places not in the net: {sorted(unknown)}"
-        )
-    equation = StateEquation(net, net.places, restrict=False)
-    if equation.oversized:
+    """The verdict of one state-equation query, from its (unrefined)
+    system — ``None`` when the equation is oversized (INCONCLUSIVE).
+
+    CONCLUSIVE/holds when the trap-refined system is infeasible;
+    INCONCLUSIVE when the exact solver's pivot budget runs out.  On
+    nets where :func:`exactness_applies` (``exact`` overrides the
+    classification), a feasible integral solution is CONCLUSIVE/fails
+    with its witness marking; any other feasible system is
+    INCONCLUSIVE.  ``scope`` and ``found`` name the system and the
+    witness in the reason."""
+    if system is None:
         return _inconclusive(
-            f"system too large ({len(equation.tids)} transitions,"
+            f"{scope} too large ({len(equation.tids)} transitions,"
             f" {len(equation.places)} places)"
         )
-    system = equation.base_system()
-    for place in equation.places:
-        equation.require_exact(system, place, target[place])
     if exact is None:
-        exact = exactness_applies(net)
+        exact = exactness_applies(equation.net)
     status, solution, rounds = equation.refine(
         system, trap_rounds, need_exact=exact
     )
@@ -855,12 +696,62 @@ def marking_unreachable(
             True,
             False,
             "state equation feasible and exact for live marked graphs:"
-            " the target marking is reachable",
+            f" {found} is reachable",
             stats,
-            witness=target,
+            witness=equation.witness_marking(solution),
         )
     return _inconclusive(
         "state equation feasible (reachability not refuted)", stats
+    )
+
+
+def predicate_unreachable(
+    net: PetriNet,
+    marked: Iterable[str] = (),
+    empty: Iterable[str] = (),
+    trap_rounds: int = DEFAULT_TRAP_ROUNDS,
+    exact: bool | None = None,
+) -> SymbolicVerdict:
+    """Is every marking with ``marked`` places marked and ``empty``
+    places empty unreachable?
+
+    CONCLUSIVE/holds when the (trap-refined) state equation is
+    infeasible.  On nets where :func:`exactness_applies` (pass
+    ``exact`` to override the classification), a feasible integral
+    solution is a CONCLUSIVE/fails verdict with a witness marking.
+    """
+    equation, system = _predicate_system(net, marked, empty)
+    return _solve_and_judge(
+        equation,
+        system,
+        trap_rounds,
+        exact,
+        "restricted system",
+        "a witness marking",
+    )
+
+
+def marking_unreachable(
+    net: PetriNet,
+    target: Marking,
+    trap_rounds: int = DEFAULT_TRAP_ROUNDS,
+    exact: bool | None = None,
+) -> SymbolicVerdict:
+    """Is the *exact* marking ``target`` (zero on unlisted places)
+    unreachable?  Same semantics as :func:`predicate_unreachable`."""
+    unknown = set(target) - net.places
+    if unknown:
+        raise ValueError(
+            f"target marks places not in the net: {sorted(unknown)}"
+        )
+    equation = StateEquation(net, net.places, restrict=False)
+    system = None
+    if not equation.oversized:
+        system = equation.base_system()
+        for place in equation.places:
+            equation.require_exact(system, place, target[place])
+    return _solve_and_judge(
+        equation, system, trap_rounds, exact, "system", "the target marking"
     )
 
 
@@ -965,32 +856,23 @@ def dead_actions(
 
     Returns ``(dead, stats)``.  Absence from ``dead`` proves nothing.
     """
-    stats: dict = {"systems": 0, "constraints": 0, "refinement_rounds": 0}
     if len(net.transitions) > DEAD_ACTION_TRANSITION_BUDGET:
-        stats["skipped"] = True
-        return frozenset(), stats
+        return frozenset(), {**_sum_stats(), "skipped": True}
     dead: set[str] = set()
+    spent: list[dict] = []
     for action in sorted(net.actions - {EPSILON}):
-        transitions = net.transitions_with_action(action)
-        if not transitions:
-            dead.add(action)
-            continue
-        conclusive = True
-        for transition in transitions:
+        for transition in net.transitions_with_action(action):
             if not transition.preset:
-                conclusive = False  # enabled everywhere
-                break
+                break  # enabled everywhere
             verdict = predicate_unreachable(
                 net, marked=transition.preset, trap_rounds=trap_rounds
             )
-            for key in ("systems", "constraints", "refinement_rounds"):
-                stats[key] += verdict.stats.get(key, 0)
+            spent.append(verdict.stats)
             if not (verdict.conclusive and verdict.holds):
-                conclusive = False
                 break
-        if conclusive:
+        else:
             dead.add(action)
-    return frozenset(dead), stats
+    return frozenset(dead), _sum_stats(*spent)
 
 
 def language_precheck(
@@ -1017,10 +899,7 @@ def language_precheck(
     visible2 = net2.actions - silent_set
     dead1, stats1 = dead_actions(net1, trap_rounds)
     dead2, stats2 = dead_actions(net2, trap_rounds)
-    stats = {
-        key: stats1.get(key, 0) + stats2.get(key, 0)
-        for key in ("systems", "constraints", "refinement_rounds")
-    }
+    stats = _sum_stats(stats1, stats2)
     # Letters a net cannot ever produce: conclusively dead, or simply
     # absent from its alphabet.
     never1 = (dead1 & visible1) | (visible2 - net1.actions)
@@ -1083,24 +962,11 @@ def failure_miss_choices(obligation) -> list[list[str]]:
 def obligation_system(
     net: PetriNet, obligation, choice: Iterable[str]
 ) -> tuple[StateEquation, LinearSystem | None]:
-    """The (unrefined) Prop 5.5 failure system for one miss choice:
-    producer preset fully marked, each chosen consumer place empty,
-    every restricted place non-negative, all over ``M = M0 + C·x``.
-
-    The system is ``None`` when the restricted component is
-    :attr:`~StateEquation.oversized`: no row is built, and the caller
-    leaves the obligation undecided."""
-    choice = tuple(sorted(set(choice)))
-    focus = set(obligation.producer_preset) | set(choice)
-    equation = StateEquation(net, focus)
-    if equation.oversized:
-        return equation, None
-    system = equation.base_system()
-    for place in sorted(obligation.producer_preset):
-        equation.require_marked(system, place)
-    for place in choice:
-        equation.require_empty(system, place)
-    return equation, system
+    """The (unrefined) Prop 5.5 failure system for one miss choice: the
+    :func:`predicate_unreachable` system with the producer preset
+    marked and each chosen consumer place empty (``None`` when the
+    restricted component is oversized)."""
+    return _predicate_system(net, obligation.producer_preset, choice)
 
 
 @dataclass
@@ -1138,62 +1004,37 @@ def symbolic_receptiveness(
     Emits ``engine.symbolic.*`` counters (systems, constraints,
     refinement rounds, conclusive/inconclusive obligations).
     """
-    outcome = SymbolicReceptiveness(
-        stats={
-            "systems": 0,
-            "constraints": 0,
-            "refinement_rounds": 0,
-            "safe": 0,
-            "failed": 0,
-            "undecided": 0,
-        }
-    )
-    stats = outcome.stats
+    outcome = SymbolicReceptiveness()
     exact = exactness_applies(net)
-    stats["exact"] = exact
+    spent: list[dict] = []
     for obligation in obligations:
         choices = failure_miss_choices(obligation)
         if any(not misses for misses in choices):
             # Some consumer's preset is inside the producer's: ready
             # whenever the producer is — structurally safe.
             outcome.safe.append(obligation)
-            stats["safe"] += 1
             continue
-        decided = False
-        all_infeasible = True
         for choice in _product(*choices):
-            equation, system = obligation_system(net, obligation, choice)
-            if system is None:
-                all_infeasible = False
-                break
-            status, solution, rounds = equation.refine(
-                system, trap_rounds, need_exact=exact
+            verdict = predicate_unreachable(
+                net, obligation.producer_preset, choice, trap_rounds, exact
             )
-            stats["systems"] += 1
-            stats["constraints"] += system.num_constraints()
-            stats["refinement_rounds"] += rounds
-            if status == "infeasible":
-                continue
-            all_infeasible = False
-            if (
-                exact
-                and status == "feasible"
-                and _integral(equation.marking_of(solution))
-            ):
-                outcome.failed.append(
-                    (obligation, equation.witness_marking(solution))
-                )
-                stats["failed"] += 1
-                decided = True
-            break
-        if decided:
-            continue
-        if all_infeasible:
+            spent.append(verdict.stats)
+            if not (verdict.conclusive and verdict.holds):
+                break
+        else:
             outcome.safe.append(obligation)
-            stats["safe"] += 1
+            continue
+        if verdict.conclusive:
+            outcome.failed.append((obligation, verdict.witness))
         else:
             outcome.undecided.append(obligation)
-            stats["undecided"] += 1
+    stats = outcome.stats = {
+        **_sum_stats(*spent),
+        "safe": len(outcome.safe),
+        "failed": len(outcome.failed),
+        "undecided": len(outcome.undecided),
+        "exact": exact,
+    }
     publish_stats(stats)
     obs.count("engine.symbolic.conclusive", stats["safe"] + stats["failed"])
     obs.count("engine.symbolic.inconclusive", stats["undecided"])
@@ -1217,10 +1058,7 @@ def analyze(net: PetriNet, trap_rounds: int = DEFAULT_TRAP_ROUNDS) -> dict:
     with obs.span("engine.symbolic.analyze", net=net.name) as span:
         bounded_verdict = bounded(net)
         dead, dead_stats = dead_actions(net, trap_rounds)
-        stats = {
-            key: bounded_verdict.stats.get(key, 0) + dead_stats.get(key, 0)
-            for key in ("systems", "constraints", "refinement_rounds")
-        }
+        stats = _sum_stats(bounded_verdict.stats, dead_stats)
         publish_stats(stats)
         obs.count(
             "engine.symbolic.conclusive", int(bounded_verdict.conclusive)

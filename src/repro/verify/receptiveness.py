@@ -784,12 +784,13 @@ def _checked_receptiveness(
     with obs.span("verify.receptiveness", method=method) as span:
         composite, obligations = compose_with_obligations(stg1, stg2)
         if method == "auto":
-            from repro.petri.classify import is_marked_graph, marked_graph_is_live
+            from repro.petri.symbolic import exactness_applies
 
-            structural_ok = is_marked_graph(
-                composite.net
-            ) and marked_graph_is_live(composite.net)
-            method = "structural" if structural_ok else "reachability"
+            method = (
+                "structural"
+                if exactness_applies(composite.net)
+                else "reachability"
+            )
         if method == "structural":
             with obs.span("verify.receptiveness.structural"):
                 failures = _marked_graph_failures(composite, obligations)

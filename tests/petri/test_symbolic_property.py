@@ -17,9 +17,12 @@ the same harness the POR differential suite uses.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from repro.io.json_io import net_to_dict
 from repro.petri.marking import Marking
@@ -90,6 +93,63 @@ def reachable_markings(net: PetriNet) -> set[Marking]:
     space = LazyStateSpace(net)
     space.explore_all()
     return set(space.iter_bfs())
+
+
+@st.composite
+def small_systems(draw):
+    """Integer feasibility problems: at most 4 variables and 5 rows,
+    coefficients in [-3, 3], right-hand sides in [-4, 4]."""
+    width = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+                st.sampled_from(["<=", "=="]),
+                st.integers(-4, 4),
+            ),
+            max_size=5,
+        )
+    )
+    return width, rows
+
+
+@EXHAUSTIVE
+@given(problem=small_systems())
+def test_phase1_matches_highs_in_both_arithmetics(problem):
+    """The one phase-1 routine, against scipy's HiGHS: the exact run is
+    infeasible exactly when HiGHS is, its points satisfy every row in
+    Fractions, and the float run never reports the opposite status."""
+    width, rows = problem
+    system = LinearSystem(tuple(f"x{i}" for i in range(width)))
+    for coeffs, relation, rhs in rows:
+        if relation == "<=":
+            system.inequality(coeffs, rhs)
+        else:
+            system.equality(coeffs, rhs)
+    upper = [(c, b) for c, relation, b in rows if relation == "<="]
+    equal = [(c, b) for c, relation, b in rows if relation == "=="]
+    reference = linprog(
+        [0] * width,
+        A_ub=[c for c, _ in upper] or None,
+        b_ub=[b for _, b in upper] or None,
+        A_eq=[c for c, _ in equal] or None,
+        b_eq=[b for _, b in equal] or None,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert reference.status in (0, 2), reference.message
+    solution = system.solve()
+    assert (solution is None) == (reference.status == 2)
+    exact = "infeasible"
+    if solution is not None:
+        exact = "feasible"
+        x = [solution[name] for name in system.variables]
+        assert all(isinstance(v, Fraction) and v >= 0 for v in x)
+        for coeffs, relation, rhs in rows:
+            value = sum(c * v for c, v in zip(coeffs, x))
+            assert value <= rhs if relation == "<=" else value == rhs
+    screened, _ = system._solve_float()
+    assert screened in (exact, "unknown")
 
 
 @THOROUGH

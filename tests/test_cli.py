@@ -9,6 +9,8 @@ from repro.io.astg import save_astg
 from repro.models.library import four_phase_master, four_phase_slave
 from repro.models.protocol_translator import inconsistent_sender
 
+from tests.io.test_json_dot import WRONGLY_TYPED
+
 
 @pytest.fixture()
 def master_file(tmp_path):
@@ -130,6 +132,18 @@ class TestFailurePaths:
         path.write_text("{not json")
         assert main(["info", str(path)]) == 2
         assert "cannot parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", WRONGLY_TYPED)
+    def test_wrongly_typed_json(self, tmp_path, capsys, document):
+        """``info`` on the file, and ``bench`` on a directory holding
+        it, both exit 2 with one parse-error line."""
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(document))
+        for argv in (["info", str(path)], ["bench", str(tmp_path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"cip: error: cannot parse {path}: ")
+            assert err.count("\n") == 1
 
     def test_unknown_input_extension(self, tmp_path, capsys):
         path = tmp_path / "net.xyz"
