@@ -89,22 +89,13 @@ def choice(n1: PetriNet, n2: PetriNet) -> PetriNet:
     transition of the other.
     """
     with obs.span("algebra.choice", left=n1.name, right=n2.name) as span:
-        from repro.cache import derived
-
-        result = derived.lookup("choice", [n1, n2])
-        cached = result is not None
-        if result is None:
-            result = _choice(n1, n2)
+        result = _choice(n1, n2)
         span.set(
             places_before=len(n1.places) + len(n2.places),
             places_after=len(result.places),
             transitions_before=len(n1.transitions) + len(n2.transitions),
             transitions_after=len(result.transitions),
         )
-        if cached:
-            span.set(cached=True)
-        else:
-            derived.publish("choice", [n1, n2], result)
         return result
 
 

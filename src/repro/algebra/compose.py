@@ -37,25 +37,13 @@ def parallel(
         synchronize.
     """
     with obs.span("algebra.parallel", left=n1.name, right=n2.name) as span:
-        from repro.cache import derived
-
-        sync = (
-            None if synchronize_on is None else sorted(set(synchronize_on))
-        )
-        result = derived.lookup("parallel", [n1, n2], sync=sync)
-        cached = result is not None
-        if result is None:
-            result = _parallel(n1, n2, synchronize_on)
+        result = _parallel(n1, n2, synchronize_on)
         span.set(
             places_before=len(n1.places) + len(n2.places),
             places_after=len(result.places),
             transitions_before=len(n1.transitions) + len(n2.transitions),
             transitions_after=len(result.transitions),
         )
-        if cached:
-            span.set(cached=True)
-        else:
-            derived.publish("parallel", [n1, n2], result, sync=sync)
         return result
 
 

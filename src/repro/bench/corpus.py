@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.cache import verdicts
 from repro.io.formats import FORMATS, load_stg
 from repro.obs import metrics as obs
 from repro.obs.emit import validate_metrics
@@ -90,7 +91,7 @@ class CellResult:
     conclusive: bool | None = None
     fired_actions: frozenset[str] | None = None
     dead_actions: frozenset[str] | None = None
-    #: Provenance only: served from the bench-cell memo
+    #: Provenance only: served from the instance's verdict entry
     #: (:mod:`repro.cache`) instead of explored.  Excluded from
     #: equality so warm and cold cells stay interchangeable values.
     cached: bool = field(default=False, compare=False)
@@ -172,7 +173,6 @@ def explore_cell(
     max_states: int,
     workers: int = 1,
     memory_budget: int | None = None,
-    net_hash: str | None = None,
 ) -> CellResult:
     """Run one engine over ``net``.
 
@@ -190,29 +190,10 @@ def explore_cell(
     nets its cells report ``"bound-exceeded"`` where a serial run would
     report ``"unbounded"`` — consistent across all parallel cells of a
     sweep, hence still a clean diff within one run.
-
-    ``net_hash`` (set by :func:`run_instance` when an artifact store is
-    active) enables the bench-cell memo: serial cells are keyed by the
-    *semantics* of their exploration — the full space for ``eager`` and
-    ``onthefly``, the reduced space (plus proviso) for ``por`` — so a
-    warm sweep serves identical cells without exploring.  Parallel
-    cells always recompute.
     """
     if engine == "symbolic":
-        return symbolic_cell(net, workers=workers, net_hash=net_hash)
+        return symbolic_cell(net, workers=workers)
     parallel = (workers > 1 or memory_budget is not None) and engine != "por"
-    memo_key = None
-    if net_hash is not None and workers == 1 and memory_budget is None:
-        from repro.cache import verdicts
-
-        memo_key = _cell_key(engine, net_hash)
-        entry = verdicts.memo_lookup(
-            verdicts.BENCH_KIND, memo_key, max_states=max_states
-        )
-        if entry is not None:
-            cell = _cell_restore(entry, engine, workers)
-            if cell is not None:
-                return cell
     fired: frozenset[str] | None = None
     with obs.span("bench.cell", engine=engine, workers=workers) as handle:
         try:
@@ -258,32 +239,22 @@ def explore_cell(
                 raise CorpusError(f"unknown engine {engine!r}")
         except UnboundedNetError as error:
             outcome = "unbounded" if error.bound is None else "bound-exceeded"
-            conclusive = outcome == "unbounded"
-            handle.set(outcome=outcome, conclusive=conclusive)
-            cell = CellResult(engine, outcome, conclusive=conclusive)
-            _cell_publish(memo_key, cell, max_states)
-            return cell
-        handle.set(outcome="ok", states=states, edges=edges, conclusive=True)
-    prefix = f"bench.{engine}"
-    obs.gauge(f"{prefix}.states", states)
-    obs.gauge(f"{prefix}.edges", edges)
-    obs.gauge(f"{prefix}.deadlocks", len(deadlocks))
-    cell = CellResult(
-        engine,
-        "ok",
-        states,
-        edges,
-        deadlocks,
-        conclusive=True,
-        fired_actions=fired,
-    )
-    _cell_publish(memo_key, cell, max_states)
+            cell = CellResult(engine, outcome, conclusive=outcome == "unbounded")
+        else:
+            cell = CellResult(
+                engine,
+                "ok",
+                states,
+                edges,
+                deadlocks,
+                conclusive=True,
+                fired_actions=fired,
+            )
+        _report_cell(handle, cell)
     return cell
 
 
-def symbolic_cell(
-    net: PetriNet, workers: int = 1, net_hash: str | None = None
-) -> CellResult:
+def symbolic_cell(net: PetriNet, workers: int = 1) -> CellResult:
     """The single non-enumerating matrix cell of an instance.
 
     Runs :func:`repro.petri.symbolic.analyze`: outcome ``"ok"`` when
@@ -292,192 +263,149 @@ def symbolic_cell(
     concludes unboundedness), ``"inconclusive"`` otherwise.  The
     conclusively-dead action set rides along for the cross-engine
     dead-action check.
-
-    With ``net_hash``, the cell is memoized budget-free — the
-    state-equation procedure never enumerates markings, so its verdict
-    does not depend on ``max_states`` at all.
     """
     from repro.petri.symbolic import analyze
 
-    memo_key = None
-    if net_hash is not None and workers == 1:
-        from repro.cache import verdicts
-
-        memo_key = _cell_key("symbolic", net_hash)
-        entry = verdicts.memo_lookup(verdicts.BENCH_KIND, memo_key)
-        if entry is not None:
-            cell = _symbolic_restore(entry, workers)
-            if cell is not None:
-                return cell
     with obs.span("bench.cell", engine="symbolic", workers=workers) as handle:
         result = analyze(net)
-        verdict = result["bounded"]
-        dead = result["dead_actions"]
-        outcome = "ok" if verdict.conclusive else "inconclusive"
-        handle.set(outcome=outcome, conclusive=verdict.conclusive)
-    obs.gauge("bench.symbolic.dead_actions", len(dead))
-    obs.gauge("bench.symbolic.conclusive", int(verdict.conclusive))
-    if memo_key is not None:
-        from repro.cache import verdicts
-
-        verdicts.memo_store(
-            verdicts.BENCH_KIND,
-            memo_key,
-            {
-                "outcome": outcome,
-                "conclusive": verdict.conclusive,
-                "dead_actions": sorted(dead),
-            },
-            conclusive=True,
-            provenance={"engine": "symbolic"},
+        conclusive = result["bounded"].conclusive
+        cell = CellResult(
+            "symbolic",
+            "ok" if conclusive else "inconclusive",
+            conclusive=conclusive,
+            dead_actions=result["dead_actions"],
         )
-    return CellResult(
-        "symbolic",
-        outcome,
-        conclusive=verdict.conclusive,
-        dead_actions=dead,
-    )
+        _report_cell(handle, cell)
+    return cell
 
 
-def _cell_key(engine: str, net_hash: str) -> str:
-    """The memo key of a matrix cell — by exploration *semantics*:
-    ``eager`` and ``onthefly`` enumerate the same full space, so both
-    cells share one key; ``por`` explores the reduced space governed by
-    its proviso; ``symbolic`` never enumerates."""
-    from repro.cache import verdicts
-
-    if engine == "por":
-        from repro.petri.product import DEFAULT_PROVISO
-
-        return verdicts.semantic_key("bench-por", net_hash, DEFAULT_PROVISO)
-    if engine == "symbolic":
-        return verdicts.semantic_key("bench-symbolic", net_hash)
-    return verdicts.semantic_key("bench-full", net_hash)
-
-
-def _cell_restore(entry: dict, engine: str, workers: int) -> CellResult | None:
-    """A served cell, byte-identical to the cold run: same span meta
-    (plus ``cached``), same gauges, same :class:`CellResult` fields.
-    Lazy engines need the fired-action set for the cross-engine
-    dead-action check; an entry recorded by an eager run lacks it, so
-    they miss and re-explore (upgrading the entry on publish)."""
-    from repro.cache import verdicts
-
-    result = entry["result"]
-    try:
-        outcome = str(result["outcome"])
-        if outcome != "ok":
-            conclusive = outcome == "unbounded"
-            with obs.span("bench.cell", engine=engine, workers=workers) as handle:
-                handle.set(
-                    outcome=outcome, conclusive=conclusive, cached=True
-                )
-            return CellResult(engine, outcome, conclusive=conclusive, cached=True)
-        states = int(result["states"])
-        edges = int(result["edges"])
-        deadlocks = frozenset(
-            verdicts.marking_from(items) for items in result["deadlocks"]
-        )
-        fired = None
-        if engine in ("onthefly", "por"):
-            if result["fired_actions"] is None:
-                return None
-            fired = frozenset(result["fired_actions"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    with obs.span("bench.cell", engine=engine, workers=workers) as handle:
+def _report_cell(handle, cell: CellResult) -> None:
+    """Attach a cell's outcome to its ``bench.cell`` span and emit its
+    gauges — the one reporting path of computed and served cells, so a
+    warm payload is the cold one plus ``cached`` flags."""
+    if cell.engine == "symbolic":
+        handle.set(outcome=cell.outcome, conclusive=cell.conclusive)
+        obs.gauge("bench.symbolic.dead_actions", len(cell.dead_actions))
+        obs.gauge("bench.symbolic.conclusive", int(cell.conclusive))
+    elif cell.outcome == "ok":
         handle.set(
-            outcome="ok",
-            states=states,
-            edges=edges,
-            conclusive=True,
+            outcome="ok", states=cell.states, edges=cell.edges, conclusive=True
+        )
+        prefix = f"bench.{cell.engine}"
+        obs.gauge(f"{prefix}.states", cell.states)
+        obs.gauge(f"{prefix}.edges", cell.edges)
+        obs.gauge(f"{prefix}.deadlocks", len(cell.deadlocks))
+    else:
+        handle.set(outcome=cell.outcome, conclusive=cell.conclusive)
+    if cell.cached:
+        handle.set(cached=True)
+
+
+def _cell_record(cell: CellResult) -> dict:
+    """A cell as JSON data for the instance's verdict entry."""
+    deadlocks = fired = dead = None
+    if cell.deadlocks is not None:
+        deadlocks = sorted(verdicts.marking_items(m) for m in cell.deadlocks)
+    if cell.fired_actions is not None:
+        fired = sorted(cell.fired_actions)
+    if cell.dead_actions is not None:
+        dead = sorted(cell.dead_actions)
+    return {
+        "engine": cell.engine,
+        "outcome": cell.outcome,
+        "states": cell.states,
+        "edges": cell.edges,
+        "deadlocks": deadlocks,
+        "fired_actions": fired,
+        "dead_actions": dead,
+    }
+
+
+def _cell_from_record(record: dict) -> CellResult:
+    """Inverse of :func:`_cell_record`, flagged ``cached``.  Raises
+    ``KeyError``, ``TypeError`` or ``ValueError`` on a malformed record."""
+
+    def names(value) -> frozenset[str]:
+        if not isinstance(value, list) or not all(
+            isinstance(name, str) for name in value
+        ):
+            raise TypeError("expected a list of action names")
+        return frozenset(value)
+
+    engine, outcome = record["engine"], record["outcome"]
+    symbolic = engine == "symbolic"
+    if outcome not in (
+        ("ok", "inconclusive")
+        if symbolic
+        else ("ok", "unbounded", "bound-exceeded")
+    ):
+        raise ValueError(f"no {engine!r} cell has outcome {outcome!r}")
+    if symbolic:
+        return CellResult(
+            engine,
+            outcome,
+            conclusive=outcome == "ok",
+            dead_actions=names(record["dead_actions"]),
             cached=True,
         )
-    prefix = f"bench.{engine}"
-    obs.gauge(f"{prefix}.states", states)
-    obs.gauge(f"{prefix}.edges", edges)
-    obs.gauge(f"{prefix}.deadlocks", len(deadlocks))
+    if outcome != "ok":
+        return CellResult(
+            engine, outcome, conclusive=outcome == "unbounded", cached=True
+        )
+    fired = record["fired_actions"]
     return CellResult(
         engine,
         "ok",
-        states,
-        edges,
-        deadlocks,
+        int(record["states"]),
+        int(record["edges"]),
+        frozenset(Marking(dict(items)) for items in record["deadlocks"]),
         conclusive=True,
-        fired_actions=fired,
+        fired_actions=None if fired is None else names(fired),
         cached=True,
     )
 
 
-def _cell_publish(memo_key: str | None, cell: CellResult, max_states: int) -> None:
-    from repro.cache import verdicts
-
-    if memo_key is None:
-        return
-    if cell.outcome == "ok":
-        verdicts.memo_store(
-            verdicts.BENCH_KIND,
-            memo_key,
-            {
-                "outcome": "ok",
-                "states": cell.states,
-                "edges": cell.edges,
-                "deadlocks": [
-                    verdicts.marking_items(marking)
-                    for marking in sorted(cell.deadlocks, key=repr)
-                ],
-                "fired_actions": (
-                    None
-                    if cell.fired_actions is None
-                    else sorted(cell.fired_actions)
-                ),
-            },
-            conclusive=True,
-            floor=cell.states,
-            proven_at=max_states,
-            provenance={"engine": cell.engine},
-        )
-    elif cell.outcome == "unbounded":
-        # The strict covering was found within this budget; any larger
-        # budget finds it too, a smaller one might abort first.
-        verdicts.memo_store(
-            verdicts.BENCH_KIND,
-            memo_key,
-            {"outcome": "unbounded"},
-            conclusive=True,
-            floor=max_states,
-            proven_at=max_states,
-            provenance={"engine": cell.engine},
-        )
-    else:  # bound-exceeded: inconclusive, reusable only at this budget
-        verdicts.memo_store(
-            verdicts.BENCH_KIND,
-            memo_key,
-            {"outcome": "bound-exceeded"},
-            conclusive=False,
-            proven_at=max_states,
-            provenance={"engine": cell.engine},
-        )
-
-
-def _symbolic_restore(entry: dict, workers: int) -> CellResult | None:
-    result = entry["result"]
+def _served_cells(
+    key: str, engines: tuple[str, ...], max_states: int, workers: int
+) -> list[CellResult] | None:
+    """The instance's cells from its verdict entry, re-reported span by
+    span, or ``None`` when the entry is missing, unusable at
+    ``max_states`` or malformed (the caller then recomputes)."""
+    entry = verdicts.memo_lookup(verdicts.KIND, key, max_states=max_states)
+    if entry is None:
+        return None
     try:
-        outcome = str(result["outcome"])
-        conclusive = bool(result["conclusive"])
-        dead = frozenset(result["dead_actions"])
+        cells = [_cell_from_record(item) for item in entry["result"]["cells"]]
     except (KeyError, TypeError, ValueError):
         return None
-    with obs.span("bench.cell", engine="symbolic", workers=workers) as handle:
-        handle.set(outcome=outcome, conclusive=conclusive, cached=True)
-    obs.gauge("bench.symbolic.dead_actions", len(dead))
-    obs.gauge("bench.symbolic.conclusive", int(conclusive))
-    return CellResult(
-        "symbolic",
-        outcome,
-        conclusive=conclusive,
-        dead_actions=dead,
-        cached=True,
+    if tuple(cell.engine for cell in cells) != tuple(engines):
+        return None
+    for cell in cells:
+        with obs.span("bench.cell", engine=cell.engine, workers=workers) as handle:
+            _report_cell(handle, cell)
+    return cells
+
+
+def _publish_cells(key: str, cells: list[CellResult], max_states: int) -> None:
+    """Persist an instance's cells as one verdict entry.  It is
+    conclusive unless a cell hit the state budget; its floor is the
+    largest state count any cell needed, or the budget itself when a
+    cell proved unboundedness (the strict covering was found within this
+    budget; a smaller one might abort first)."""
+    floor = max(
+        (
+            max_states if cell.outcome == "unbounded" else cell.states or 0
+            for cell in cells
+        ),
+        default=0,
+    )
+    verdicts.memo_store(
+        verdicts.KIND,
+        key,
+        {"cells": [_cell_record(cell) for cell in cells]},
+        conclusive=all(cell.outcome != "bound-exceeded" for cell in cells),
+        floor=floor,
+        proven_at=max_states,
     )
 
 
@@ -622,8 +550,14 @@ def run_instance(
     that need the net elsewhere too (:func:`run_corpus` and its algebra
     laws) parse each file exactly once.  The net is lowered to its
     compiled form once, up front, and every enumerating cell shares
-    that single lowering; with an artifact store active its content
-    hash is likewise computed once and handed to each cell's memo.
+    that single lowering.
+
+    With an artifact store active, a serial instance is one verdict
+    entry (check ``bench``), keyed by the net's content hash, the
+    engine tuple and the por proviso, under the budget rule of
+    :mod:`repro.cache.verdicts`.  A hit re-reports every cell without
+    lowering or exploring anything; a miss runs the cells and publishes
+    them once.
     """
     path = Path(path)
     if stg is None:
@@ -634,33 +568,38 @@ def run_instance(
         except (ValueError, KeyError) as error:
             raise CorpusError(f"cannot parse {path}: {error}") from None
     net = stg.net
-    from repro.cache import verdicts
+    key = None
+    if workers == 1 and memory_budget is None and verdicts.memo_enabled(net):
+        from repro.petri.product import DEFAULT_PROVISO
 
-    net_hash = None
-    if (
-        workers == 1
-        and memory_budget is None
-        and verdicts.active_store() is not None
-        and verdicts.hashable(net)
-    ):
-        net_hash = verdicts.net_content_hash(net)
+        key = verdicts.semantic_key(
+            "bench",
+            verdicts.net_content_hash(net),
+            list(engines),
+            DEFAULT_PROVISO,
+        )
     with obs.record() as recorder:
         with obs.span(
             "bench.instance", net=net.name, file=path.name, workers=workers
         ):
-            if any(engine != "symbolic" for engine in engines):
-                net.compiled()
-            cells = [
-                explore_cell(
-                    net,
-                    engine,
-                    max_states,
-                    workers=workers,
-                    memory_budget=memory_budget,
-                    net_hash=net_hash,
-                )
-                for engine in engines
-            ]
+            cells = None
+            if key is not None:
+                cells = _served_cells(key, engines, max_states, workers)
+            if cells is None:
+                if any(engine != "symbolic" for engine in engines):
+                    net.compiled()
+                cells = [
+                    explore_cell(
+                        net,
+                        engine,
+                        max_states,
+                        workers=workers,
+                        memory_budget=memory_budget,
+                    )
+                    for engine in engines
+                ]
+                if key is not None:
+                    _publish_cells(key, cells, max_states)
             obs.count("bench.cells", len(cells))
             obs.gauge("bench.workers", workers)
     payload = recorder.to_dict()

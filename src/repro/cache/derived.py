@@ -1,4 +1,4 @@
-"""Provenance caching of algebra results (``parallel``/``choice``/``hide``/``trim``).
+"""Provenance caching of algebra results (``hide`` and ``trim``).
 
 A derived net is a pure function of its operator, operand *contents*
 and operator parameters — the Span(Graph)-style observation that an
@@ -8,6 +8,12 @@ hashes, and the artifact is the result's lossless JSON form
 (:mod:`repro.io.json_io`) plus its ``_next_tid`` allocator state, so a
 restored net is byte-for-byte ``structurally_equal`` to a recomputed
 one *and* allocates the same tids for any later mutation.
+
+Only the two operators whose result is dearer to recompute than to
+load use it: ``hide`` contracts transition by transition and ``trim``
+explores the state space.  ``parallel`` (one-pass transition fusion,
+Def 4.7) and ``choice`` (root unwinding, Def 4.5) are cheaper to redo
+than to read back, so they never touch the store.
 
 Nets with opaque (non-:class:`~repro.stg.guards.Guard`) guards are
 skipped entirely — their guards have no canonical serialization, so

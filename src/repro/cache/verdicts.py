@@ -16,10 +16,18 @@ Entries are *not* keyed by engine or worker count — the differential
 harnesses prove verdicts invariant under both.  The
 original execution configuration is kept as ``provenance`` and surfaced
 on reports (``cached: true`` + the original engine), so a hit is
-byte-identical to the cold run that produced the entry.
+byte-identical to the cold run that produced the entry.  The one
+engine-keyed entry is a ``cip bench`` instance (check ``bench``): it
+records one cell per requested engine, so the engine tuple and the por
+proviso are part of what it answers.
+
+Every caller asks :func:`memo_enabled` first: with no active store, or
+a net with opaque guards, nothing is hashed, looked up or written.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from repro.cache.content import (  # noqa: F401  (re-exported for wiring)
     hashable,
@@ -29,12 +37,16 @@ from repro.cache.content import (  # noqa: F401  (re-exported for wiring)
 )
 from repro.cache.store import active_store
 from repro.petri.marking import Marking
+from repro.petri.net import PetriNet
 
-#: Artifact kind of verify-layer verdict entries.
+#: Artifact kind of every verdict entry (verify layer and bench instances).
 KIND = "verdict"
 
-#: Artifact kind of corpus-bench matrix-cell entries.
-BENCH_KIND = "bench"
+
+def memo_enabled(*nets: PetriNet) -> bool:
+    """Whether verdicts over ``nets`` can be memoized: a store is active
+    and every net has a canonical content hash (no opaque guards)."""
+    return active_store() is not None and all(hashable(net) for net in nets)
 
 
 def memo_lookup(
@@ -95,6 +107,54 @@ def memo_store(
             },
             "provenance": provenance or {},
         },
+    )
+
+
+# -- boolean verdicts over a pair of nets ------------------------------------
+
+
+def pair_key(
+    check: str, net1: PetriNet, net2: PetriNet, silent: Iterable[str]
+) -> str | None:
+    """The memo key of a boolean check over two nets (language equality
+    or containment, bisimilarity), or ``None`` when memoization is off.
+    Keyed by the check's semantics only — check name, both content
+    hashes, silent set — never by engine: every engine path is an exact
+    decision procedure, so all of them agree."""
+    if not memo_enabled(net1, net2):
+        return None
+    return semantic_key(
+        check,
+        net_content_hash(net1),
+        net_content_hash(net2),
+        sorted(set(silent)),
+    )
+
+
+def pair_lookup(key: str | None, max_states: int) -> bool | None:
+    """The memoized verdict under ``key`` usable at ``max_states``."""
+    if key is None:
+        return None
+    entry = memo_lookup(KIND, key, max_states=max_states)
+    if entry is None or "verdict" not in entry["result"]:
+        return None
+    return bool(entry["result"]["verdict"])
+
+
+def pair_publish(
+    key: str | None, verdict: bool, max_states: int, engine: str
+) -> None:
+    """Persist a boolean verdict computed within ``max_states``."""
+    if key is None:
+        return
+    memo_store(
+        KIND,
+        key,
+        {"verdict": verdict},
+        conclusive=True,
+        floor=max_states,
+        proven_at=max_states,
+        provenance={"engine": engine},
     )
 
 

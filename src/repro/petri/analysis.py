@@ -76,7 +76,7 @@ def analyze(
     if not parallel:
         from repro.cache import verdicts
 
-        if verdicts.active_store() is not None and verdicts.hashable(net):
+        if verdicts.memo_enabled(net):
             cache_key = verdicts.semantic_key(
                 "analyze", verdicts.net_content_hash(net)
             )

@@ -77,19 +77,15 @@ _BYTES_MAX = 255
 
 
 #: Denominator grid the LP weights are snapped to before the exact
-#: integer re-verification; also recorded in serialized certificates.
+#: integer re-verification.
 _WEIGHT_SCALE = 64
 
 
 def _weighted_token_bound(
     net: PetriNet, place_order: tuple[Place, ...]
-) -> tuple[int, tuple[int, ...]] | None:
+) -> int | None:
     """A sound bound on every reachable place count via a weighted place
-    invariant, or ``None`` when no certificate is found.  Returns the
-    bound together with the integer weight vector (scaled by
-    :data:`_WEIGHT_SCALE`) that certifies it, so the certificate can be
-    persisted and re-verified without re-running the LP
-    (:mod:`repro.cache.compilecache`).
+    invariant, or ``None`` when no certificate is found.
 
     Looks for rational place weights ``w >= 1`` with ``w . postset <=
     w . preset`` for every transition: then ``w . M`` never increases,
@@ -136,8 +132,7 @@ def _weighted_token_bound(
     weighted_total = 0
     for place, count in net.initial.items():
         weighted_total += int(weights[index[place]]) * count
-    bound = math.ceil(weighted_total / scale)
-    return bound, tuple(int(w) for w in weights)
+    return math.ceil(weighted_total / scale)
 
 
 class CompiledNet:
@@ -165,7 +160,6 @@ class CompiledNet:
         "consumers",
         "codec",
         "token_bound",
-        "certificate",
         "bounded_certified",
         "num_places",
         "num_transitions",
@@ -180,20 +174,12 @@ class CompiledNet:
         place_names: tuple[Place, ...],
         codec: str,
         token_bound: int | None,
-        certificate: dict | None = None,
     ):
         self.net = net
         self.place_names = place_names
         self.place_index = {place: i for i, place in enumerate(place_names)}
         self.codec = codec
         self.token_bound = token_bound
-        #: How ``token_bound`` was proven — ``{"kind": "conservative"}``
-        #: (no firing increases the total count) or ``{"kind":
-        #: "weights", "weights": [...], "scale": 64}`` (an exact-verified
-        #: LP place invariant); ``None`` when no bound was found.  The
-        #: compile cache persists this and re-verifies it in exact
-        #: integer arithmetic on load (:mod:`repro.cache.compilecache`).
-        self.certificate = certificate
         #: ``token_bound`` comes from a sound non-increasing weighted
         #: total (conservation or an exact-verified LP invariant).  Under
         #: such a certificate no reachable marking can strictly cover an
@@ -404,22 +390,12 @@ def compile_net(net: PetriNet) -> CompiledNet:
     """
     with obs.span("compile.net", net=net.name) as span:
         place_order = tuple(sorted(net.places))
-        bound: int | None = None
-        certificate: dict | None = None
         if all(
             len(t.produce) <= len(t.consume) for t in net.sorted_transitions()
         ):
-            bound = net.initial.total()
-            certificate = {"kind": "conservative"}
+            bound: int | None = net.initial.total()
         else:
-            invariant = _weighted_token_bound(net, place_order)
-            if invariant is not None:
-                bound, weights = invariant
-                certificate = {
-                    "kind": "weights",
-                    "weights": list(weights),
-                    "scale": _WEIGHT_SCALE,
-                }
+            bound = _weighted_token_bound(net, place_order)
         max_preset = max(
             (len(t.preset) for t in net.transitions.values()), default=0
         )
@@ -428,7 +404,7 @@ def compile_net(net: PetriNet) -> CompiledNet:
             if bound is not None and bound <= _BYTES_MAX and max_preset <= _BYTES_MAX
             else "wide"
         )
-        compiled = CompiledNet(net, place_order, codec, bound, certificate)
+        compiled = CompiledNet(net, place_order, codec, bound)
         span.set(
             places=compiled.num_places,
             transitions=compiled.num_transitions,

@@ -219,18 +219,13 @@ class PetriNet:
         Built once on first use (see :mod:`repro.petri.compiled`) and
         invalidated by any mutation the compiled form bakes in: place
         or transition changes and :meth:`set_initial` /
-        :meth:`add_place` with tokens.
-
-        When an artifact store is active (:mod:`repro.cache`), the
-        lowering decisions are restored from it instead of re-derived —
-        the bound certificate is re-verified exactly on every restore,
-        so a stale or corrupt artifact degrades to a cold compile, never
-        to a wrong bound.
+        :meth:`add_place` with tokens.  Never read from the artifact
+        store: lowering a net is cheaper than loading a stored lowering.
         """
         if self._compiled is None:
-            from repro.cache.compilecache import compile_net_cached
+            from repro.petri.compiled import compile_net
 
-            self._compiled = compile_net_cached(self)
+            self._compiled = compile_net(self)
         return self._compiled
 
     def content_hash(self) -> str:

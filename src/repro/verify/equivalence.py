@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 
+from repro.cache import verdicts
 from repro.obs import metrics as obs
 from repro.petri.marking import Marking
 from repro.petri.net import EPSILON, PetriNet
@@ -118,57 +119,6 @@ def _partition_refinement(
     return block_of[lts1.start] == block_of[lts2.start + offset]
 
 
-def _bisim_key(
-    mode: str, net1: PetriNet, net2: PetriNet, silent: Iterable[str]
-) -> str | None:
-    """Verdict-memo key for a bisimulation check, ``None`` when caching
-    is off or a net has opaque guards.  Keyed by check semantics only;
-    the engine never changes the verdict (strong bisimulation is
-    engine-invariant by construction, and every engine path here is an
-    exact decision procedure)."""
-    from repro.cache import verdicts
-
-    if verdicts.active_store() is None:
-        return None
-    if not (verdicts.hashable(net1) and verdicts.hashable(net2)):
-        return None
-    return verdicts.semantic_key(
-        mode,
-        verdicts.net_content_hash(net1),
-        verdicts.net_content_hash(net2),
-        sorted(set(silent)),
-    )
-
-
-def _bisim_lookup(cache_key: str | None, max_states: int) -> bool | None:
-    from repro.cache import verdicts
-
-    if cache_key is None:
-        return None
-    entry = verdicts.memo_lookup(verdicts.KIND, cache_key, max_states=max_states)
-    if entry is None or "verdict" not in entry["result"]:
-        return None
-    return bool(entry["result"]["verdict"])
-
-
-def _bisim_publish(
-    cache_key: str | None, verdict: bool, max_states: int, engine: str
-) -> None:
-    from repro.cache import verdicts
-
-    if cache_key is None:
-        return
-    verdicts.memo_store(
-        verdicts.KIND,
-        cache_key,
-        {"verdict": verdict},
-        conclusive=True,
-        floor=max_states,
-        proven_at=max_states,
-        provenance={"engine": engine},
-    )
-
-
 def strongly_bisimilar(
     net1: PetriNet,
     net2: PetriNet,
@@ -189,9 +139,9 @@ def strongly_bisimilar(
     and the stubborn-set selector has nothing to reduce.
     """
     engine = resolve_engine(engine)
-    cache_key = _bisim_key("bisim-strong", net1, net2, ())
+    cache_key = verdicts.pair_key("bisim-strong", net1, net2, ())
     with obs.span("verify.bisim.strong", engine=engine) as span:
-        hit = _bisim_lookup(cache_key, max_states)
+        hit = verdicts.pair_lookup(cache_key, max_states)
         if hit is not None:
             span.set(verdict=hit, cached=True)
             return hit
@@ -199,7 +149,7 @@ def strongly_bisimilar(
             verdict, _ = deterministic_bisimulation(net1, net2, max_states)
             if verdict is not None:
                 span.set(verdict=verdict)
-                _bisim_publish(cache_key, verdict, max_states, engine)
+                verdicts.pair_publish(cache_key, verdict, max_states, engine)
                 return verdict
             # Nondeterministic somewhere: strong trace inequality still
             # refutes bisimilarity (traces are coarser than bisimulation).
@@ -211,7 +161,7 @@ def strongly_bisimilar(
                 max_states=max_states,
             ).verdict:
                 span.set(verdict=False)
-                _bisim_publish(cache_key, False, max_states, engine)
+                verdicts.pair_publish(cache_key, False, max_states, engine)
                 return False
         lts1 = _Lts(net1, max_states)
         lts2 = _Lts(net2, max_states)
@@ -219,7 +169,7 @@ def strongly_bisimilar(
             lts1, lts2, lts1.successors, lts2.successors
         )
         span.set(verdict=verdict)
-        _bisim_publish(cache_key, verdict, max_states, engine)
+        verdicts.pair_publish(cache_key, verdict, max_states, engine)
         return verdict
 
 
@@ -262,9 +212,9 @@ def weakly_bisimilar(
     relations.
     """
     engine = resolve_engine(engine)
-    cache_key = _bisim_key("bisim-weak", net1, net2, silent)
+    cache_key = verdicts.pair_key("bisim-weak", net1, net2, silent)
     with obs.span("verify.bisim.weak", engine=engine) as span:
-        hit = _bisim_lookup(cache_key, max_states)
+        hit = verdicts.pair_lookup(cache_key, max_states)
         if hit is not None:
             span.set(verdict=hit, cached=True)
             return hit
@@ -278,7 +228,7 @@ def weakly_bisimilar(
                 reduction=engine == "por",
             ).verdict:
                 span.set(verdict=False)
-                _bisim_publish(cache_key, False, max_states, engine)
+                verdicts.pair_publish(cache_key, False, max_states, engine)
                 return False
         silent_set = set(silent)
         lts1 = _Lts(net1, max_states)
@@ -287,7 +237,7 @@ def weakly_bisimilar(
             lts1, lts2, _weak_moves(lts1, silent_set), _weak_moves(lts2, silent_set)
         )
         span.set(verdict=verdict)
-        _bisim_publish(cache_key, verdict, max_states, engine)
+        verdicts.pair_publish(cache_key, verdict, max_states, engine)
         return verdict
 
 

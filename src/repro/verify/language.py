@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from collections.abc import Iterable
 
+from repro.cache import verdicts
 from repro.obs import metrics as obs
 from repro.petri.net import EPSILON, PetriNet
 from repro.petri.product import DEFAULT_ENGINE, compare_languages, resolve_engine
@@ -213,57 +214,6 @@ def dfa_contained(d1: Dfa, d2: Dfa) -> bool:
     return True
 
 
-def _language_key(
-    mode: str, net1: PetriNet, net2: PetriNet, silent: Iterable[str]
-) -> str | None:
-    """The verdict-memo key for a language comparison, or ``None`` when
-    caching is off (or a net has opaque guards).  Keyed by the check's
-    semantics only — mode, content hashes, silent set — never by
-    engine (all engines are exact and always agree)."""
-    from repro.cache import verdicts
-
-    if verdicts.active_store() is None:
-        return None
-    if not (verdicts.hashable(net1) and verdicts.hashable(net2)):
-        return None
-    return verdicts.semantic_key(
-        "language",
-        mode,
-        verdicts.net_content_hash(net1),
-        verdicts.net_content_hash(net2),
-        sorted(set(silent)),
-    )
-
-
-def _language_lookup(cache_key: str | None, max_states: int) -> bool | None:
-    from repro.cache import verdicts
-
-    if cache_key is None:
-        return None
-    entry = verdicts.memo_lookup(verdicts.KIND, cache_key, max_states=max_states)
-    if entry is None or "verdict" not in entry["result"]:
-        return None
-    return bool(entry["result"]["verdict"])
-
-
-def _language_publish(
-    cache_key: str | None, verdict: bool, max_states: int, engine: str
-) -> None:
-    from repro.cache import verdicts
-
-    if cache_key is None:
-        return
-    verdicts.memo_store(
-        verdicts.KIND,
-        cache_key,
-        {"verdict": verdict},
-        conclusive=True,
-        floor=max_states,
-        proven_at=max_states,
-        provenance={"engine": engine},
-    )
-
-
 def languages_equal(
     net1: PetriNet,
     net2: PetriNet,
@@ -288,9 +238,9 @@ def languages_equal(
     by engine.
     """
     engine = resolve_engine(engine, extra=("symbolic",))
-    cache_key = _language_key("equal", net1, net2, silent)
+    cache_key = verdicts.pair_key("language-equal", net1, net2, silent)
     with obs.span("verify.language.equal", engine=engine) as span:
-        hit = _language_lookup(cache_key, max_states)
+        hit = verdicts.pair_lookup(cache_key, max_states)
         if hit is not None:
             span.set(verdict=hit, cached=True)
             return hit
@@ -324,7 +274,7 @@ def languages_equal(
             d2 = dfa_of_net(net2, silent, common, max_states)
             verdict = dfa_equal(d1, d2)
         span.set(verdict=verdict)
-        _language_publish(cache_key, bool(verdict), max_states, engine)
+        verdicts.pair_publish(cache_key, bool(verdict), max_states, engine)
         return verdict
 
 
@@ -337,9 +287,9 @@ def language_contained(
 ) -> bool:
     """Exact visible-trace containment ``L(net1) <= L(net2)``."""
     engine = resolve_engine(engine, extra=("symbolic",))
-    cache_key = _language_key("contained", net1, net2, silent)
+    cache_key = verdicts.pair_key("language-contained", net1, net2, silent)
     with obs.span("verify.language.contained", engine=engine) as span:
-        hit = _language_lookup(cache_key, max_states)
+        hit = verdicts.pair_lookup(cache_key, max_states)
         if hit is not None:
             span.set(verdict=hit, cached=True)
             return hit
@@ -375,7 +325,7 @@ def language_contained(
             d2 = dfa_of_net(net2, silent, common, max_states)
             verdict = dfa_contained(d1, d2)
         span.set(verdict=verdict)
-        _language_publish(cache_key, bool(verdict), max_states, engine)
+        verdicts.pair_publish(cache_key, bool(verdict), max_states, engine)
         return verdict
 
 

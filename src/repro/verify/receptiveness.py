@@ -640,9 +640,7 @@ def _receptiveness_key(
     and stay provenance-only."""
     from repro.cache import verdicts
 
-    if verdicts.active_store() is None:
-        return None
-    if not (verdicts.hashable(stg1.net) and verdicts.hashable(stg2.net)):
+    if not verdicts.memo_enabled(stg1.net, stg2.net):
         return None
     return verdicts.semantic_key(
         "receptiveness",

@@ -15,6 +15,7 @@ from repro.cache.store import activated
 from repro.cli import main
 from repro.io.astg import save_astg
 from repro.models.library import four_phase_master, four_phase_slave
+from repro.obs import metrics as obs
 
 
 @pytest.fixture()
@@ -94,6 +95,44 @@ class TestCliVerifyParity:
             artifact.write_text("garbage {{", encoding="utf-8")
         recovered = self.run(capsys, master_file, slave_file, *flags)
         assert recovered == cold
+
+
+class TestCliAlgebraParity:
+    """``compose --trim`` and ``hide --trim`` write the same file and
+    print the same line cold, warm and with ``--no-cache``.  Only the
+    ``hide`` and ``trim`` results are stored: ``parallel`` is cheaper
+    to redo than to load."""
+
+    def run(self, capsys, tmp_path, master_file, slave_file, *flags):
+        legs = []
+        for argv in (
+            ["compose", master_file, slave_file],
+            ["hide", master_file, "-s", "r"],
+        ):
+            target = tmp_path / f"{argv[0]}.g"
+            assert main([*argv, "--trim", "-o", str(target), *flags]) == 0
+            legs.append((capsys.readouterr().out, target.read_bytes()))
+        return legs
+
+    def test_outputs_agree_and_only_hide_and_trim_are_stored(
+        self, tmp_path, capsys, master_file, slave_file
+    ):
+        cache_dir = tmp_path / "cache"
+        flags = ("--cache-dir", str(cache_dir))
+        files = (master_file, slave_file)
+        bypass = self.run(capsys, tmp_path, *files, "--no-cache")
+        cold = self.run(capsys, tmp_path, *files, *flags)
+        with obs.record() as recorder:
+            warm = self.run(capsys, tmp_path, *files, *flags)
+        assert cold == warm == bypass
+        stored = _cache_files(cache_dir)
+        assert {path.parent.parent.name for path in stored} == {"derived-net"}
+        # trim(compose(A, B)), hide(A) and trim(hide(A)).
+        assert len(stored) == 3
+        spans = recorder.to_dict()["spans"]
+        served = sorted(s["name"] for s in spans if s["meta"].get("cached"))
+        assert served == ["algebra.hide", "algebra.trim", "algebra.trim"]
+        assert "algebra.parallel" in {span["name"] for span in spans}
 
 
 class TestCliFlagPrecedence:

@@ -18,6 +18,8 @@ module pins that contract:
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cache.store import activated
+from repro.models.library import four_phase_master
 from repro.petri.compiled import PackedMarkingView, compile_net
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
@@ -378,3 +380,64 @@ class TestObsMetrics:
         assert payload["gauges"]["compile.encode_width_bytes"] == len(
             net.places
         )
+
+
+class TestMutationInvalidation:
+    """Satellite pin: ``PetriNet.compiled()`` memoizes per object and
+    every mutating method drops the memo, so no engine can ever observe
+    stale indices — with or without an artifact store active."""
+
+    def test_identity_memo(self):
+        net = four_phase_master().net
+        assert net.compiled() is net.compiled()
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda net: net.add_transition(["p_new"], "act", ["q_new"]),
+            lambda net: net.remove_transition(sorted(net.transitions)[0]),
+            lambda net: net.add_place("p_extra", tokens=2),
+            lambda net: net.add_place("p_plain"),
+            lambda net: net.set_initial(dict(net.initial.items())),
+        ],
+        ids=[
+            "add_transition",
+            "remove_transition",
+            "add_place_tokens",
+            "add_place",
+            "set_initial",
+        ],
+    )
+    def test_mutations_invalidate(self, mutate):
+        net = four_phase_master().net
+        before = net.compiled()
+        mutate(net)
+        after = net.compiled()
+        assert after is not before
+        # The fresh lowering reflects the mutated net exactly.
+        assert after.place_names == tuple(sorted(net.places))
+        assert list(after.tids) == sorted(net.transitions)
+
+    def test_remove_place_invalidates(self):
+        net = four_phase_master().net
+        net.add_place("floating")
+        before = net.compiled()
+        net.remove_place("floating")
+        after = net.compiled()
+        assert after is not before
+        assert "floating" not in after.place_names
+
+    def test_stale_indices_never_served_with_store(self, tmp_path):
+        """The cross product of both caches: object-level mutation must
+        force a re-lookup, and the re-lookup must key on the *new*
+        content (a fresh artifact, not the stale one)."""
+        with activated(tmp_path):
+            net = four_phase_master().net
+            before = net.compiled()
+            added = net.add_transition(
+                [sorted(net.places)[0]], "fresh!", ["p_new"]
+            )
+            after = net.compiled()
+            assert added.tid in after.tids
+            assert added.tid not in before.tids
+            assert "p_new" in after.place_names
