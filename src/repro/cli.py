@@ -25,8 +25,9 @@ see ``docs/OBSERVABILITY.md`` for the schema.
 
 ``info``/``verify``/``bench``/``compose``/``hide`` accept
 ``--cache-dir DIR`` and ``--no-cache`` to steer the content-addressed
-artifact cache (compiled nets, verdicts, algebra results); environment
-fallbacks are ``CIP_CACHE_DIR`` and ``CIP_NO_CACHE``, the default root
+artifact cache (verdicts, one entry per ``bench`` instance, and
+``hide``/``trim`` results); environment fallbacks are
+``CIP_CACHE_DIR`` and ``CIP_NO_CACHE``, the default root
 ``~/.cache/cip``.  Output is byte-identical warm or cold — see
 ``docs/PERFORMANCE.md``.
 """
@@ -334,6 +335,7 @@ def cmd_simplify(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from repro.petri.reachability import UnboundedNetError
     from repro.synth.implementation import synthesize, verify_implementation
     from repro.synth.nextstate import CodingError
 
@@ -343,6 +345,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except CodingError as error:
         print(f"cannot synthesize: {error}", file=sys.stderr)
         return 1
+    except UnboundedNetError as error:
+        raise CliError(f"cannot synthesize: {error}") from None
     print(implementation.netlist())
     result = verify_implementation(stg, implementation)
     print(f"# verification: {'PASS' if result.ok else 'FAIL'}")
@@ -357,10 +361,16 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_stategraph(args: argparse.Namespace) -> int:
+    from repro.petri.reachability import UnboundedNetError
     from repro.stg.state_graph import build_state_graph
 
     stg = _load(args.file)
-    graph = build_state_graph(stg, max_states=args.max_states)
+    try:
+        graph = build_state_graph(stg, max_states=args.max_states)
+    except UnboundedNetError as error:
+        raise CliError(
+            f"state graph exceeds --max-states={args.max_states}: {error}"
+        ) from None
     print(f"states       : {graph.num_states()}")
     print(f"edges        : {len(graph.edges)}")
     print(f"consistent   : {graph.is_consistent()}")
@@ -516,8 +526,8 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         default=None,
         help="content-addressed artifact cache directory (default:"
-        " $CIP_CACHE_DIR or ~/.cache/cip); compiled nets, verdicts and"
-        " algebra results are reused across runs, keyed by net content"
+        " $CIP_CACHE_DIR or ~/.cache/cip); verdicts, bench instances and"
+        " hide/trim results are reused across runs, keyed by net content"
         " hash — see docs/PERFORMANCE.md",
     )
     parser.add_argument(
@@ -713,6 +723,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "max_states", 1) < 1:
+            raise CliError(
+                f"invalid --max-states value {args.max_states}: expected a"
+                " positive integer"
+            )
         with _cache_context(args):
             return args.func(args)
     except CliError as error:

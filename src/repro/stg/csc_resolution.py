@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from repro.algebra._util import fresh_place
 from repro.petri.net import EPSILON, PetriNet
+from repro.petri.reachability import UnboundedNetError
 from repro.stg.coding import report_from_graph
 from repro.stg.signals import fall, rise
 from repro.stg.state_graph import build_state_graph
@@ -124,7 +125,7 @@ def resolve_csc(
             )
             try:
                 graph = build_state_graph(candidate, max_states=max_states)
-            except RuntimeError:
+            except UnboundedNetError:
                 continue
             result = report_from_graph(graph)
             if result.synthesizable():

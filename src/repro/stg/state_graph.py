@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.petri.marking import Marking
 from repro.petri.net import Transition
+from repro.petri.reachability import UnboundedNetError
 from repro.stg.guards import Guard
 from repro.stg.signals import EdgeKind, is_signal_action, parse_event
 from repro.stg.stg import Level, Stg
@@ -186,7 +187,12 @@ def _fire_encoding(
 
 
 def build_state_graph(stg: Stg, max_states: int = 200_000) -> StateGraph:
-    """Explore the encoded, guard-aware state graph of an STG."""
+    """Explore the encoded, guard-aware state graph of an STG.
+
+    Raises :class:`~repro.petri.reachability.UnboundedNetError` (with
+    ``bound=max_states``) when more than ``max_states`` encoded states
+    are reachable.
+    """
     signals = tuple(sorted(stg.signals()))
     index_of = {signal: i for i, signal in enumerate(signals)}
     initial_encoding: Encoding = tuple(
@@ -237,8 +243,11 @@ def build_state_graph(stg: Stg, max_states: int = 200_000) -> StateGraph:
                 )
                 if successor not in graph.states:
                     if len(graph.states) >= max_states:
-                        raise RuntimeError(
-                            f"state graph exceeded {max_states} states"
+                        raise UnboundedNetError(
+                            f"more than {max_states} reachable states in"
+                            f" the state graph of {stg.name!r}",
+                            witness=next_marking,
+                            bound=max_states,
                         )
                     graph.states.add(successor)
                     queue.append(successor)

@@ -106,6 +106,17 @@ class TestResolveCsc:
         with pytest.raises(CscResolutionError):
             resolve_csc(csc_broken_stg(), max_candidates=1)
 
+    def test_candidates_over_the_state_budget_are_skipped(self):
+        """Every insertion adds states, so a budget that just fits the
+        baseline skips every candidate instead of raising."""
+        from repro.models.library import vme_bus_controller
+        from repro.stg.state_graph import build_state_graph
+
+        broken = vme_bus_controller()
+        fits = build_state_graph(broken).num_states()
+        with pytest.raises(CscResolutionError, match="no single-signal"):
+            resolve_csc(broken, max_states=fits)
+
     def test_inconsistent_stg_rejected(self):
         net = PetriNet()
         net.add_transition({"p0"}, "z+", {"p1"})

@@ -207,6 +207,45 @@ class TestFailurePaths:
         assert status == 2
         assert "exceeds --max-states=10" in capsys.readouterr().err
 
+    def test_stategraph_bound_exceeded_is_a_clean_error(
+        self, corpus_dir, capsys
+    ):
+        path = str(corpus_dir / "fig5_sender.net")
+        assert main(["stategraph", path, "--max-states", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cip: error: state graph exceeds --max-states=1:")
+        assert err.count("\n") == 1
+
+    def test_synth_bound_exceeded_is_a_clean_error(
+        self, corpus_dir, capsys, monkeypatch
+    ):
+        # The unbounded source exhausts any budget; a 1,000-state default
+        # reaches the same error as the 200,000-state one in milliseconds.
+        from repro.synth import implementation
+
+        monkeypatch.setattr(implementation.synthesize, "__defaults__", (1_000,))
+        path = str(corpus_dir / "mcc_unbounded_source.net")
+        assert main(["synth", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cip: error: cannot synthesize: more than 1000")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["info", "verify", "bench", "stategraph"])
+    def test_invalid_max_states_value(self, corpus_dir, capsys, command, value):
+        sender = str(corpus_dir / "fig5_sender.net")
+        operands = {
+            "info": [sender],
+            "verify": [sender, str(corpus_dir / "fig7_translator.net")],
+            "bench": [str(corpus_dir)],
+            "stategraph": [sender],
+        }[command]
+        assert main([command, *operands, "--max-states", value]) == 2
+        assert capsys.readouterr().err == (
+            f"cip: error: invalid --max-states value {value}: expected a"
+            " positive integer\n"
+        )
+
 
 class TestConvert:
     def test_g_to_all_formats_and_back(self, master_file, tmp_path, capsys):
