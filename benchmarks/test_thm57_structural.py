@@ -4,8 +4,9 @@ Workload: a bank of ``n`` independent 4-phase channels, all masters
 gathered into one module and all slaves into the other.  The composed
 net is a live marked graph, so both methods apply:
 
-* the **structural** method (Thm 5.7) solves small LPs over the
-  incidence matrix — polynomial in net size;
+* the **structural** method (Thm 5.7) decides small state-equation
+  systems over the incidence matrix in exact rational arithmetic —
+  polynomial in net size;
 * the **reachability** method enumerates the ``4^n`` interleavings.
 
 The shape test asserts both methods agree (on the good bank and on a

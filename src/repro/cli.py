@@ -16,7 +16,8 @@ extension (see ``docs/INTEROP.md``):
 
 Exit codes: ``0`` success, ``1`` verification/synthesis failure,
 ``2`` usage or input errors (missing file, unparsable input,
-unrecognized extension, exceeded state bound).
+unrecognized extension, exceeded state bound, modules whose interfaces
+do not fit the operator).
 
 ``cip verify`` and ``cip info`` accept ``--profile`` (print a span /
 counter / gauge summary on stdout, ``#``-prefixed) and
@@ -39,7 +40,7 @@ import os
 import sys
 
 from repro.obs import metrics as obs
-from repro.stg.stg import Stg
+from repro.stg.stg import InterfaceError, Stg
 
 
 class CliError(Exception):
@@ -730,7 +731,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         with _cache_context(args):
             return args.func(args)
-    except CliError as error:
+    except (CliError, InterfaceError) as error:
         print(f"cip: error: {error}", file=sys.stderr)
         return 2
 

@@ -45,12 +45,6 @@ solved shifted, whose feasible float proposal concludes something and
 is therefore accepted only after an exact integer check of the
 weighting it proposes.
 
-An optional SMT-LIB backend (:func:`smt_unreachable`) strengthens the
-state equation to *integers* and adds BMC + k-induction, shelling out
-to an external solver (z3/cvc5/cvc4/yices) when one is on ``PATH`` and
-skipping cleanly otherwise.  Nothing in the pure-Python path depends on
-it.
-
 Constraint derivation and conclusiveness semantics are documented in
 ``docs/SYMBOLIC.md``.
 """
@@ -66,11 +60,7 @@ from math import lcm
 from repro.obs import metrics as obs
 from repro.petri.marking import Marking
 from repro.petri.net import EPSILON, PetriNet
-from repro.petri.structural import (
-    incidence_matrix,
-    maximal_trap,
-    p_invariants_partial,
-)
+from repro.petri.structural import incidence_matrix, maximal_trap
 
 #: Trap-constraint refinement rounds per system before giving up.
 DEFAULT_TRAP_ROUNDS = 8
@@ -991,7 +981,9 @@ def symbolic_receptiveness(
     obligations,
     trap_rounds: int = DEFAULT_TRAP_ROUNDS,
 ) -> SymbolicReceptiveness:
-    """Decide Prop 5.5 obligations by state-equation reasoning alone.
+    """Decide Prop 5.5 obligations by state-equation reasoning alone:
+    the one pass behind both ``method="structural"`` (Theorem 5.7) and
+    ``engine="symbolic"`` of ``check_receptiveness``.
 
     For each obligation, a failure marking exists iff for *some* choice
     of one missing place per consumer alternative, the corresponding
@@ -1076,288 +1068,3 @@ def analyze(net: PetriNet, trap_rounds: int = DEFAULT_TRAP_ROUNDS) -> dict:
         "dead_actions": dead,
         "stats": stats,
     }
-
-
-# -- optional SMT-LIB backend ------------------------------------------------
-
-#: Solvers probed on PATH, in preference order, with the arguments that
-#: make them read SMT-LIB 2 from stdin.
-SOLVERS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("z3", ("-in", "-smt2")),
-    ("cvc5", ("--lang", "smt2")),
-    ("cvc4", ("--lang", "smt2")),
-    ("yices-smt2", ()),
-)
-
-#: Seconds each solver invocation may take before it counts as unknown.
-SMT_TIMEOUT = 30.0
-
-
-def find_solver() -> tuple[str, tuple[str, ...]] | None:
-    """The first available external SMT solver ``(path, argv)``, or
-    ``None`` — callers skip cleanly in that case."""
-    import shutil
-
-    for name, argv in SOLVERS:
-        path = shutil.which(name)
-        if path:
-            return path, argv
-    return None
-
-
-def smt_available() -> bool:
-    """``True`` iff an external SMT solver is on ``PATH``."""
-    return find_solver() is not None
-
-
-def _run_solver(script: str, timeout: float = SMT_TIMEOUT) -> str:
-    """Run the discovered solver on an SMT-LIB script; returns the
-    verdict line (``sat`` / ``unsat``) or ``unknown`` on any failure."""
-    import subprocess
-
-    solver = find_solver()
-    if solver is None:
-        return "unknown"
-    path, argv = solver
-    try:
-        completed = subprocess.run(
-            [path, *argv],
-            input=script,
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    for line in completed.stdout.splitlines():
-        line = line.strip()
-        if line in ("sat", "unsat"):
-            return line
-    return "unknown"
-
-
-def _smt_index(net: PetriNet) -> tuple[list[str], list]:
-    """Deterministic place order and tid-ordered transitions; SMT
-    symbols are positional (``p3``, ``x5``) so hostile names never
-    reach the solver."""
-    return sorted(net.places), list(net.sorted_transitions())
-
-
-def _sum_term(parts: list[str]) -> str:
-    if not parts:
-        return "0"
-    if len(parts) == 1:
-        return parts[0]
-    return f"(+ {' '.join(parts)})"
-
-
-def _marking_term(
-    net: PetriNet, places: list[str], transitions, place: str, prefix: str
-) -> str:
-    """``M0(p) + sum(C[p,t] * x_t)`` as an SMT term over ``prefix``
-    firing-count variables."""
-    parts = [str(net.initial[place])]
-    for position, transition in enumerate(transitions):
-        delta = (place in transition.produce) - (place in transition.consume)
-        if delta == 1:
-            parts.append(f"{prefix}{position}")
-        elif delta == -1:
-            parts.append(f"(- {prefix}{position})")
-    return _sum_term(parts)
-
-
-def smt_state_equation_script(
-    net: PetriNet, marked: Iterable[str] = (), empty: Iterable[str] = ()
-) -> str:
-    """The state equation over *integers* — strictly stronger than the
-    rational LP, still an over-approximation of reachability: ``unsat``
-    proves unreachability.  Complete P-invariants are added as
-    redundant-but-pruning equalities (each is individually sound even
-    from a truncated basis)."""
-    places, transitions = _smt_index(net)
-    index = {place: i for i, place in enumerate(places)}
-    lines = ["(set-logic QF_LIA)"]
-    for position in range(len(transitions)):
-        lines.append(f"(declare-const x{position} Int)")
-        lines.append(f"(assert (>= x{position} 0))")
-    terms = {
-        place: _marking_term(net, places, transitions, place, "x")
-        for place in places
-    }
-    for place in places:
-        lines.append(f"(assert (>= {terms[place]} 0))")
-    for place in sorted(set(marked)):
-        lines.append(f"(assert (>= {terms[place]} 1))")
-    for place in sorted(set(empty)):
-        lines.append(f"(assert (<= {terms[place]} 0))")
-    invariants, _ = p_invariants_partial(net)
-    for invariant in invariants:
-        weighted = [
-            (f"(* {weight} {terms[place]})" if weight != 1 else terms[place])
-            for place, weight in sorted(invariant.items())
-        ]
-        value = sum(
-            weight * net.initial[place]
-            for place, weight in invariant.items()
-        )
-        lines.append(f"(assert (= {_sum_term(weighted)} {value}))")
-    lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"
-
-
-def _step_assertion(
-    transitions, places: list[str], pre: str, post: str
-) -> str:
-    """One interleaving step: some transition is enabled at ``pre`` and
-    ``post`` is its firing result."""
-    options = []
-    for transition in transitions:
-        clauses = [f"(>= {pre}_{places.index(p)} 1)" for p in sorted(transition.preset)]
-        for i, place in enumerate(places):
-            delta = (place in transition.produce) - (place in transition.consume)
-            if delta:
-                clauses.append(f"(= {post}_{i} (+ {pre}_{i} {delta}))")
-            else:
-                clauses.append(f"(= {post}_{i} {pre}_{i})")
-        options.append(f"(and {' '.join(clauses)})")
-    if not options:
-        return "false"
-    if len(options) == 1:
-        return options[0]
-    return f"(or {' '.join(options)})"
-
-
-def _declare_state(lines: list[str], name: str, count: int) -> None:
-    for i in range(count):
-        lines.append(f"(declare-const {name}_{i} Int)")
-        lines.append(f"(assert (>= {name}_{i} 0))")
-
-
-def _target_term(
-    places: list[str], name: str, marked, empty
-) -> str:
-    clauses = [f"(>= {name}_{places.index(p)} 1)" for p in sorted(set(marked))]
-    clauses += [f"(<= {name}_{places.index(p)} 0)" for p in sorted(set(empty))]
-    if not clauses:
-        return "true"
-    if len(clauses) == 1:
-        return clauses[0]
-    return f"(and {' '.join(clauses)})"
-
-
-def smt_bmc_script(
-    net: PetriNet,
-    marked: Iterable[str] = (),
-    empty: Iterable[str] = (),
-    depth: int = 8,
-) -> str:
-    """Bounded model checking: ``sat`` iff some marking satisfying the
-    predicate is reachable within ``depth`` interleaving steps."""
-    places, transitions = _smt_index(net)
-    if not transitions:
-        depth = 0
-    lines = ["(set-logic QF_LIA)"]
-    for k in range(depth + 1):
-        _declare_state(lines, f"m{k}", len(places))
-    for i, place in enumerate(places):
-        lines.append(f"(assert (= m0_{i} {net.initial[place]}))")
-    for k in range(depth):
-        lines.append(
-            f"(assert {_step_assertion(transitions, places, f'm{k}', f'm{k + 1}')})"
-        )
-    targets = [
-        _target_term(places, f"m{k}", marked, empty) for k in range(depth + 1)
-    ]
-    lines.append(
-        f"(assert {targets[0] if len(targets) == 1 else '(or ' + ' '.join(targets) + ')'})"
-    )
-    lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"
-
-
-def smt_kinduction_step_script(
-    net: PetriNet,
-    marked: Iterable[str] = (),
-    empty: Iterable[str] = (),
-    k: int = 1,
-) -> str:
-    """The inductive step of k-induction, relative to the integer state
-    equation: ``unsat`` (together with an ``unsat`` BMC base of depth
-    ``k - 1``) proves the predicate unreachable.
-
-    States ``s0..sk`` are consecutive firings; ``s0`` is anchored to
-    the state-equation over-approximation (every reachable state
-    satisfies it, so the strengthening is sound); ``s0..s(k-1)`` avoid
-    the target and ``sk`` hits it."""
-    places, transitions = _smt_index(net)
-    lines = ["(set-logic QF_LIA)"]
-    for step in range(k + 1):
-        _declare_state(lines, f"s{step}", len(places))
-    for position in range(len(transitions)):
-        lines.append(f"(declare-const y{position} Int)")
-        lines.append(f"(assert (>= y{position} 0))")
-    for i, place in enumerate(places):
-        term = _marking_term(net, places, transitions, place, "y")
-        lines.append(f"(assert (= s0_{i} {term}))")
-    for step in range(k):
-        lines.append(
-            f"(assert {_step_assertion(transitions, places, f's{step}', f's{step + 1}')})"
-        )
-    for step in range(k):
-        lines.append(
-            f"(assert (not {_target_term(places, f's{step}', marked, empty)}))"
-        )
-    lines.append(f"(assert {_target_term(places, f's{k}', marked, empty)})")
-    lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"
-
-
-def smt_unreachable(
-    net: PetriNet,
-    marked: Iterable[str] = (),
-    empty: Iterable[str] = (),
-    max_depth: int = 8,
-    timeout: float = SMT_TIMEOUT,
-) -> SymbolicVerdict:
-    """The solver-backed version of :func:`predicate_unreachable`:
-    integer state equation, then BMC (CONCLUSIVE/fails on a witness
-    within ``max_depth`` steps), then k-induction (CONCLUSIVE/holds).
-    INCONCLUSIVE — with the reason — when no solver is installed, the
-    solver times out, or neither direction converges."""
-    if not smt_available():
-        names = ", ".join(name for name, _ in SOLVERS)
-        return _inconclusive(
-            f"no SMT solver found on PATH (tried {names})"
-        )
-    stats: dict = {"solver_calls": 0}
-    script = smt_state_equation_script(net, marked, empty)
-    stats["solver_calls"] += 1
-    if _run_solver(script, timeout) == "unsat":
-        return SymbolicVerdict(
-            True, True, "integer state equation infeasible", stats
-        )
-    stats["solver_calls"] += 1
-    if _run_solver(smt_bmc_script(net, marked, empty, max_depth), timeout) == "sat":
-        return SymbolicVerdict(
-            True,
-            False,
-            f"BMC found a witness within {max_depth} steps",
-            stats,
-        )
-    for k in range(1, max_depth + 1):
-        stats["solver_calls"] += 1
-        verdict = _run_solver(
-            smt_kinduction_step_script(net, marked, empty, k), timeout
-        )
-        if verdict == "unsat":
-            return SymbolicVerdict(
-                True,
-                True,
-                f"{k}-induction relative to the state equation",
-                stats,
-            )
-    return _inconclusive(
-        f"BMC found no witness within {max_depth} steps and"
-        f" k-induction did not converge by k={max_depth}",
-        stats,
-    )

@@ -29,6 +29,12 @@ from repro.stg.signals import (
 Level = int | None  # 0, 1 or None (X)
 
 
+class InterfaceError(ValueError):
+    """Modules whose interfaces do not fit the operator: shared outputs
+    or mismatched initial levels in a composition, or hidden signals
+    that are not outputs."""
+
+
 class Stg:
     """An STG: a labeled Petri net plus signal interpretation.
 
@@ -197,6 +203,18 @@ def signal_actions(alphabet: Iterable[str], signals: Iterable[str]) -> set[str]:
     return {a for a in alphabet if signal_of(a) in wanted}
 
 
+def reject_common_outputs(stg1: Stg, stg2: Stg) -> None:
+    """Raise :class:`InterfaceError` when both modules drive a signal
+    (Section 5.1: common outputs are not allowed)."""
+    common_outputs = (stg1.outputs | stg1.internals) & (
+        stg2.outputs | stg2.internals
+    )
+    if common_outputs:
+        raise InterfaceError(
+            f"common output signals are not allowed: {sorted(common_outputs)}"
+        )
+
+
 def compose(stg1: Stg, stg2: Stg) -> Stg:
     """Circuit-algebra parallel composition of STGs (Section 5.1).
 
@@ -207,16 +225,10 @@ def compose(stg1: Stg, stg2: Stg) -> Stg:
     output on one side and an input on the other becomes an output
     (``I = (I1 | I2) \\ (O1 | O2)``); common *outputs* are an error.
     """
-    common_outputs = (stg1.outputs | stg1.internals) & (
-        stg2.outputs | stg2.internals
-    )
-    if common_outputs:
-        raise ValueError(
-            f"common output signals are not allowed: {sorted(common_outputs)}"
-        )
+    reject_common_outputs(stg1, stg2)
     for signal in stg1.signals() & stg2.signals():
         if stg1.level(signal) != stg2.level(signal):
-            raise ValueError(
+            raise InterfaceError(
                 f"initial value mismatch on shared signal {signal!r}:"
                 f" {stg1.level(signal)} vs {stg2.level(signal)}"
             )
@@ -246,7 +258,7 @@ def hide_signals(stg: Stg, signals: Iterable[str], fast_path: bool = True) -> St
     hidden = set(signals)
     not_outputs = hidden - (stg.outputs | stg.internals)
     if not_outputs:
-        raise ValueError(
+        raise InterfaceError(
             "only output/internal signals may be hidden"
             f" (Section 5.1): {sorted(not_outputs)}"
         )

@@ -20,26 +20,24 @@ unready are only the dead cross-product duplicates the paper removes
 complete for the existence of at least one failure (later failures may
 be masked by the first).
 
-For live-safe strongly connected marked graphs, Theorem 5.7 promises a
-polynomial check: we use the classical marked-graph reachability
-characterisation (a marking is reachable iff it agrees with the initial
-marking on the token count of every directed place-cycle, i.e. iff
-``M = M0 + C.sigma`` is solvable with ``M >= 0``) and solve the
-resulting linear feasibility problem instead of enumerating states.
+For live marked graphs, Theorem 5.7 promises a polynomial check: by the
+classical marked-graph reachability characterisation a marking is
+reachable iff ``M = M0 + C.sigma`` is solvable with ``M >= 0``, so the
+Prop 5.5 systems of :mod:`repro.petri.symbolic` decide every obligation
+in exact rational arithmetic instead of enumerating states.  The same
+pass screens ``engine="symbolic"`` on any net; obligations it leaves
+undecided go to the on-the-fly search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-
-import numpy as np
 
 from repro.obs import metrics as obs
 from repro.petri.marking import Marking
 from repro.petri.net import EPSILON, PetriNet, disjoint_pair
 from repro.stg.signals import signal_of
-from repro.stg.stg import Stg, signal_actions
+from repro.stg.stg import Stg, reject_common_outputs, signal_actions
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,8 @@ class ReceptivenessReport:
     #: ``"symbolic"`` when every obligation was decided without
     #: enumeration, ``"reachability"`` when the ``undecided`` remainder
     #: fell back to explicit search; ``states_explored`` is ``None`` in
-    #: the former case and counts only the fallback in the latter.
+    #: the former case and counts only the fallback in the latter.  A
+    #: conclusive ``method="structural"`` report carries no partition.
     symbolic: dict | None = None
     #: ``True`` when this report was served from the verdict memo
     #: (:mod:`repro.cache`); ``engine``/``states_explored`` then
@@ -171,13 +170,7 @@ def compose_with_obligations(
 def _compose_with_obligations(
     stg1: Stg, stg2: Stg
 ) -> tuple[Stg, list[SyncObligation]]:
-    common_outputs = (stg1.outputs | stg1.internals) & (
-        stg2.outputs | stg2.internals
-    )
-    if common_outputs:
-        raise ValueError(
-            f"common output signals are not allowed: {sorted(common_outputs)}"
-        )
+    reject_common_outputs(stg1, stg2)
     n1, n2 = disjoint_pair(stg1.net, stg2.net)
     common_signals = stg1.signals() & stg2.signals()
     sync_actions = signal_actions(n1.actions | n2.actions, common_signals)
@@ -429,73 +422,6 @@ def _parallel_failures(
     return failures, result.states
 
 
-def _marked_graph_failures(
-    composite: Stg, obligations: list[SyncObligation]
-) -> list[ReceptivenessFailure]:
-    """Theorem 5.7's polynomial path: linear feasibility of a failure
-    marking under the marked-graph reachability characterisation
-    ``M = M0 + C.sigma, M >= 0``.
-
-    For each obligation we ask for a reachable marking where the
-    producer preset is fully marked while every consumer alternative
-    misses at least one place; the per-consumer choice of missing place
-    is enumerated (consumer alternatives are few in practice)."""
-    from scipy.optimize import linprog
-
-    from repro.petri.structural import incidence_matrix
-
-    places, _, matrix = incidence_matrix(composite.net)
-    index = {place: i for i, place in enumerate(places)}
-    m0 = np.array(
-        [composite.net.initial[place] for place in places], dtype=float
-    )
-    num_places, num_transitions = matrix.shape
-    failures: list[ReceptivenessFailure] = []
-    for obligation in obligations:
-        candidate_misses = [
-            sorted(preset - obligation.producer_preset)
-            for preset in obligation.consumer_presets
-        ]
-        if any(not misses for misses in candidate_misses):
-            # Some consumer's preset is inside the producer's: it is
-            # ready whenever the producer is; no failure possible.
-            continue
-        witness: Marking | None = None
-        for choice in product(*candidate_misses):
-            a_ub: list[np.ndarray] = []
-            b_ub: list[float] = []
-            for row in range(num_places):
-                a_ub.append(-matrix[row])  # M0 + C sigma >= 0
-                b_ub.append(m0[row])
-            for place in obligation.producer_preset:
-                row = index[place]
-                a_ub.append(-matrix[row])
-                b_ub.append(m0[row] - 1.0)  # marked
-            for place in set(choice):
-                row = index[place]
-                a_ub.append(matrix[row])
-                b_ub.append(-m0[row])  # empty
-            result = linprog(
-                c=np.zeros(num_transitions),
-                A_ub=np.array(a_ub, dtype=float),
-                b_ub=np.array(b_ub, dtype=float),
-                bounds=[(0, None)] * num_transitions,
-                method="highs",
-            )
-            if result.success:
-                vector = m0 + matrix @ result.x
-                witness = Marking(
-                    {
-                        place: int(round(max(0.0, vector[index[place]])))
-                        for place in places
-                    }
-                )
-                break
-        if witness is not None:
-            failures.append(ReceptivenessFailure(obligation, witness))
-    return failures
-
-
 def check_receptiveness(
     stg1: Stg,
     stg2: Stg,
@@ -513,9 +439,13 @@ def check_receptiveness(
 
     * ``"reachability"`` — exhaustive over the composed state space
       (exact for any bounded net);
-    * ``"structural"`` — the Theorem 5.7 polynomial check, valid for
-      live marked-graph compositions;
-    * ``"auto"`` — structural when the preconditions hold, otherwise
+    * ``"structural"`` — the Theorem 5.7 polynomial check: the exact
+      state-equation pass of ``engine="symbolic"``, which decides every
+      obligation of a live marked-graph composition without
+      enumerating a state.  On other nets the obligations it leaves
+      undecided fall back to the search of ``engine``, and the report
+      then says ``method="reachability"``;
+    * ``"auto"`` — structural on live marked graphs, otherwise
       reachability.
 
     ``engine`` selects how the reachability method explores: the default
@@ -561,8 +491,8 @@ def check_receptiveness(
     composes with the ``eager`` and ``onthefly`` engines but not with
     ``por`` (partial-order reduction is inherently order-sensitive: the
     DFS-stack proviso and sleep sets assume one sequential search
-    order), and ``stop_at_first`` is ignored on this path.  The structural method
-    never explores states, so these knobs do not apply to it.
+    order), and ``stop_at_first`` is ignored on this path.  The
+    structural method uses these knobs only for its fallback search.
 
     Every check records its own instrumentation (spans, counters and
     gauges under the ``repro.obs/v1`` schema) on ``report.metrics``; the
@@ -637,7 +567,9 @@ def _receptiveness_key(
     (STG content hashes, requested method, ``stop_at_first`` — the
     latter changes which failures are attributed, so reports differ);
     engine/workers never change the verdict or the witnesses' validity
-    and stay provenance-only."""
+    and stay provenance-only.  The trailing ``"exact"`` retires the
+    entries written while ``structural`` trusted a float LP, whose
+    "not receptive" could rest on an unreachable marking."""
     from repro.cache import verdicts
 
     if not verdicts.memo_enabled(stg1.net, stg2.net):
@@ -648,6 +580,7 @@ def _receptiveness_key(
         verdicts.stg_content_hash(stg2),
         method,
         bool(stop_at_first),
+        "exact",
     )
 
 
@@ -789,26 +722,13 @@ def _checked_receptiveness(
                 if exactness_applies(composite.net)
                 else "reachability"
             )
-        if method == "structural":
-            with obs.span("verify.receptiveness.structural"):
-                failures = _marked_graph_failures(composite, obligations)
-            span.set(
-                method=method,
-                engine="-",
-                verdict=not failures,
-                obligations=len(obligations),
-                failures=len(failures),
-            )
-            return ReceptivenessReport(
-                composite, obligations, failures, method, engine="-"
-            )
-        if method != "reachability":
+        if method not in ("structural", "reachability"):
             raise ValueError(f"unknown method {method!r}")
         symbolic_info: dict | None = None
         search_engine = engine
         pending = obligations
         symbolic_failures: list[ReceptivenessFailure] = []
-        if engine == "symbolic":
+        if method == "structural" or engine == "symbolic":
             from repro.petri.symbolic import symbolic_receptiveness
 
             with obs.span("verify.receptiveness.symbolic") as symbolic_span:
@@ -825,39 +745,46 @@ def _checked_receptiveness(
                 ReceptivenessFailure(obligation, marking)
                 for obligation, marking in outcome.failed
             ]
-            symbolic_info = {
-                "safe": len(outcome.safe),
-                "failed": len(outcome.failed),
-                "undecided": len(outcome.undecided),
-                "conclusive": outcome.conclusive,
-                "systems": outcome.stats.get("systems", 0),
-                "constraints": outcome.stats.get("constraints", 0),
-                "refinement_rounds": outcome.stats.get(
-                    "refinement_rounds", 0
-                ),
-                "exact": outcome.stats.get("exact", False),
-            }
+            if engine == "symbolic":
+                symbolic_info = {
+                    "safe": len(outcome.safe),
+                    "failed": len(outcome.failed),
+                    "undecided": len(outcome.undecided),
+                    "conclusive": outcome.conclusive,
+                    "systems": outcome.stats.get("systems", 0),
+                    "constraints": outcome.stats.get("constraints", 0),
+                    "refinement_rounds": outcome.stats.get(
+                        "refinement_rounds", 0
+                    ),
+                    "exact": outcome.stats.get("exact", False),
+                }
             if outcome.conclusive:
+                # A conclusive structural report reads as Theorem 5.7's
+                # always has: no engine, no state count, no partition.
+                structural = method == "structural"
+                report = ReceptivenessReport(
+                    composite,
+                    obligations,
+                    symbolic_failures,
+                    method if structural else "symbolic",
+                    engine="-" if structural else engine,
+                    symbolic=None if structural else symbolic_info,
+                )
                 span.set(
-                    method="symbolic",
-                    engine=engine,
+                    method=report.method,
+                    engine=report.engine,
                     verdict=not symbolic_failures,
                     obligations=len(obligations),
                     failures=len(symbolic_failures),
                 )
-                return ReceptivenessReport(
-                    composite,
-                    obligations,
-                    symbolic_failures,
-                    "symbolic",
-                    engine=engine,
-                    symbolic=symbolic_info,
-                )
+                return report
             # Explicit fallback, restricted to the undecided remainder:
             # conclusively-safe obligations need no witness hunt and
             # conclusive failures are already proven.
+            method = "reachability"
             pending = outcome.undecided
-            search_engine = "onthefly"
+            if engine == "symbolic":
+                search_engine = "onthefly"
         reduced: int | None = None
         clock = recorder.clock
         search_start = clock.now()

@@ -3,9 +3,8 @@
 Covers the exact phase-1 simplex, the component-restricted state
 equation builder, trap-constraint refinement (on a net where the plain
 equation is feasible and only the trap cut decides), the marked-graph
-exactness path, boundedness certificates, dead actions, the language
-pre-check, and the solver-optional SMT backend (script shape always;
-solver verdicts only when one is installed).
+exactness path, boundedness certificates, dead actions and the
+language pre-check.
 """
 
 from __future__ import annotations
@@ -30,11 +29,6 @@ from repro.petri.symbolic import (
     language_precheck,
     marking_unreachable,
     predicate_unreachable,
-    smt_available,
-    smt_bmc_script,
-    smt_kinduction_step_script,
-    smt_state_equation_script,
-    smt_unreachable,
     symbolic_receptiveness,
 )
 
@@ -413,40 +407,3 @@ class TestAnalyze:
         result = analyze(source_net())
         assert not result["bounded"].conclusive
 
-
-class TestSmtScripts:
-    def test_state_equation_script_shape(self):
-        script = smt_state_equation_script(cycle(), marked=("p1",))
-        assert script.startswith("(set-logic QF_LIA)")
-        assert script.rstrip().endswith("(check-sat)")
-        assert "(declare-const x0 Int)" in script
-        assert "(declare-const x1 Int)" in script
-        # The invariant p0 + p1 = 1 must appear as an equality.
-        assert "(assert (= " in script
-
-    def test_bmc_script_anchors_initial_marking(self):
-        script = smt_bmc_script(cycle(), marked=("p1",), depth=2)
-        assert "(assert (= m0_0 1))" in script  # p0 starts at 1
-        assert "(assert (= m0_1 0))" in script
-        assert "m2_" in script and "m3_" not in script
-
-    def test_kinduction_script_anchors_state_equation(self):
-        script = smt_kinduction_step_script(cycle(), marked=("p1",), k=1)
-        assert "(declare-const y0 Int)" in script
-        assert "s1_" in script
-
-    def test_no_solver_is_clean_inconclusive(self):
-        if smt_available():  # pragma: no cover - solver-present machines
-            pytest.skip("an SMT solver is installed")
-        verdict = smt_unreachable(cycle(), marked=("p0", "p1"))
-        assert not verdict.conclusive
-        assert "no SMT solver" in verdict.reason
-
-    def test_solver_agrees_with_rational_engine(self):
-        if not smt_available():
-            pytest.skip("no SMT solver on PATH")
-        verdict = smt_unreachable(cycle(), marked=("p0", "p1"))
-        assert verdict.conclusive and verdict.holds  # pragma: no cover
-        reachable = smt_unreachable(cycle(), marked=("p1",))
-        assert reachable.conclusive  # pragma: no cover
-        assert not reachable.holds  # pragma: no cover

@@ -185,3 +185,41 @@ class TestHideRename:
     def test_rename_collision_rejected(self):
         with pytest.raises(ValueError):
             rename_signal(handshake_requester(), "r", "a")
+
+
+SHARED_OUTPUTS = "['a0', 'a1', 'b0', 'b1']"
+
+
+class TestInterfaceErrorsAtTheCli:
+    """The rejections above end ``cip`` in one exit-2 line that names
+    the offending signals, not in a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, signals",
+        [
+            (["hide", "fig5_sender.net", "-s", "rec"], "['rec']"),
+            (["verify", "fig5_sender.net", "fig5_sender.json"], SHARED_OUTPUTS),
+            (["compose", "fig5_sender.net", "fig5_sender.json"], SHARED_OUTPUTS),
+            (["simplify", "fig5_sender.net", "fig5_sender.json"], SHARED_OUTPUTS),
+        ],
+        ids=["hide-input", "verify", "compose", "simplify"],
+    )
+    def test_one_error_line(self, argv, signals, corpus_dir, tmp_path, capsys):
+        from repro.cli import main
+
+        output = tmp_path / "out.g"
+        command, *rest = argv
+        argv = [command] + [
+            str(corpus_dir / arg) if arg.startswith("fig5") else arg
+            for arg in rest
+        ]
+        if command != "verify":
+            argv += ["-o", str(output)]
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("cip: error: ")
+        assert captured.err.count("\n") == 1
+        assert signals in captured.err
+        assert not output.exists()

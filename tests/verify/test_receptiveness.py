@@ -1,5 +1,10 @@
 """Tests for receptiveness checking (Props 5.5/5.6, Thm 5.7)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.models.library import four_phase_master, four_phase_slave
@@ -23,6 +28,28 @@ def impatient_master() -> Stg:
     net.add_transition({"m3"}, "a-", {"m0"})
     net.set_initial(Marking({"m0": 1}))
     return Stg(net, inputs={"a"}, outputs={"r"})
+
+
+def token_pump_pair() -> tuple[Stg, Stg]:
+    """A marked graph whose state equation admits an unreachable
+    failure marking.  Firing ``u+`` then ``u-`` would leave a token on
+    ``p3`` and ready ``r+`` while the consumer sits in ``s0``, but the
+    ``u`` cycle holds no token: nothing is ever enabled, so the pair is
+    receptive."""
+    producer = PetriNet("producer")
+    producer.add_transition({"p1"}, "u+", {"p2"})
+    producer.add_transition({"p2"}, "u-", {"p1", "p3"})
+    producer.add_transition({"p3"}, "r+", {"p4"})
+    producer.add_transition({"p4"}, "r-", {"p5"})
+    producer.set_initial(Marking({"p5": 1}))
+    consumer = PetriNet("consumer")
+    consumer.add_transition({"s1"}, "r+", {"s2"})
+    consumer.add_transition({"s2"}, "r-", {"s1"})
+    consumer.set_initial(Marking({"s0": 1}))
+    return (
+        Stg(producer, outputs={"r"}, internals={"u"}),
+        Stg(consumer, inputs={"r"}),
+    )
 
 
 class TestComposeWithObligations:
@@ -155,6 +182,127 @@ class TestStructuralMethod:
         master.net.add_transition({"m0"}, "r+", {"m1"})
         report = check_receptiveness(master, four_phase_slave())
         assert report.method == "reachability"
+
+
+class TestExactStructuralPath:
+    """``method="structural"`` runs the exact state-equation pass of
+    ``engine="symbolic"``: it decides live marked graphs outright, and
+    elsewhere hands the undecided obligations to the search."""
+
+    def test_unreachable_state_equation_witness_is_no_failure(self):
+        report = check_receptiveness(*token_pump_pair(), method="structural")
+        assert report.is_receptive()
+        assert report.method == "reachability"
+        assert report.states_explored == 1
+
+    def test_store_written_by_the_float_lp_is_not_served(self, tmp_path):
+        from repro.cache import verdicts
+        from repro.cache.store import activated
+
+        producer, consumer = token_pump_pair()
+        stale_key = verdicts.semantic_key(
+            "receptiveness",
+            verdicts.stg_content_hash(producer),
+            verdicts.stg_content_hash(consumer),
+            "structural",
+            False,
+        )
+        witness = Marking({"p3": 1, "p5": 1, "s0": 1})
+        with activated(tmp_path / "cache"):
+            verdicts.memo_store(
+                verdicts.KIND,
+                stale_key,
+                {
+                    "method": "structural",
+                    "engine": "-",
+                    "states_explored": None,
+                    "states_reduced": None,
+                    "proviso": None,
+                    "symbolic": None,
+                    "failures": [
+                        {
+                            "obligation": 0,
+                            "marking": verdicts.marking_items(witness),
+                            "trace": None,
+                            "tids": None,
+                        }
+                    ],
+                },
+                proven_at=1_000_000,
+            )
+            report = check_receptiveness(
+                producer, consumer, method="structural"
+            )
+        assert report.is_receptive()
+        assert not report.cached
+
+    def test_failures_off_marked_graphs_replay_to_a_prop55_marking(self):
+        from repro.petri.simulation import TokenGame
+
+        report = check_receptiveness(
+            impatient_master(), four_phase_slave(), method="structural"
+        )
+        assert report.failing_actions() == ["a+", "r-"]
+        for failure in report.failures:
+            assert failure.tids is not None
+            game = TokenGame(report.composite.net)
+            for tid in failure.tids:
+                game.fire_tid(tid)
+            obligation = failure.obligation
+            assert all(
+                game.marking[p] >= 1 for p in obligation.producer_preset
+            )
+            for preset in obligation.consumer_presets:
+                assert not all(game.marking[p] >= 1 for p in preset)
+
+    def test_fallback_report_equals_the_auto_report(self):
+        structural = check_receptiveness(
+            impatient_master(), four_phase_slave(), method="structural"
+        )
+        auto = check_receptiveness(impatient_master(), four_phase_slave())
+        assert str(structural) == str(auto)
+        assert structural.engine == auto.engine
+        assert structural.states_explored == auto.states_explored
+
+    @pytest.mark.parametrize("engine", [None, "symbolic"])
+    def test_conclusive_report_has_no_search_epilogue(self, engine):
+        report = check_receptiveness(
+            four_phase_master(),
+            four_phase_slave(),
+            method="structural",
+            engine=engine,
+        )
+        assert report.method == "structural"
+        assert (report.engine, report.states_explored) == ("-", None)
+        assert report.symbolic is None
+
+    def test_default_check_never_imports_scipy(self):
+        import repro
+
+        source = str(Path(repro.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "from repro.models.library import four_phase_master,"
+            " four_phase_slave\n"
+            "from repro.verify.receptiveness import check_receptiveness\n"
+            "report = check_receptiveness(four_phase_master(),"
+            " four_phase_slave())\n"
+            "assert report.method == 'structural', report.method\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            CIP_NO_CACHE="1",
+            PYTHONPATH=source if not path else f"{source}{os.pathsep}{path}",
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 class TestHidePrimeRefinement:
