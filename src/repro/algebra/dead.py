@@ -197,9 +197,7 @@ def remove_unreachable_places(net: PetriNet, max_states: int = 1_000_000) -> Pet
     except UnboundedNetError:
         ever_marked = set(net.places)  # no pruning without a state space
     else:
-        ever_marked = set()
-        for marking in graph.states:
-            ever_marked |= marking.marked_places()
+        ever_marked = graph.marked_places()
     result = remove_dead_transitions(net, max_states=max_states)
     for place in sorted(net.places - ever_marked):
         # Only drop the place if no remaining transition touches it.
@@ -235,9 +233,7 @@ def trim(net: PetriNet, max_states: int = 1_000_000) -> PetriNet:
             ever_marked = set(result.places)
         else:
             dead = set(result.transitions) - graph.fired_tids()
-            ever_marked = set()
-            for marking in graph.states:
-                ever_marked |= marking.marked_places()
+            ever_marked = graph.marked_places()
         for tid in dead:
             result.remove_transition(tid)
         for place in sorted(result.places):

@@ -2,10 +2,11 @@
 
 The compiled core (:mod:`repro.petri.compiled`) made states cheap to
 hash, compare and *ship across process boundaries*: a packed marking is
-a ``bytes`` (or small tuple) value with no interpreter state attached.
-This module cashes that in.  The reachable state space is partitioned
-by a stable hash of the packed state: worker ``i`` of ``N`` *owns*
-every state with ``crc32(key) % N == i``, keeps that shard's visited
+one int (a tuple of counts under the ``wide`` codec) with no
+interpreter state attached.  This module cashes that in.  The reachable
+state space is partitioned by a stable hash of the packed state's bytes
+key: worker ``i`` of ``N`` *owns* every state with
+``crc32(key) % N == i``, keeps that shard's visited
 set (a :class:`~repro.petri.visited.VisitedStore`, so shards spill to
 disk past a byte budget), and expands only states it owns.  Successors
 that hash to another shard are buffered per destination and exchanged
@@ -42,17 +43,18 @@ waves rules that out (no sends happened between the waves, so every
 counted message was also consumed).
 
 The explorer picks a **1-safe bitmask kernel** whenever the compiled
-net is eligible (byte codec, <=1-token initial marking): states become
-single ints, enabledness one mask compare, firing two bitwise ops —
-the lean inner loop that lets the sharded explorer beat the serial
-graph construction in wall-clock even per-core.  Eligibility is
-optimistic: every firing checks that no produced place is already
-marked (arcs are structurally unit-weight, so that test is exactly "a
-second token"), and on the first violation the whole exploration
-restarts transparently on the general packed kernel.  Counts, deadlock
-sets and verdicts are identical either way; only the per-obligation
-witness *tie-break* key is kernel-specific (still deterministic for a
-given net across runs and worker counts).
+net is eligible (``bits`` codec, no place starting with more than one
+token): a state is one bit per place, enabledness one mask compare and
+firing two bitwise ops, with no enabled-set bookkeeping at all.  States
+it reports (deadlocks, failure witnesses, edge logs) are spread into
+the core's ``field_bits``-wide encoding through a per-byte table.
+Eligibility is optimistic: every firing checks that no produced place
+is already marked (arcs are structurally unit-weight, so that test is
+exactly "a second token"), and on the first violation the whole
+exploration restarts transparently on the general packed kernel.
+Counts, deadlock sets and verdicts are identical either way; only the
+per-obligation witness *tie-break* key is kernel-specific (still
+deterministic for a given net across runs and worker counts).
 
 Deliberate non-goals, documented rather than approximated:
 
@@ -74,7 +76,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs import metrics as obs
-from repro.petri.compiled import CompiledNet
+from repro.petri.compiled import CompiledNet, PackedState
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
 from repro.petri.reachability import ReachabilityGraph, UnboundedNetError
@@ -162,22 +164,22 @@ class _BitmaskOverflow(Exception):
     packed kernel.  Raised per worker, handled by the coordinator."""
 
 
-#: byte -> 8 token-count bytes (bit ``i`` of the byte is place
-#: ``8 * position + i``), for expanding bitmask states back into the
-#: ``bytes``-codec count vectors the rest of the pipeline speaks.
-_EXPAND = tuple(
-    bytes((value >> bit) & 1 for bit in range(8)) for value in range(256)
-)
+def _spread_table(field_bits: int) -> tuple[int, ...]:
+    """byte -> its 8 bits spread one per ``field_bits``-wide field (bit
+    ``i`` of the byte becomes bit ``i * field_bits``): one lookup turns
+    8 places of a bitmask state into the core's ``bits`` encoding."""
+    return tuple(
+        sum(1 << (bit * field_bits) for bit in range(8) if value >> bit & 1)
+        for value in range(256)
+    )
 
 
 def _bitmask_eligible(cnet: CompiledNet) -> bool:
-    """Static half of the 1-safe check: the byte codec and a <=1-token
-    initial marking.  (Arc weights are structurally 1: transitions are
-    preset/postset *sets*.)  The dynamic half is the per-firing overflow
-    test in :meth:`_BitmaskKernel.expand`."""
-    return cnet.codec == "bytes" and (
-        not cnet.initial_state or max(cnet.initial_state) <= 1
-    )
+    """Static half of the 1-safe check: the ``bits`` codec and no place
+    starting with more than one token.  (Arc weights are structurally
+    1: transitions are preset/postset *sets*.)  The dynamic half is the
+    per-firing overflow test in :meth:`_BitmaskKernel.expand`."""
+    return cnet.codec == "bits" and cnet.max_count([cnet.initial_state]) <= 1
 
 
 class _BitmaskKernel:
@@ -193,10 +195,13 @@ class _BitmaskKernel:
     otherwise.
     """
 
-    __slots__ = ("trans", "init_mask", "key_width", "num_places", "obligations")
+    __slots__ = ("trans", "init_mask", "key_width", "stride", "spread", "obligations")
 
     def __init__(self, spec):
-        self.trans, self.init_mask, self.key_width, self.num_places = spec
+        self.trans, self.init_mask, self.key_width, field_bits = spec
+        #: Bits of the core encoding that one byte of a node spans.
+        self.stride = 8 * field_bits
+        self.spread = _spread_table(field_bits)
         self.obligations: list[tuple[int, int, tuple[int, ...]]] = []
 
     @staticmethod
@@ -210,12 +215,9 @@ class _BitmaskKernel:
             )
             for dense in range(cnet.num_transitions)
         )
-        init_mask = 0
-        for i, count in enumerate(cnet.initial_state):
-            if count:
-                init_mask |= 1 << i
+        init_mask = sum(1 << i for i in cnet.marked_indices(cnet.initial_state))
         key_width = max(1, (cnet.num_places + 7) // 8)
-        return (trans, init_mask, key_width, cnet.num_places)
+        return (trans, init_mask, key_width, cnet.field_bits)
 
     def load_obligations(self, lowered) -> None:
         self.obligations = [
@@ -241,12 +243,14 @@ class _BitmaskKernel:
     def key_of_node(self, node) -> bytes:
         return node.to_bytes(self.key_width, "little")
 
-    def state_of_node(self, node):
-        expand = _EXPAND
-        raw = b"".join(
-            expand[byte] for byte in node.to_bytes(self.key_width, "little")
-        )
-        return raw[: self.num_places]
+    def state_of_node(self, node) -> int:
+        spread = self.spread
+        stride = self.stride
+        state = 0
+        for position, byte in enumerate(node.to_bytes(self.key_width, "little")):
+            if byte:
+                state |= spread[byte] << (position * stride)
+        return state
 
     def expand(self, node):
         children = []
@@ -271,48 +275,53 @@ class _BitmaskKernel:
         return hits
 
 
+#: The :class:`CompiledNet` fields a packed kernel is rebuilt from; the
+#: ``bits`` tables are derived again by :meth:`CompiledNet.lower`.
+_PACKED_FIELDS = (
+    "codec",
+    "field_bits",
+    "num_places",
+    "num_transitions",
+    "pre",
+    "consume",
+    "produce",
+    "consumers",
+    "affected",
+    "initial_state",
+)
+
+
 class _PackedKernel:
     """Packed-state kernel over the compiled arrays (any bounded net).
 
     A node is ``(state, deficits, enabled)`` exactly as in
     :class:`~repro.petri.compiled.CompiledSpace`; the wire form drops
-    ``enabled`` (recomputed from the deficits by the receiving shard, a
-    linear scan that is far cheaper than shipping it).
+    ``enabled`` (recomputed by the receiving shard — from the deficits
+    under ``wide``, by one probe per transition under ``bits`` — which
+    is far cheaper than shipping it).
     """
 
-    __slots__ = ("cnet", "is_bytes", "obligations")
+    __slots__ = ("cnet", "key_width", "obligations")
 
     def __init__(self, spec):
         cnet = CompiledNet.__new__(CompiledNet)
-        (
-            cnet.codec,
-            cnet.num_places,
-            cnet.num_transitions,
-            cnet.pre,
-            cnet.consume,
-            cnet.produce,
-            cnet.consumers,
-            cnet.initial_state,
-        ) = spec
+        for name, value in zip(_PACKED_FIELDS, spec):
+            setattr(cnet, name, value)
+        cnet.lower()
         self.cnet = cnet
-        self.is_bytes = cnet.codec == "bytes"
-        self.obligations: list[tuple[int, tuple, tuple]] = []
+        self.key_width = max(1, (cnet.num_places * cnet.field_bits + 7) // 8)
+        self.obligations: list[tuple[int, int, tuple[int, ...]]] = []
 
     @staticmethod
     def spec_of(cnet: CompiledNet):
-        return (
-            cnet.codec,
-            cnet.num_places,
-            cnet.num_transitions,
-            cnet.pre,
-            cnet.consume,
-            cnet.produce,
-            cnet.consumers,
-            cnet.initial_state,
-        )
+        return tuple(getattr(cnet, name) for name in _PACKED_FIELDS)
 
     def load_obligations(self, lowered) -> None:
-        self.obligations = list(lowered)
+        mask = self.cnet.place_mask
+        self.obligations = [
+            (index, mask(producer), tuple(mask(preset) for preset in consumers))
+            for index, producer, consumers in lowered
+        ]
 
     def seed_wire(self):
         return (self.cnet.initial_state, None)
@@ -332,7 +341,9 @@ class _PackedKernel:
 
     def key_of_node(self, node) -> bytes:
         state = node[0]
-        return state if self.is_bytes else pack_wide_key(state)
+        if self.cnet.field_bits:
+            return state.to_bytes(self.key_width, "little")
+        return pack_wide_key(state)
 
     def state_of_node(self, node):
         return node[0]
@@ -351,11 +362,13 @@ class _PackedKernel:
         return len(enabled), children
 
     def failing_obligations(self, node):
-        state = node[0]
+        if not self.obligations:
+            return ()
+        marked = self.cnet.marked_mask(node[0])
         hits = []
         for index, producer, consumers in self.obligations:
-            if all(state[i] for i in producer) and not any(
-                all(state[i] for i in preset) for preset in consumers
+            if marked & producer == producer and not any(
+                marked & preset == preset for preset in consumers
             ):
                 hits.append(index)
         return hits
@@ -431,10 +444,9 @@ class _Shard:
             return False
         self.states += 1
         for index in kernel.failing_obligations(node):
-            witness = (key, kernel.state_of_node(node))
             best = self.failing.get(index)
-            if best is None or witness[0] < best[0]:
-                self.failing[index] = witness
+            if best is None or key < best[0]:
+                self.failing[index] = (key, kernel.state_of_node(node))
         self.frontier.append(node)
         if len(self.frontier) > self.frontier_peak:
             self.frontier_peak = len(self.frontier)
@@ -648,10 +660,6 @@ def _lower_obligations(obligations, cnet: CompiledNet):
         )
         for index, (producer_preset, consumer_presets) in enumerate(obligations)
     ]
-
-
-def _state_key(state, cnet: CompiledNet) -> bytes:
-    return state if cnet.codec == "bytes" else pack_wide_key(state)
 
 
 def _run_single(
@@ -941,7 +949,7 @@ def parallel_explore(
         span.set(kernel=kind)
         deadlocks = sorted(
             (state for report in reports for state in report["deadlocks"]),
-            key=lambda state: _state_key(state, cnet),
+            key=cnet.counts,
         )
         failing: dict[int, tuple[bytes, Any]] = {}
         for report in reports:
@@ -999,9 +1007,7 @@ def parallel_reachability_graph(
         memory_budget=memory_budget,
         collect_edges=True,
     )
-    cnet = net.compiled()
-    actions, tids = cnet.actions, cnet.tids
-    rows: dict[Any, list[tuple[str, int, Any]]] = {}
+    rows: dict[PackedState, list[tuple[int, PackedState]]] = {}
     for source, dense, target in result.edge_log:
-        rows.setdefault(source, []).append((actions[dense], tids[dense], target))
+        rows.setdefault(source, []).append((dense, target))
     return ReachabilityGraph.from_packed(net, lambda state: rows.pop(state, ()))

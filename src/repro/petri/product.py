@@ -9,11 +9,11 @@ the demand-driven counterpart:
 * :class:`LazyStateSpace` — a reachability graph whose successor
   relation is computed (and memoised) only when asked, by the packed
   exploration core :class:`~repro.petri.compiled.CompiledSpace`: states
-  are token-count vectors, enabled sets are maintained *incrementally*
-  (after a firing only the consumers of the places that became empty
-  or marked are re-checked), and every state keeps a parent pointer, so
-  a firable counterexample trace from the initial marking can be
-  reconstructed for free.
+  are packed (one int per marking when the net's token bound is
+  certified), enabled sets are maintained *incrementally* (after a
+  firing only the transitions it affects are re-checked), and every
+  state keeps a parent pointer, so a firable counterexample trace from
+  the initial marking can be reconstructed for free.
 
 * :class:`SynchronousProduct` — the lazy synchronous product of two
   state spaces (rendez-vous on a synchronisation alphabet, free
@@ -179,9 +179,9 @@ class LazyStateSpace:
     The exploration runs over the packed integer-indexed core of
     :mod:`repro.petri.compiled` while this class keeps its
     Marking-domain API by translating at the boundary (packed states
-    are decoded at most once each).  Callers that can work on
-    token-count vectors directly should use :meth:`iter_raw` /
-    :meth:`decode` to skip the translation entirely.
+    are decoded at most once each).  Callers that can test packed
+    states through the codec of :attr:`compiled_net` should use
+    :meth:`iter_raw` / :meth:`decode` to skip the translation entirely.
 
     Partial-order reduction (``engine="por"``) is switched on with
     ``reduction=True`` (or an explicit
@@ -352,10 +352,10 @@ class LazyStateSpace:
 
     def iter_raw(self) -> Iterator:
         """BFS over *packed* states — the allocation-light twin of
-        :meth:`iter_bfs` for callers that only probe token counts per
-        state (e.g. the Prop 5.5 predicate) and can decode the rare
-        interesting state via :meth:`decode`.  Discovery order is
-        identical to :meth:`iter_bfs`."""
+        :meth:`iter_bfs` for callers that only test marked places per
+        state through the codec (e.g. the Prop 5.5 predicate) and can
+        decode the rare interesting state via :meth:`decode`.
+        Discovery order is identical to :meth:`iter_bfs`."""
         core = self._core
         core.ensure_explored()
         stats = self.stats

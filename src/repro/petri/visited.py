@@ -3,10 +3,10 @@
 An explicit-state exploration is memory-bound long before it is
 CPU-bound: the visited set must hold every reachable state for the
 whole run, while the frontier stays comparatively small.  The packed
-states of :mod:`repro.petri.compiled` (``bytes`` vectors, or fixed
-tuples of counts) make membership testing cheap — but a 10^7-state
-space at tens of bytes per state still wants gigabytes of RAM for the
-set alone.
+states of :mod:`repro.petri.compiled` (one int per marking under the
+``bits`` codec, a tuple of counts under ``wide``) make membership
+testing cheap — but a 10^7-state space at tens of bytes per state still
+wants gigabytes of RAM for the set alone.
 
 :class:`VisitedStore` bounds that: it behaves like a ``set`` of
 ``bytes`` keys, keeps everything in an ordinary in-memory set up to a
@@ -18,9 +18,10 @@ the store never drops or double-counts a key, spilled or not.
 
 Design notes:
 
-* **Keys are opaque bytes.**  Callers pack their states (the compiled
-  ``bytes`` codec is already a key; wide tuple states are packed with
-  :func:`pack_wide_key`).  The store never interprets them.
+* **Keys are opaque bytes.**  Callers pack their states (a ``bits``
+  state as its little-endian bytes, a 1-safe bitmask state likewise, a
+  wide tuple state with :func:`pack_wide_key`).  The store never
+  interprets them.
 * **SQLite over a hand-rolled mmap table.**  The stdlib ``sqlite3``
   module gives a crash-safe, reopenable, zero-dependency B-tree with
   batched ``INSERT``; an open-addressing mmap table would save a few

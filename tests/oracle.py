@@ -85,3 +85,42 @@ class Oracle:
                 if marking != ancestor and marking.covers(ancestor):
                     return marking
         return None
+
+    # -- behavioural properties, by brute force ------------------------------
+
+    def bound(self) -> int:
+        """The largest token count of any place over all markings."""
+        return max(
+            (count for marking in self.rows for count in marking.values()),
+            default=0,
+        )
+
+    def reachable_from(self, marking: Marking) -> set[Marking]:
+        """Every marking reachable from ``marking`` (itself included)."""
+        seen = {marking}
+        queue = deque([marking])
+        while queue:
+            for _, _, target in self.rows[queue.popleft()]:
+                if target not in seen:
+                    seen.add(target)
+                    queue.append(target)
+        return seen
+
+    def is_live(self, tids) -> bool:
+        """Every transition of ``tids`` fires again from every marking."""
+        everything = set(tids)
+        for marking in self.rows:
+            fired = {
+                tid
+                for source in self.reachable_from(marking)
+                for _, tid, _ in self.rows[source]
+            }
+            if fired != everything:
+                return False
+        return True
+
+    def is_reversible(self) -> bool:
+        """The initial marking is reachable from every marking."""
+        return all(
+            self.initial in self.reachable_from(marking) for marking in self.rows
+        )

@@ -107,12 +107,16 @@ class TestLowering:
 
 
 class TestCodecs:
-    def test_conservative_net_gets_bytes_codec(self):
+    def test_conservative_net_gets_bits_codec(self):
         cnet = demo_net().compiled()
-        assert cnet.codec == "bytes"
+        assert cnet.codec == "bits"
         assert cnet.token_bound == 2
         assert cnet.bounded_certified
-        assert isinstance(cnet.initial_state, bytes)
+        # Bound 2: two count bits plus the guard bit per place.
+        assert cnet.field_bits == 3
+        assert isinstance(cnet.initial_state, int)
+        # One token on p0 (field 0) and one on p3 (field 3).
+        assert cnet.initial_state == 1 | 1 << 9
 
     def test_small_nonconservative_net_gets_wide_codec(self):
         net = PetriNet("fork")
@@ -126,7 +130,7 @@ class TestCodecs:
     def test_invariant_certificate_on_composite_fork_join(self):
         """The Fig 5/7 composite is not token-conservative (rendez-vous
         fusion forks), but the LP invariant certifies a bound and the
-        bytes codec applies."""
+        bits codec applies."""
         from repro.models.protocol_translator import sender, translator
         from repro.verify.receptiveness import compose_with_obligations
 
@@ -136,8 +140,10 @@ class TestCodecs:
             for t in composite.net.transitions.values()
         )
         cnet = composite.net.compiled()
-        assert cnet.codec == "bytes"
+        assert cnet.codec == "bits"
         assert cnet.bounded_certified
+        assert cnet.field_bits == cnet.token_bound.bit_length() + 1
+        assert isinstance(cnet.initial_state, int)
 
     def test_encode_decode_roundtrip(self):
         net = demo_net()
@@ -150,11 +156,13 @@ class TestCodecs:
         with pytest.raises(KeyError):
             cnet.encode(Marking({"nowhere": 1}))
 
-    def test_bytes_encode_rejects_overflow(self):
+    def test_bits_encode_rejects_overflow(self):
         cnet = demo_net().compiled()
-        assert cnet.codec == "bytes"
+        assert cnet.codec == "bits"
+        at_bound = Marking({"p0": 2})
+        assert cnet.decode(cnet.encode(at_bound)) == at_bound
         with pytest.raises(ValueError):
-            cnet.encode(Marking({"p0": 300}))
+            cnet.encode(Marking({"p0": 3}))
 
     def test_wide_codec_has_no_count_limit(self):
         net = PetriNet("fork")
@@ -204,16 +212,22 @@ class TestDeficitCounters:
             assert (deficits, enabled) == cnet.analyze_state(state)
 
     def test_preset_wider_than_a_byte(self):
-        """A transition with more than 255 input places has deficits
-        beyond a byte: the net takes the wide codec and its counters."""
+        """A transition with more than 255 input places is one probe
+        over 300 fields under the bits codec; no deficit counters."""
         net = PetriNet("wide-join")
         places = [f"p{i:03d}" for i in range(300)]
         net.add_transition(set(places), "join", {"done"})
         net.add_transition({"p000"}, "step", {"q"})
         net.set_initial(Marking({"p000": 1}))
         cnet = net.compiled()
-        assert cnet.codec == "wide"
-        assert max(cnet.initial_deficits) == 299
+        assert cnet.codec == "bits"
+        assert cnet.field_bits == 2
+        assert cnet.initial_deficits is None
+        join = cnet.actions.index("join")
+        assert bin(cnet.pre_masks[join]).count("1") == 300
+        assert not cnet.is_enabled(join, cnet.initial_state)
+        everything = cnet.encode(Marking({place: 1 for place in places}))
+        assert cnet.is_enabled(join, everything)
         graph = ReachabilityGraph(net)
         assert graph.num_states() == 2
         assert graph.fired_tids() == {1}
@@ -375,11 +389,11 @@ class TestObsMetrics:
         payload = recorder.to_dict()
         spans = [s for s in payload["spans"] if s["name"] == "compile.net"]
         assert len(spans) == 1
-        assert spans[0]["meta"]["codec"] == "bytes"
+        assert spans[0]["meta"]["codec"] == "bits"
+        assert spans[0]["meta"]["field_bits"] == 3
         assert payload["counters"]["compile.nets"] == 1
-        assert payload["gauges"]["compile.encode_width_bytes"] == len(
-            net.places
-        )
+        # Four places of three bits each: ceil(12 / 8) bytes.
+        assert payload["gauges"]["compile.encode_width_bytes"] == 2
 
 
 class TestMutationInvalidation:
