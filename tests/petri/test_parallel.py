@@ -178,7 +178,7 @@ def _explore_kernel(recorder) -> str:
 
 
 def overflow_net() -> PetriNet:
-    """Statically eligible (byte codec, <=1-token initial) but not
+    """Statically eligible (bits codec, <=1-token initial) but not
     1-safe: two producers race tokens into ``c``."""
     net = PetriNet("unsafe")
     net.add_transition({"a"}, "t1", {"c"})
