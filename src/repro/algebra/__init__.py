@@ -26,6 +26,7 @@ from repro.algebra.dead import (
     trim,
 )
 from repro.algebra.hide import (
+    ContractionError,
     DivergenceError,
     hide,
     hide_to_epsilon,
@@ -40,6 +41,7 @@ from repro.algebra.reductions import (
 )
 
 __all__ = [
+    "ContractionError",
     "DivergenceError",
     "choice",
     "contract_epsilon_transitions",

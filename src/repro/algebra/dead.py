@@ -85,11 +85,10 @@ def drop_sink_places(net: PetriNet) -> PetriNet:
     also eliminates the unbounded 'garbage collectors' that net
     contraction can leave behind.
     """
-    sinks = {
-        place
-        for place in net.places
-        if not net.consumers(place)
+    consumed = {
+        place for transition in net.transitions.values() for place in transition.preset
     }
+    sinks = net.places - consumed
     if not sinks:
         return net.copy()
     result = PetriNet(net.name, net.actions, net.places - sinks)
@@ -101,6 +100,13 @@ def drop_sink_places(net: PetriNet) -> PetriNet:
     result.set_initial(
         Marking({p: c for p, c in net.initial.items() if p not in sinks})
     )
+    if net.bound_weights is not None:
+        # Dropping places only removes terms from the produced side.
+        result.bound_weights = {
+            place: weight
+            for place, weight in net.bound_weights.items()
+            if place not in sinks
+        }
     return result
 
 
@@ -120,11 +126,18 @@ def merge_duplicate_places(net: PetriNet) -> PetriNet:
     """
     from repro.stg.guards import And, Guard
 
+    producers: dict[str, list[int]] = {}
+    consumers: dict[str, list[int]] = {}
+    for tid, transition in net.transitions.items():
+        for place in transition.postset:
+            producers.setdefault(place, []).append(tid)
+        for place in transition.preset:
+            consumers.setdefault(place, []).append(tid)
     groups: dict[tuple, list[str]] = {}
     for place in sorted(net.places):
         signature = (
-            frozenset(t.tid for t in net.producers(place)),
-            frozenset(t.tid for t in net.consumers(place)),
+            frozenset(producers.get(place, ())),
+            frozenset(consumers.get(place, ())),
             net.initial[place],
         )
         groups.setdefault(signature, []).append(place)
@@ -161,6 +174,19 @@ def merge_duplicate_places(net: PetriNet) -> PetriNet:
             and isinstance(guard, Guard)
         ):
             result.input_guards[(target, tid)] = And(existing, guard)
+    if net.bound_weights is not None:
+        # A keeper stands on every arc and token its duplicates stood on,
+        # so adding their weights to it leaves every total unchanged.
+        weights = {
+            place: weight
+            for place, weight in net.bound_weights.items()
+            if place not in drop
+        }
+        for other, keeper in drop.items():
+            weights[keeper] = weights.get(keeper, 0) + net.bound_weights.get(
+                other, 0
+            )
+        result.bound_weights = weights
     return result
 
 
@@ -236,9 +262,12 @@ def trim(net: PetriNet, max_states: int = 1_000_000) -> PetriNet:
             ever_marked = graph.marked_places()
         for tid in dead:
             result.remove_transition(tid)
-        for place in sorted(result.places):
-            if result.consumers(place) or result.producers(place):
-                continue
+        touched = {
+            place
+            for transition in result.transitions.values()
+            for place in transition.places()
+        }
+        for place in sorted(result.places - touched):
             if place not in ever_marked or result.initial[place] == 0:
                 result.remove_place(place)
         span.set(

@@ -40,7 +40,13 @@ from repro.petri.marking import Marking, Place
 from repro.petri.net import Action, PetriNet, Transition
 
 
-class DivergenceError(Exception):
+class ContractionError(ValueError):
+    """A transition Definition 4.10 cannot contract: a source or sink
+    transition (no input or output places to collapse) or, as the
+    subclass :class:`DivergenceError`, a self-loop."""
+
+
+class DivergenceError(ContractionError):
     """Hiding a self-looping transition would create unobservable livelock."""
 
 
@@ -59,7 +65,7 @@ def hide_transition(
             f"cannot hide self-looping transition {hidden!r} (divergence)"
         )
     if not hidden.preset or not hidden.postset:
-        raise ValueError(
+        raise ContractionError(
             f"cannot contract {hidden!r}: source/sink transitions have no"
             " input or output places to collapse"
         )
@@ -114,6 +120,15 @@ def _collapse(net: PetriNet, hidden: Transition) -> PetriNet:
         for (place, arc_tid), guard in net.input_guards.items()
         if arc_tid != hidden.tid
     }
+    if net.bound_weights is not None:
+        # ``w(target) <= w(source)`` (the hidden transition's own
+        # constraint), so rerouting ``source``'s arcs and tokens to
+        # ``target`` never raises a weighted total.
+        result.bound_weights = {
+            place: weight
+            for place, weight in net.bound_weights.items()
+            if place != source
+        }
     return result
 
 
@@ -199,6 +214,18 @@ def _contract(net: PetriNet, hidden: Transition) -> PetriNet:
         guard = net.input_guards.get((old_place, old_tid))
         if guard is not None:
             result.input_guards[(new_place, new_tid)] = guard
+    weights = net.bound_weights
+    if weights is not None:
+        # A row ``{p} x Q`` weighs ``|Q| w(p)``, so every kept transition
+        # weighs ``|Q|`` times its original.  A duplicate weighs what
+        # the firing of ``t`` then its original does, unless it also
+        # consumes from the hidden preset (``docs/ALGEBRA.md`` §6).
+        derived = {
+            place: len(postset) * weights.get(place, 0)
+            for place in net.places - hidden.preset
+        }
+        derived.update((name, weights.get(p, 0)) for (p, _), name in pair.items())
+        result.bound_weights = derived
     return result
 
 

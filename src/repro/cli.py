@@ -17,7 +17,7 @@ extension (see ``docs/INTEROP.md``):
 Exit codes: ``0`` success, ``1`` verification/synthesis failure,
 ``2`` usage or input errors (missing file, unparsable input,
 unrecognized extension, exceeded state bound, modules whose interfaces
-do not fit the operator).
+do not fit the operator, transitions that hiding cannot contract).
 
 ``cip verify`` and ``cip info`` accept ``--profile`` (print a span /
 counter / gauge summary on stdout, ``#``-prefixed) and
@@ -39,6 +39,7 @@ import argparse
 import os
 import sys
 
+from repro.algebra.hide import ContractionError
 from repro.obs import metrics as obs
 from repro.stg.stg import InterfaceError, Stg
 
@@ -731,7 +732,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         with _cache_context(args):
             return args.func(args)
-    except (CliError, InterfaceError) as error:
+    except (CliError, InterfaceError, ContractionError) as error:
         print(f"cip: error: {error}", file=sys.stderr)
         return 2
 

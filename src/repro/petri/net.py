@@ -95,6 +95,16 @@ class PetriNet:
         #: Guards are opaque to the base net; they are interpreted by the
         #: STG layer (:mod:`repro.stg.guards`).
         self.input_guards: dict[tuple[Place, int], object] = {}
+        #: A proposed integer weighting of the places for the token-bound
+        #: certificate of :func:`~repro.petri.compiled.compile_net`, or
+        #: ``None``.  The algebra operators derive it from their
+        #: operand's, and compilation replaces it with the weighting it
+        #: certified.  Only a hint: compilation checks it in exact
+        #: integers first, so a wrong proposal costs an LP solve, never
+        #: a wrong bound.  Not part of :meth:`content_hash`,
+        #: :meth:`structurally_equal`, any written file or any cache
+        #: key.  Replaced, never mutated in place, so copies share it.
+        self.bound_weights: Mapping[Place, int] | None = None
         self._next_tid = 0
         #: Lazily built tid-sorted transition tuple (see
         #: :meth:`sorted_transitions`); invalidated on transition mutation.
@@ -287,6 +297,7 @@ class PetriNet:
         net = PetriNet(name or self.name, self.actions, self.places, self.initial)
         net.transitions = dict(self.transitions)
         net.input_guards = dict(self.input_guards)
+        net.bound_weights = self.bound_weights
         net._next_tid = self._next_tid
         return net
 

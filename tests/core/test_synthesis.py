@@ -1,5 +1,10 @@
 """Tests for compositional synthesis (Section 5.2, Theorem 5.1)."""
 
+import json
+from pathlib import Path
+
+import pytest
+
 from repro.core.synthesis import (
     compositional_reduction,
     reduction_report,
@@ -125,3 +130,42 @@ class TestCompositionalReduction:
         assert report.original_states == 4
         assert report.reduced_states >= report.original_states  # halted tail adds states
         assert report.original_transitions == 4
+
+
+#: The pinned answers of the benchmark's requests.
+EXPECTED = Path(__file__).parents[2] / "perfbench" / "expected.json"
+
+
+class TestBoundCertificateInheritance:
+    """Each Fig 9 derivation solves the codec LP once, for the first
+    trimmed composite: every contracted and trimmed net after it
+    inherits a weighting that passes the exact check."""
+
+    @pytest.mark.parametrize(
+        "key, derive",
+        [
+            ("simplify:translator<restricted", "simplified_translator"),
+            ("simplify:receiver<fig9c-env", "simplified_receiver"),
+        ],
+    )
+    def test_one_lp_solve_per_derivation(self, monkeypatch, key, derive):
+        import scipy.optimize
+
+        from repro.models import protocol_translator
+
+        solves = []
+        linprog = scipy.optimize.linprog
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counted)
+        net = getattr(protocol_translator, derive)().net
+        assert len(solves) == 1
+        expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+        assert {
+            "places": len(net.places),
+            "transitions": len(net.transitions),
+            "labels": sorted({t.action for t in net.transitions.values()}),
+        } == expected["case-study"][key]

@@ -20,7 +20,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cache.store import activated
 from repro.models.library import four_phase_master
-from repro.petri.compiled import PackedMarkingView, compile_net
+from repro.petri.compiled import (
+    CompiledNet,
+    PackedMarkingView,
+    checked_token_bound,
+    compile_net,
+)
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
 from repro.petri.product import LazyStateSpace
@@ -171,6 +176,103 @@ class TestCodecs:
         cnet = net.compiled()
         big = Marking({"p0": 100_000})
         assert cnet.decode(cnet.encode(big)) == big
+
+
+def fig5_fig7_composite() -> PetriNet:
+    """The Fig 5/7 composite: 139 places and not token-conservative, so
+    only a weighted certificate gives it the ``bits`` codec."""
+    from repro.models.protocol_translator import sender, translator
+    from repro.stg.stg import compose
+
+    return compose(sender(), translator()).net
+
+
+def certified(net: PetriNet) -> tuple[str, CompiledNet]:
+    """Compile ``net`` and return the ``certificate`` meta of its
+    ``compile.net`` span with the compiled net."""
+    from repro.obs import metrics as obs
+
+    with obs.record() as recorder:
+        cnet = compile_net(net)
+    (span,) = [
+        s for s in recorder.to_dict()["spans"] if s["name"] == "compile.net"
+    ]
+    return span["meta"]["certificate"], cnet
+
+
+def forge(net: PetriNet, weights: dict, forgery: str) -> dict:
+    """A copy of a valid weighting broken in one way."""
+    weights = dict(weights)
+    if forgery == "violated":
+        grows = next(t for t in net.sorted_transitions() if t.produce)
+        slack = sum(weights[p] for p in grows.consume) - sum(
+            weights[p] for p in grows.produce
+        )
+        place = min(grows.produce)
+        weights[place] += slack + 1
+    elif forgery == "missing":
+        del weights[min(net.places)]
+    elif forgery == "zero":
+        weights[min(net.places)] = 0
+    elif forgery == "fractional":
+        weights[min(net.places)] += 0.5
+    return weights
+
+
+class TestBoundCertificate:
+    """``compile_net`` certifies the token bound by conservation, then by
+    the net's proposed weighting, then by the LP; a proposal counts only
+    once it passes the exact integer check."""
+
+    def test_conservation_records_unit_weights(self):
+        net = demo_net()
+        assert certified(net)[0] == "conservation"
+        assert net.bound_weights == dict.fromkeys(net.places, 1)
+
+    def test_certified_weighting_is_inherited(self):
+        net = fig5_fig7_composite()
+        kind, cnet = certified(net)
+        assert kind == "lp"
+        assert checked_token_bound(net, net.bound_weights) == cnet.token_bound
+        kind, again = certified(net.copy())
+        assert kind == "inherited"
+        assert (again.codec, again.token_bound) == ("bits", cnet.token_bound)
+
+    def test_proposal_is_not_part_of_the_identity(self):
+        net, other = fig5_fig7_composite(), fig5_fig7_composite()
+        net.compiled()
+        assert net.bound_weights is not None and other.bound_weights is None
+        assert net.content_hash() == other.content_hash()
+        assert net.structurally_equal(other)
+
+    @pytest.mark.parametrize(
+        "forgery", ["violated", "missing", "zero", "fractional"]
+    )
+    def test_forged_proposal_falls_back_to_the_lp(self, forgery):
+        reference = fig5_fig7_composite()
+        kind, expected = certified(reference)
+        assert kind == "lp"
+        net = fig5_fig7_composite()
+        net.bound_weights = forge(net, reference.bound_weights, forgery)
+        assert checked_token_bound(net, net.bound_weights) is None
+        kind, cnet = certified(net)
+        assert kind == "lp"
+        assert (cnet.codec, cnet.token_bound) == (
+            expected.codec,
+            expected.token_bound,
+        )
+        assert net.bound_weights == reference.bound_weights
+
+    def test_proposal_is_tried_only_inside_the_lp_gate(self):
+        """Below 16 places no weighted certificate is attempted, so a
+        valid proposal leaves the codec ``wide`` as before."""
+        net = PetriNet("fork")
+        net.add_transition({"p0"}, "a", {"p1", "p2"}, tid=0)
+        net.set_initial(Marking({"p0": 1}))
+        net.bound_weights = {"p0": 2, "p1": 1, "p2": 1}
+        assert checked_token_bound(net, net.bound_weights) == 2
+        kind, cnet = certified(net)
+        assert (kind, cnet.codec) == ("none", "wide")
 
 
 class TestPackedMarkingView:

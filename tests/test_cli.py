@@ -26,6 +26,23 @@ def slave_file(tmp_path):
     return str(path)
 
 
+def save_module(tmp_path, name, arcs, initial, inputs=(), outputs=()) -> str:
+    """Write the STG with transitions ``arcs`` (``(preset, label,
+    postset)`` triples, tids in order) as ``name.json``."""
+    from repro.io.json_io import save
+    from repro.petri.marking import Marking
+    from repro.petri.net import PetriNet
+    from repro.stg.stg import Stg
+
+    net = PetriNet(name)
+    for preset, label, postset in arcs:
+        net.add_transition(preset, label, postset)
+    net.set_initial(Marking(initial))
+    path = tmp_path / f"{name}.json"
+    save(Stg(net, inputs=set(inputs), outputs=set(outputs)), str(path))
+    return str(path)
+
+
 @pytest.fixture()
 def case_study_files(tmp_path):
     """The Fig 5/7 sender and translator as .json inputs (their nets
@@ -229,6 +246,66 @@ class TestFailurePaths:
         err = capsys.readouterr().err
         assert err.startswith("cip: error: cannot synthesize: more than 1000")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "arcs, message",
+        [
+            # x+ reads r: a partial self-loop, which hiding would turn
+            # into divergence.
+            (
+                [({"p", "r"}, "x+", {"q", "r"}), ({"q"}, "x-", {"p"})],
+                "cannot hide self-looping transition t0:{p,r}-x+->{q,r}"
+                " (divergence)\n",
+            ),
+            # x+ is a source transition: no input places to collapse.
+            (
+                [(set(), "x+", {"q"}), ({"q"}, "x-", {"p"})],
+                "cannot contract t0:{-}-x+->{q}: source/sink transitions"
+                " have no input or output places to collapse\n",
+            ),
+        ],
+        ids=["read-arc", "source"],
+    )
+    def test_uncontractible_hide_is_a_clean_error(
+        self, tmp_path, capsys, arcs, message
+    ):
+        path = save_module(tmp_path, "hidden", arcs, {"p": 1, "r": 1}, outputs={"x"})
+        target = tmp_path / "out.json"
+        assert main(["hide", path, "-s", "x", "-o", str(target)]) == 2
+        assert capsys.readouterr().err == f"cip: error: {message}"
+        assert not target.exists()
+
+    def test_simplify_with_private_source_is_a_clean_error(
+        self, tmp_path, capsys
+    ):
+        """The environment's private signal z starts with a source
+        transition, which the projection would have to contract."""
+        environment = save_module(
+            tmp_path,
+            "env",
+            [
+                (set(), "z+", {"e"}),
+                ({"e"}, "y+", {"f"}),
+                ({"f"}, "y-", {"g"}),
+                ({"g"}, "z-", set()),
+            ],
+            {},
+            outputs={"y", "z"},
+        )
+        target = save_module(
+            tmp_path,
+            "target",
+            [({"u"}, "y+", {"v"}), ({"v"}, "y-", {"u"})],
+            {"u": 1},
+            inputs={"y"},
+        )
+        output = tmp_path / "out.json"
+        assert main(["simplify", target, environment, "-o", str(output)]) == 2
+        assert capsys.readouterr().err == (
+            "cip: error: cannot contract t0:{-}-z+->{e}: source/sink"
+            " transitions have no input or output places to collapse\n"
+        )
+        assert not output.exists()
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     @pytest.mark.parametrize("command", ["info", "verify", "bench", "stategraph"])
