@@ -242,9 +242,18 @@ def hide(
     the alphabet.  ``max_steps`` guards against pathological growth when
     same-label transitions are chained (each contraction can duplicate
     successors, which may themselves carry a hidden label).
+
+    Before every contraction but the first, places with identical
+    producers, consumers and initial marking are merged
+    (:func:`~repro.algebra.dead.merge_duplicate_places`): each
+    contraction multiplies product places, and without the merge a
+    signal with a few dozen transitions grows the net by orders of
+    magnitude.  A single contraction still returns Definition 4.10's
+    construction as is.
     """
     labels = {actions} if isinstance(actions, str) else set(actions)
     with obs.span("algebra.hide", net=net.name, labels=sorted(labels)) as span:
+        from repro.algebra.dead import merge_duplicate_places
         from repro.cache import derived
 
         cached = derived.lookup(
@@ -253,6 +262,7 @@ def hide(
             labels=sorted(labels),
             fast_path=bool(fast_path),
             max_steps=max_steps,
+            merge_duplicates=True,
         )
         if cached is not None:
             span.set(
@@ -265,6 +275,7 @@ def hide(
             return cached
         result = net.copy()
         steps = 0
+        contracted = False
         while True:
             candidates = [
                 t
@@ -286,7 +297,12 @@ def hide(
                 # contracting one direction of an internal up/down pair.
                 result.remove_transition(target.tid)
                 continue
+            if contracted:
+                # Merged places share producers and consumers, so the
+                # merge never turns the target into a self-loop.
+                result = merge_duplicate_places(result)
             result = hide_transition(result, target.tid, fast_path=fast_path)
+            contracted = True
         result.actions -= labels
         result.name = f"hide({net.name})"
         obs.count("algebra.hide.contractions", steps)
@@ -304,6 +320,7 @@ def hide(
             labels=sorted(labels),
             fast_path=bool(fast_path),
             max_steps=max_steps,
+            merge_duplicates=True,
         )
         return result
 

@@ -92,11 +92,8 @@ def fuse_series_places(net: PetriNet) -> PetriNet:
         for tid, transition in sorted(result.transitions.items()):
             if transition.action != EPSILON:
                 continue
-            if (
-                len(transition.preset) == 1
-                and len(transition.postset) == 1
-                and not transition.is_self_looping()
-                and _collapsible(result, transition)
+            if not transition.is_self_looping() and _collapsible(
+                result, transition
             ):
                 result = hide_transition(result, tid)
                 changed = True

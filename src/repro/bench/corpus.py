@@ -167,49 +167,19 @@ def discover(directory: str | Path) -> list[Path]:
     return found
 
 
-def explore_cell(
-    net: PetriNet,
-    engine: str,
-    max_states: int,
-    workers: int = 1,
-    memory_budget: int | None = None,
-) -> CellResult:
+def explore_cell(net: PetriNet, engine: str, max_states: int) -> CellResult:
     """Run one engine over ``net``.
 
     State, edge and deadlock counts are all derived through each
     engine's *public* marking-domain API, so the comparison covers the
     decoding at every engine's API boundary, not just the packed core.
-
-    ``workers`` > 1 (or a ``memory_budget``) routes the ``eager`` and
-    ``onthefly`` cells through the sharded parallel explorer
-    (:mod:`repro.petri.parallel`); ``por`` stays serial (partial-order
-    reduction is order-sensitive: its DFS-stack proviso and sleep sets
-    assume one sequential search order), which keeps the matrix an
-    honest parallel-vs-serial differential.  The parallel explorer performs no
-    covering-based unboundedness detection, so on genuinely unbounded
-    nets its cells report ``"bound-exceeded"`` where a serial run would
-    report ``"unbounded"`` — consistent across all parallel cells of a
-    sweep, hence still a clean diff within one run.
     """
     if engine == "symbolic":
-        return symbolic_cell(net, workers=workers)
-    parallel = (workers > 1 or memory_budget is not None) and engine != "por"
+        return symbolic_cell(net)
     fired: frozenset[str] | None = None
-    with obs.span("bench.cell", engine=engine, workers=workers) as handle:
+    with obs.span("bench.cell", engine=engine) as handle:
         try:
-            if parallel:
-                from repro.petri.parallel import parallel_explore
-
-                result = parallel_explore(
-                    net,
-                    workers=workers,
-                    max_states=max_states,
-                    memory_budget=memory_budget,
-                )
-                states = result.states
-                edges = result.edges
-                deadlocks = result.deadlock_set()
-            elif engine == "eager":
+            if engine == "eager":
                 graph = ReachabilityGraph(net, max_states=max_states)
                 states = graph.num_states()
                 edges = graph.num_edges()
@@ -254,7 +224,7 @@ def explore_cell(
     return cell
 
 
-def symbolic_cell(net: PetriNet, workers: int = 1) -> CellResult:
+def symbolic_cell(net: PetriNet) -> CellResult:
     """The single non-enumerating matrix cell of an instance.
 
     Runs :func:`repro.petri.symbolic.analyze`: outcome ``"ok"`` when
@@ -266,7 +236,7 @@ def symbolic_cell(net: PetriNet, workers: int = 1) -> CellResult:
     """
     from repro.petri.symbolic import analyze
 
-    with obs.span("bench.cell", engine="symbolic", workers=workers) as handle:
+    with obs.span("bench.cell", engine="symbolic") as handle:
         result = analyze(net)
         conclusive = result["bounded"].conclusive
         cell = CellResult(
@@ -366,7 +336,7 @@ def _cell_from_record(record: dict) -> CellResult:
 
 
 def _served_cells(
-    key: str, engines: tuple[str, ...], max_states: int, workers: int
+    key: str, engines: tuple[str, ...], max_states: int
 ) -> list[CellResult] | None:
     """The instance's cells from its verdict entry, re-reported span by
     span, or ``None`` when the entry is missing, unusable at
@@ -381,7 +351,7 @@ def _served_cells(
     if tuple(cell.engine for cell in cells) != tuple(engines):
         return None
     for cell in cells:
-        with obs.span("bench.cell", engine=cell.engine, workers=workers) as handle:
+        with obs.span("bench.cell", engine=cell.engine) as handle:
             _report_cell(handle, cell)
     return cells
 
@@ -534,17 +504,12 @@ def run_instance(
     path: str | Path,
     engines: tuple[str, ...] = ENGINES,
     max_states: int = 200_000,
-    workers: int = 1,
-    memory_budget: int | None = None,
     stg=None,
 ) -> InstanceResult:
     """Sweep one net file through the full matrix.
 
     Returns the per-cell results, any disagreements, and one validated
-    ``repro.obs/v1`` payload covering the whole instance.  The worker
-    count rides along in the payload (``bench.workers`` gauge and the
-    instance span's ``workers`` meta) so archived sweeps stay
-    attributable to their execution mode.
+    ``repro.obs/v1`` payload covering the whole instance.
 
     ``stg`` accepts an already-parsed module for ``path`` so sweeps
     that need the net elsewhere too (:func:`run_corpus` and its algebra
@@ -552,7 +517,7 @@ def run_instance(
     compiled form once, up front, and every enumerating cell shares
     that single lowering.
 
-    With an artifact store active, a serial instance is one verdict
+    With an artifact store active, an instance is one verdict
     entry (check ``bench``), keyed by the net's content hash, the
     engine tuple and the por proviso, under the budget rule of
     :mod:`repro.cache.verdicts`.  A hit re-reports every cell without
@@ -569,7 +534,7 @@ def run_instance(
             raise CorpusError(f"cannot parse {path}: {error}") from None
     net = stg.net
     key = None
-    if workers == 1 and memory_budget is None and verdicts.memo_enabled(net):
+    if verdicts.memo_enabled(net):
         from repro.petri.product import DEFAULT_PROVISO
 
         key = verdicts.semantic_key(
@@ -579,29 +544,19 @@ def run_instance(
             DEFAULT_PROVISO,
         )
     with obs.record() as recorder:
-        with obs.span(
-            "bench.instance", net=net.name, file=path.name, workers=workers
-        ):
+        with obs.span("bench.instance", net=net.name, file=path.name):
             cells = None
             if key is not None:
-                cells = _served_cells(key, engines, max_states, workers)
+                cells = _served_cells(key, engines, max_states)
             if cells is None:
                 if any(engine != "symbolic" for engine in engines):
                     net.compiled()
                 cells = [
-                    explore_cell(
-                        net,
-                        engine,
-                        max_states,
-                        workers=workers,
-                        memory_budget=memory_budget,
-                    )
-                    for engine in engines
+                    explore_cell(net, engine, max_states) for engine in engines
                 ]
                 if key is not None:
                     _publish_cells(key, cells, max_states)
             obs.count("bench.cells", len(cells))
-            obs.gauge("bench.workers", workers)
     payload = recorder.to_dict()
     validate_metrics(payload)
     return InstanceResult(
@@ -620,8 +575,6 @@ def run_corpus(
     out_dir: str | Path | None = None,
     check_laws: bool = False,
     progress=None,
-    workers: int = 1,
-    memory_budget: int | None = None,
 ) -> CorpusReport:
     """Sweep every net in ``paths`` (files, or a directory to discover).
 
@@ -629,8 +582,6 @@ def run_corpus(
     an ``INDEX.json`` manifest are written there.  With ``check_laws``,
     the algebra-law fuzz layer runs over all parsed nets afterwards.
     ``progress`` is an optional one-line-per-instance callback.
-    ``workers``/``memory_budget`` select parallel/spill exploration per
-    cell — see :func:`explore_cell`.
     """
     if isinstance(paths, (str, Path)):
         paths = discover(paths)
@@ -646,14 +597,7 @@ def run_corpus(
             raise CorpusError(f"no such file: {path}") from None
         except (ValueError, KeyError) as error:
             raise CorpusError(f"cannot parse {path}: {error}") from None
-        instance = run_instance(
-            path,
-            engines,
-            max_states,
-            workers=workers,
-            memory_budget=memory_budget,
-            stg=stg,
-        )
+        instance = run_instance(path, engines, max_states, stg=stg)
         report.instances.append(instance)
         if check_laws:
             nets.append((instance.name, stg.net))

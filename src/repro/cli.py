@@ -125,7 +125,6 @@ def cmd_info(args: argparse.Namespace) -> int:
     from repro.petri.reachability import UnboundedNetError
 
     stg = _load(args.file)
-    workers, memory_budget = _resolve_parallel(args)
 
     def body() -> int:
         stg.validate()
@@ -143,12 +142,7 @@ def cmd_info(args: argparse.Namespace) -> int:
             print(f"class    : {classify(stg.net).most_specific()}")
         try:
             with obs.span("cli.info.behaviour", net=stg.name):
-                behaviour = analyze(
-                    stg.net,
-                    max_states=args.max_states,
-                    workers=workers,
-                    memory_budget=memory_budget,
-                )
+                behaviour = analyze(stg.net, max_states=args.max_states)
         except UnboundedNetError as error:
             print(f"behaviour: UNBOUNDED ({error})")
         else:
@@ -255,22 +249,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     first = _load(args.first)
     second = _load(args.second)
-    workers, memory_budget = _resolve_parallel(args)
-    if (workers > 1 or memory_budget is not None) and args.engine == "por":
+    workers = _resolve_parallel(args)
+    parallel = workers is not None and workers > 1
+    if parallel and args.engine == "por":
         raise CliError(
-            "--engine por does not compose with --parallel/--memory-budget"
+            "--engine por does not compose with --parallel"
             " (partial-order reduction is inherently order-sensitive: the"
             " DFS-stack proviso and sleep sets need one sequential search"
-            " order); drop --parallel/--memory-budget to run por serially,"
-            " or keep them with --engine eager or onthefly"
+            " order); drop --parallel to run por serially, or keep it"
+            " with --engine eager or onthefly"
         )
-    if (workers > 1 or memory_budget is not None) and args.engine == "symbolic":
+    if parallel and args.engine == "symbolic":
         raise CliError(
-            "--engine symbolic does not compose with"
-            " --parallel/--memory-budget (the state-equation engine"
-            " explores no states, and its inconclusive fallback is the"
-            " serial on-the-fly search); drop --parallel/--memory-budget,"
-            " or keep them with --engine eager or onthefly"
+            "--engine symbolic does not compose with --parallel (the"
+            " state-equation engine explores no states, and its"
+            " inconclusive fallback is the serial on-the-fly search);"
+            " drop --parallel, or keep it with --engine eager or onthefly"
         )
     if args.proviso is not None and args.engine != "por":
         raise CliError(
@@ -287,7 +281,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 max_states=args.max_states,
                 engine=args.engine,
                 workers=workers,
-                memory_budget=memory_budget,
                 proviso=args.proviso,
             )
         except UnboundedNetError as error:
@@ -301,14 +294,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"# states explored: {report.states_explored}"
                 f" ({report.engine})"
             )
-        if workers > 1 or memory_budget is not None:
-            budget = (
-                "default" if memory_budget is None else str(memory_budget)
-            )
-            print(
-                f"# parallel       : {workers} worker(s),"
-                f" memory budget {budget}"
-            )
+        if parallel:
+            print(f"# parallel       : {workers} worker(s)")
         if report.engine == "por" and report.states_explored is not None:
             _print_por_summary(report, args.max_states)
         if report.symbolic is not None:
@@ -428,7 +415,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return chosen
 
     engines = parse_csv(args.engines, ENGINES, "engine")
-    workers, memory_budget = _resolve_parallel(args)
 
     def progress(instance) -> None:
         status = "ok" if instance.ok else "DISAGREE"
@@ -446,8 +432,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             out_dir=args.out,
             check_laws=args.laws,
             progress=progress,
-            workers=workers,
-            memory_budget=memory_budget,
         )
     except CorpusError as error:
         raise CliError(str(error)) from None
@@ -475,51 +459,24 @@ def _add_trim_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--parallel",
-        metavar="N",
-        default=None,
-        help="shard the exploration across N worker processes"
-        " (hash-partitioned visited sets, batched cross-shard"
-        " exchange); verdicts and state/edge counts are identical to"
-        " the serial engines, and N=1 degrades to the serial loop —"
-        " see docs/PERFORMANCE.md",
-    )
-    parser.add_argument(
-        "--memory-budget",
-        metavar="BYTES[K|M|G]",
-        default=None,
-        help="in-memory byte budget for the visited set(s); past it"
-        " shards spill to an on-disk SQLite table, so huge spaces stop"
-        " being memory-bound (accepts binary suffixes, e.g. 64M)",
-    )
+def _resolve_parallel(args: argparse.Namespace) -> int | None:
+    """Validate ``--parallel`` into a worker count (``None`` when the
+    flag is absent), raising a one-line :class:`CliError` (exit 2) on
+    anything malformed."""
+    if args.parallel is None:
+        return None
+    from repro.petri.parallel import MAX_WORKERS
 
-
-def _resolve_parallel(args: argparse.Namespace) -> tuple[int, int | None]:
-    """Validate ``--parallel`` / ``--memory-budget`` into
-    ``(workers, memory_budget)``, raising a one-line :class:`CliError`
-    (exit 2) on anything malformed."""
-    from repro.petri.parallel import MAX_WORKERS, parse_memory_budget
-
-    workers = 1
-    if args.parallel is not None:
-        try:
-            workers = int(args.parallel)
-        except ValueError:
-            workers = -1
-        if not 1 <= workers <= MAX_WORKERS:
-            raise CliError(
-                f"invalid --parallel value {args.parallel!r}: expected an"
-                f" integer between 1 and {MAX_WORKERS}"
-            )
-    memory_budget = None
-    if args.memory_budget is not None:
-        try:
-            memory_budget = parse_memory_budget(args.memory_budget)
-        except ValueError as error:
-            raise CliError(f"invalid --memory-budget value: {error}") from None
-    return workers, memory_budget
+    try:
+        workers = int(args.parallel)
+    except ValueError:
+        workers = -1
+    if not 1 <= workers <= MAX_WORKERS:
+        raise CliError(
+            f"invalid --parallel value {args.parallel!r}: expected an"
+            f" integer between 1 and {MAX_WORKERS}"
+        )
+    return workers
 
 
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
@@ -585,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser("info", help="net statistics and properties")
     info.add_argument("file")
     info.add_argument("--max-states", type=int, default=1_000_000)
-    _add_parallel_flags(info)
     _add_profile_flags(info)
     _add_cache_flags(info)
     info.set_defaults(func=cmd_info)
@@ -643,7 +599,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort (exit 2) when the composite state space exceeds"
         " this many markings",
     )
-    _add_parallel_flags(verify)
+    verify.add_argument(
+        "--parallel",
+        metavar="N",
+        default=None,
+        help="shard the exploration across N worker processes"
+        " (hash-partitioned visited sets, batched cross-shard"
+        " exchange); verdicts and state counts are identical to the"
+        " serial engines, and N=1 runs them — see docs/PERFORMANCE.md",
+    )
     _add_profile_flags(verify)
     _add_cache_flags(verify)
     verify.set_defaults(func=cmd_verify)
@@ -716,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay the algebra laws (Thms 4.5/4.7, Prop 4.6) on the"
         " parsed corpus nets",
     )
-    _add_parallel_flags(bench)
     _add_cache_flags(bench)
     bench.set_defaults(func=cmd_bench)
     return parser

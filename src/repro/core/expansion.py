@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.algebra._util import fresh_place
+from repro.algebra.reductions import fuse_series_places
 from repro.core.channels import (
     Encoding,
     is_channel_action,
@@ -83,33 +84,6 @@ def expand_transition(net: PetriNet, tid: int, stages: Sequence[Stage]) -> Petri
                 current = old.postset
             else:
                 current = frozenset(exits)
-    return result
-
-
-def _squash_epsilon_forks(net: PetriNet) -> PetriNet:
-    """Remove removable epsilon transitions introduced by expansion.
-
-    An epsilon transition whose single input place has no other consumer
-    and is produced only by one transition can be contracted (the
-    Section 4.4 fast path applied to dummies); the general eps forks
-    before concurrent stages are merged into their predecessor when the
-    predecessor is this epsilon's only producer.
-    """
-    from repro.algebra.hide import _collapsible, hide_transition
-
-    changed = True
-    result = net
-    while changed:
-        changed = False
-        for tid, transition in sorted(result.transitions.items()):
-            if transition.action != EPSILON:
-                continue
-            if transition.is_self_looping():
-                continue
-            if len(transition.preset) == 1 and _collapsible(result, transition):
-                result = hide_transition(result, tid)
-                changed = True
-                break
     return result
 
 
@@ -328,7 +302,7 @@ def expand_module(
         for group in groups.values():
             net = _expand_receiver_group(net, group, codes, ack, protocol)
     if squash:
-        net = _squash_epsilon_forks(net)
+        net = fuse_series_places(net)
     if role == "sender":
         inputs = stg.inputs | {ack}
         outputs = stg.outputs | set(all_wires)

@@ -47,78 +47,52 @@ class NetProperties:
         return ", ".join(flags)
 
 
-def analyze(
-    net: PetriNet,
-    max_states: int = 1_000_000,
-    workers: int | None = None,
-    memory_budget: int | None = None,
-) -> NetProperties:
+def analyze(net: PetriNet, max_states: int = 1_000_000) -> NetProperties:
     """Compute the behavioural property summary of a bounded net.
 
     Raises :class:`UnboundedNetError` when the net is detected to be
     unbounded (use :mod:`repro.petri.coverability` to analyse those).
 
-    ``workers`` > 1 (or a ``memory_budget``) builds the graph with the
-    sharded parallel explorer of :mod:`repro.petri.parallel` — with
-    identical results, minus covering-based unboundedness detection (the
-    budget abort still applies).
-
-    When an artifact store is active (:mod:`repro.cache`) and the run
-    is serial, the summary is memoized by net content hash under the
-    budget-monotonicity rule: a summary computed at ``S <= B`` states
-    is served for any budget ``>= S``, a proven-unbounded outcome for
-    any budget ``>=`` the proving one, and a budget abort only at
-    exactly the recorded budget.  Parallel runs bypass the memo (their
-    abort behaviour legitimately differs: no covering detection).
+    When an artifact store is active (:mod:`repro.cache`), the summary
+    is memoized by net content hash under the budget-monotonicity rule:
+    a summary computed at ``S <= B`` states is served for any budget
+    ``>= S``, a proven-unbounded outcome for any budget ``>=`` the
+    proving one, and a budget abort only at exactly the recorded budget.
     """
-    parallel = (workers is not None and workers > 1) or memory_budget is not None
+    from repro.cache import verdicts
+
     cache_key: str | None = None
-    if not parallel:
-        from repro.cache import verdicts
-
-        if verdicts.memo_enabled(net):
-            cache_key = verdicts.semantic_key(
-                "analyze", verdicts.net_content_hash(net)
-            )
-            entry = verdicts.memo_lookup(
-                verdicts.KIND, cache_key, max_states=max_states
-            )
-            if entry is not None:
-                restored = _restore_analyze(entry, max_states)
-                if restored is not None:
-                    return restored
-    if parallel:
-        from repro.petri.parallel import parallel_reachability_graph
-
-        graph = parallel_reachability_graph(
-            net,
-            workers=workers,
-            max_states=max_states,
-            memory_budget=memory_budget,
+    if verdicts.memo_enabled(net):
+        cache_key = verdicts.semantic_key(
+            "analyze", verdicts.net_content_hash(net)
         )
-    else:
-        try:
-            graph = ReachabilityGraph(net, max_states=max_states)
-        except UnboundedNetError as error:
-            if cache_key is not None:
-                from repro.cache import verdicts
-
-                proven = error.bound is None
-                verdicts.memo_store(
-                    verdicts.KIND,
-                    cache_key,
-                    {
-                        "kind": "unbounded" if proven else "budget",
-                        "message": str(error),
-                        "witness": verdicts.marking_items(error.witness),
-                        "frontier": verdicts.marking_items(error.frontier),
-                    },
-                    conclusive=proven,
-                    floor=max_states,
-                    proven_at=max_states,
-                    provenance={"engine": "eager", "workers": 1},
-                )
-            raise
+        entry = verdicts.memo_lookup(
+            verdicts.KIND, cache_key, max_states=max_states
+        )
+        if entry is not None:
+            restored = _restore_analyze(entry, max_states)
+            if restored is not None:
+                return restored
+    try:
+        graph = ReachabilityGraph(net, max_states=max_states)
+    except UnboundedNetError as error:
+        if cache_key is not None:
+            proven = error.bound is None
+            verdicts.memo_store(
+                verdicts.KIND,
+                cache_key,
+                {
+                    "kind": "unbounded" if proven else "budget",
+                    "message": str(error),
+                    "witness": verdicts.marking_items(error.witness),
+                    "frontier": verdicts.marking_items(error.frontier),
+                },
+                conclusive=proven,
+                floor=max_states,
+                proven_at=max_states,
+                provenance={"engine": "eager", "workers": 1},
+            )
+        raise
     properties = NetProperties(
         bounded=True,
         bound=graph.bound(),
@@ -130,8 +104,6 @@ def analyze(
         dead_transition_ids=tuple(t.tid for t in graph.dead_transitions()),
     )
     if cache_key is not None:
-        from repro.cache import verdicts
-
         verdicts.memo_store(
             verdicts.KIND,
             cache_key,

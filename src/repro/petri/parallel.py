@@ -1,16 +1,16 @@
-"""Sharded parallel state-space exploration with spill-to-disk visited sets.
+"""Sharded parallel state-space exploration.
 
 The compiled core (:mod:`repro.petri.compiled`) made states cheap to
 hash, compare and *ship across process boundaries*: a packed marking is
 one int (a tuple of counts under the ``wide`` codec) with no
-interpreter state attached.  This module cashes that in.  The reachable
+interpreter state attached.  This module cashes that in for the
+receptiveness verdict of ``cip verify --parallel N``.  The reachable
 state space is partitioned by a stable hash of the packed state's bytes
 key: worker ``i`` of ``N`` *owns* every state with
-``crc32(key) % N == i``, keeps that shard's visited
-set (a :class:`~repro.petri.visited.VisitedStore`, so shards spill to
-disk past a byte budget), and expands only states it owns.  Successors
-that hash to another shard are buffered per destination and exchanged
-in batches over ``multiprocessing`` queues.
+``crc32(key) % N == i``, keeps that shard's visited set (a plain
+in-memory ``set`` of keys), and expands only states it owns.
+Successors that hash to another shard are buffered per destination and
+exchanged in batches over ``multiprocessing`` queues.
 
 Determinism guarantees (see ``docs/PERFORMANCE.md`` §6):
 
@@ -26,8 +26,7 @@ Determinism guarantees (see ``docs/PERFORMANCE.md`` §6):
   minimum packed state over all matches — again schedule-independent.
 * **``workers=1`` degrades to serial.**  A single worker runs the
   sharded loop in-process (no subprocesses, no queues) in exactly the
-  serial engines' BFS discovery order, still through the spillable
-  visited store — this is the ``--memory-budget``-only path.
+  serial engines' BFS discovery order.
 
 Termination uses the two-wave counting protocol (Mattern's
 double-counting): the coordinator repeatedly probes all workers; each
@@ -46,7 +45,7 @@ The explorer picks a **1-safe bitmask kernel** whenever the compiled
 net is eligible (``bits`` codec, no place starting with more than one
 token): a state is one bit per place, enabledness one mask compare and
 firing two bitwise ops, with no enabled-set bookkeeping at all.  States
-it reports (deadlocks, failure witnesses, edge logs) are spread into
+it reports (deadlocks, failure witnesses) are spread into
 the core's ``field_bits``-wide encoding through a per-byte table.
 Eligibility is optimistic: every firing checks that no produced place
 is already marked (arcs are structurally unit-weight, so that test is
@@ -69,6 +68,7 @@ Deliberate non-goals, documented rather than approximated:
 from __future__ import annotations
 
 import queue as queue_mod
+import struct
 import time
 import zlib
 from collections import deque
@@ -76,11 +76,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs import metrics as obs
-from repro.petri.compiled import CompiledNet, PackedState
+from repro.petri.compiled import CompiledNet
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
-from repro.petri.reachability import ReachabilityGraph, UnboundedNetError
-from repro.petri.visited import VisitedStore, pack_wide_key
+from repro.petri.reachability import UnboundedNetError
 
 #: Hard cap on worker processes; above this the exchange fan-out
 #: dominates any machine we target.
@@ -101,8 +100,6 @@ _IDLE_POLL = 0.02
 #: Coordinator pause between probe waves while workers are busy.
 _WAVE_PAUSE = 0.005
 
-_SUFFIXES = {"k": 1024, "m": 1024**2, "g": 1024**3}
-
 
 def resolve_workers(workers: int | None) -> int:
     """Validate a worker count, mapping ``None`` to 1 (serial)."""
@@ -118,25 +115,13 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def parse_memory_budget(text: str) -> int:
-    """Parse a byte budget: a non-negative integer with an optional
-    ``K``/``M``/``G`` binary suffix (``64M`` == 64 MiB).  Raises
-    ``ValueError`` on anything else."""
-    raw = text.strip()
-    multiplier = 1
-    if raw and raw[-1].lower() in _SUFFIXES:
-        multiplier = _SUFFIXES[raw[-1].lower()]
-        raw = raw[:-1]
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"invalid memory budget {text!r}; expected BYTES with an"
-            " optional K/M/G suffix (e.g. 64M)"
-        ) from None
-    if value < 0:
-        raise ValueError(f"memory budget must be >= 0, got {text!r}")
-    return value * multiplier
+def pack_wide_key(state: "tuple[int, ...]") -> bytes:
+    """A canonical bytes key for a wide (tuple) packed state.
+
+    Little-endian signed 64-bit per place: injective, order-preserving
+    per component, and cheap (one ``struct.pack`` call).
+    """
+    return struct.pack(f"<{len(state)}q", *state)
 
 
 def _shard_of(key: bytes, nworkers: int) -> int:
@@ -149,7 +134,7 @@ def _shard_of(key: bytes, nworkers: int) -> int:
 #
 # A kernel is the per-worker exploration core: it rebuilds from a plain
 # picklable spec, expands one node at a time, and maps nodes to stable
-# bytes keys (for sharding and the visited store) and wire forms (for
+# bytes keys (for sharding and the visited set) and wire forms (for
 # cross-shard batches).  The general kernel runs over the packed states
 # of the compiled net; the bitmask kernel is a 1-safe fast path over the
 # same arrays that the explorer selects automatically and abandons — by
@@ -252,16 +237,15 @@ class _BitmaskKernel:
                 state |= spread[byte] << (position * stride)
         return state
 
-    def expand(self, node):
+    def expand(self, node) -> list:
+        """One child per enabled transition, in dense-index order."""
         children = []
-        count = 0
         for dense, pre_mask, consume_mask, produce_mask in self.trans:
             if node & pre_mask == pre_mask:
-                count += 1
                 if node & produce_mask:
                     raise _BitmaskOverflow(dense)
-                children.append((dense, (node ^ consume_mask) | produce_mask))
-        return count, children
+                children.append((node ^ consume_mask) | produce_mask)
+        return children
 
     def failing_obligations(self, node):
         if not self.obligations:
@@ -348,9 +332,8 @@ class _PackedKernel:
     def state_of_node(self, node):
         return node[0]
 
-    def expand(self, node):
-        """``(edge_count, [(label_index, child_node), ...])`` — one edge
-        per enabled transition, children in dense-index order."""
+    def expand(self, node) -> list:
+        """One child per enabled transition, in dense-index order."""
         state, deficits, enabled = node
         successor = self.cnet.successor
         children = []
@@ -358,8 +341,8 @@ class _PackedKernel:
             child, child_deficits, child_enabled, _ = successor(
                 state, deficits, enabled, dense
             )
-            children.append((dense, (child, child_deficits, child_enabled)))
-        return len(enabled), children
+            children.append((child, child_deficits, child_enabled))
+        return children
 
     def failing_obligations(self, node):
         if not self.obligations:
@@ -389,7 +372,7 @@ def _build_kernel(kind: str, spec):
 
 
 class _Shard:
-    """One shard's state: visited store, frontier, counters, results.
+    """One shard's state: visited set, frontier, counters, results.
 
     Used identically by subprocess workers and the in-process
     ``workers=1`` path, so both report the same numbers the same way.
@@ -401,37 +384,26 @@ class _Shard:
         "nworkers",
         "visited",
         "frontier",
-        "collect_edges",
         "states",
         "edges",
         "frontier_peak",
         "deadlocks",
         "failing",
-        "edge_log",
         "cross_sent_states",
     )
 
-    def __init__(
-        self,
-        kernel,
-        worker_id: int,
-        nworkers: int,
-        memory_budget: int | None,
-        collect_edges: bool,
-    ):
+    def __init__(self, kernel, worker_id: int, nworkers: int):
         self.kernel = kernel
         self.worker_id = worker_id
         self.nworkers = nworkers
-        self.visited = VisitedStore(memory_budget)
+        self.visited: set[bytes] = set()
         self.frontier: deque = deque()
-        self.collect_edges = collect_edges
         self.states = 0
         self.edges = 0
         self.frontier_peak = 0
         self.deadlocks: list = []
         #: obligation index -> (min key, state) over this shard.
         self.failing: dict[int, tuple[bytes, Any]] = {}
-        self.edge_log: list = []
         self.cross_sent_states = 0
 
     def accept(self, node, key: bytes | None = None) -> bool:
@@ -440,8 +412,9 @@ class _Shard:
         kernel = self.kernel
         if key is None:
             key = kernel.key_of_node(node)
-        if not self.visited.add(key):
+        if key in self.visited:
             return False
+        self.visited.add(key)
         self.states += 1
         for index in kernel.failing_obligations(node):
             best = self.failing.get(index)
@@ -455,19 +428,14 @@ class _Shard:
     def expand(self, node, out_buffers) -> None:
         """Expand one owned node; route children to their shards."""
         kernel = self.kernel
-        count, children = kernel.expand(node)
-        self.edges += count
-        if not count:
+        children = kernel.expand(node)
+        self.edges += len(children)
+        if not children:
             self.deadlocks.append(kernel.state_of_node(node))
             return
-        log = self.edge_log if self.collect_edges else None
-        if log is not None:
-            source = kernel.state_of_node(node)
         nworkers = self.nworkers
         me = self.worker_id
-        for label, child in children:
-            if log is not None:
-                log.append((source, label, kernel.state_of_node(child)))
+        for child in children:
             if nworkers == 1:
                 self.accept(child)
                 continue
@@ -480,8 +448,7 @@ class _Shard:
                 self.cross_sent_states += 1
 
     def report(self) -> dict[str, Any]:
-        visited = self.visited
-        payload = {
+        return {
             "worker": self.worker_id,
             "states": self.states,
             "edges": self.edges,
@@ -489,13 +456,7 @@ class _Shard:
             "deadlocks": self.deadlocks,
             "failing": self.failing,
             "cross_sent_states": self.cross_sent_states,
-            "visited_keys": len(visited),
-            "visited_memory_keys": visited.memory_keys,
-            "spill_count": visited.spill_count,
-            "spilled_keys": visited.spilled_keys,
-            "edge_log": self.edge_log if self.collect_edges else None,
         }
-        return payload
 
 
 def _worker_main(
@@ -506,15 +467,13 @@ def _worker_main(
     obligations,
     inboxes,
     report_queue,
-    memory_budget: int | None,
-    collect_edges: bool,
 ) -> None:
     """Subprocess body: drain inbox, expand owned frontier in chunks,
     exchange batches, answer the coordinator's termination probes."""
     try:
         kernel = _build_kernel(kind, spec)
         kernel.load_obligations(obligations)
-        shard = _Shard(kernel, worker_id, nworkers, memory_budget, collect_edges)
+        shard = _Shard(kernel, worker_id, nworkers)
         inbox = inboxes[worker_id]
         out_buffers: list[list] = [[] for _ in range(nworkers)]
         sent_batches = 0
@@ -599,7 +558,6 @@ def _worker_main(
         payload["batches_received"] = recv_batches
         payload["batch_flush_seconds"] = batches_flush_seconds
         payload["batch_flush_max_seconds"] = batch_flush_max
-        shard.visited.close()
         report_queue.put(("done", worker_id, payload))
     except _BitmaskOverflow:
         # Not 1-safe after all: tell the coordinator to restart the
@@ -631,7 +589,6 @@ class ParallelExploration:
     failing: dict[int, Marking] = field(default_factory=dict)
     frontier_peak: int = 0
     worker_reports: list[dict] = field(default_factory=list)
-    edge_log: list | None = None
 
     def deadlock_set(self) -> frozenset[Marking]:
         return frozenset(self.deadlocks)
@@ -662,31 +619,22 @@ def _lower_obligations(obligations, cnet: CompiledNet):
     ]
 
 
-def _run_single(
-    kernel, memory_budget, collect_edges, max_states, net
-) -> dict[str, Any]:
+def _run_single(kernel, max_states, net) -> dict[str, Any]:
     """The ``workers=1`` degenerate case: the same shard loop run
     in-process, in exactly the serial engines' BFS discovery order."""
-    shard = _Shard(kernel, 0, 1, memory_budget, collect_edges)
+    shard = _Shard(kernel, 0, 1)
     shard.accept(kernel.node_of_wire(kernel.seed_wire()))
-    try:
-        while shard.frontier:
-            if shard.states > max_states:
-                shard.visited.close()
-                raise _budget_error(net, max_states)
-            shard.expand(shard.frontier.popleft(), None)
-    except _BitmaskOverflow:
-        shard.visited.close()
-        raise
+    while shard.frontier:
+        if shard.states > max_states:
+            raise _budget_error(net, max_states)
+        shard.expand(shard.frontier.popleft(), None)
     if shard.states > max_states:
-        shard.visited.close()
         raise _budget_error(net, max_states)
     payload = shard.report()
     payload["batches_sent"] = 0
     payload["batches_received"] = 0
     payload["batch_flush_seconds"] = 0.0
     payload["batch_flush_max_seconds"] = 0.0
-    shard.visited.close()
     return payload
 
 
@@ -706,8 +654,6 @@ def _run_sharded(
     spec,
     obligations,
     nworkers: int,
-    memory_budget: int | None,
-    collect_edges: bool,
     max_states: int,
     net: PetriNet,
     seed_wire,
@@ -717,9 +663,6 @@ def _run_sharded(
     two-wave counting termination protocol, enforce the global state
     budget, collect final per-worker reports."""
     ctx = _multiprocessing_context()
-    per_worker_budget = (
-        None if memory_budget is None else memory_budget // nworkers
-    )
     inboxes = [ctx.Queue() for _ in range(nworkers)]
     report_queue = ctx.Queue()
     processes = [
@@ -733,8 +676,6 @@ def _run_sharded(
                 obligations,
                 inboxes,
                 report_queue,
-                per_worker_budget,
-                collect_edges,
             ),
             daemon=True,
         )
@@ -848,8 +789,8 @@ def _run_sharded(
 
 def _publish_metrics(result: ParallelExploration) -> None:
     """Merge the per-worker shard metrics into the active recorders
-    (``repro.obs/v1`` payload): shard sizes, exchange volume, batch
-    flush latencies and spill counts — see ``docs/OBSERVABILITY.md``."""
+    (``repro.obs/v1`` payload): shard sizes, exchange volume and batch
+    flush latencies — see ``docs/OBSERVABILITY.md``."""
     if not obs.active():
         return
     obs.gauge("parallel.workers", result.workers)
@@ -869,13 +810,9 @@ def _publish_metrics(result: ParallelExploration) -> None:
             f"{prefix}.batch_flush_ms",
             round(report["batch_flush_seconds"] * 1e3, 3),
         )
-        obs.gauge(f"{prefix}.spill_count", report["spill_count"])
-        obs.gauge(f"{prefix}.spilled_keys", report["spilled_keys"])
         total_batches += report["batches_sent"]
         flush_max = max(flush_max, report["batch_flush_max_seconds"])
         obs.count("parallel.cross_shard_states", report["cross_sent_states"])
-        obs.count("parallel.spilled_keys", report["spilled_keys"])
-        obs.count("parallel.spill_count", report["spill_count"])
     obs.count("parallel.batches", total_batches)
     obs.gauge_max("parallel.batch_flush_ms_max", round(flush_max * 1e3, 3))
 
@@ -887,22 +824,16 @@ def parallel_explore(
     net: PetriNet,
     workers: int | None = 1,
     max_states: int = 1_000_000,
-    memory_budget: int | None = None,
     obligations=None,
-    collect_edges: bool = False,
 ) -> ParallelExploration:
     """Explore the full reachable state space of ``net``, sharded over
-    ``workers`` processes, visited sets bounded by ``memory_budget``
-    bytes (total, split evenly across shards) before spilling to disk.
+    ``workers`` processes.
 
     ``obligations`` is an optional list of
     ``(producer_preset, consumer_presets)`` place-set pairs; each
     discovered state is tested against every obligation (the Prop 5.5
     predicate) and the canonical (minimum-key) witness per failing
-    obligation is returned.  With ``collect_edges`` the full edge
-    relation is gathered back — required by
-    :func:`parallel_reachability_graph`, deliberately not by the
-    verdict paths (which stay memory-bound only by the visited sets).
+    obligation is returned.
 
     Raises :class:`UnboundedNetError` (with ``bound`` set) when the
     space exceeds ``max_states``.  No covering-based unboundedness
@@ -917,23 +848,12 @@ def parallel_explore(
         spec = _KERNELS[kind].spec_of(cnet)
         kernel = _build_kernel(kind, spec)
         kernel.load_obligations(lowered)
+        if workers == 1:
+            return [_run_single(kernel, max_states, net)]
         seed_wire = kernel.seed_wire()
         seed_key = kernel.key_of_node(kernel.node_of_wire(seed_wire))
-        if workers == 1:
-            return [
-                _run_single(kernel, memory_budget, collect_edges, max_states, net)
-            ]
         return _run_sharded(
-            kind,
-            spec,
-            lowered,
-            workers,
-            memory_budget,
-            collect_edges,
-            max_states,
-            net,
-            seed_wire,
-            seed_key,
+            kind, spec, lowered, workers, max_states, net, seed_wire, seed_key
         )
 
     with obs.span(
@@ -957,11 +877,6 @@ def parallel_explore(
                 best = failing.get(index)
                 if best is None or witness[0] < best[0]:
                     failing[index] = witness
-        edge_log = None
-        if collect_edges:
-            edge_log = [
-                edge for report in reports for edge in report["edge_log"]
-            ]
         result = ParallelExploration(
             workers=workers,
             states=sum(report["states"] for report in reports),
@@ -975,39 +890,7 @@ def parallel_explore(
                 report["frontier_peak"] for report in reports
             ),
             worker_reports=reports,
-            edge_log=edge_log,
         )
         span.set(states=result.states, edges=result.edges)
     _publish_metrics(result)
     return result
-
-
-def parallel_reachability_graph(
-    net: PetriNet,
-    workers: int | None = 1,
-    max_states: int = 1_000_000,
-    memory_budget: int | None = None,
-) -> ReachabilityGraph:
-    """A :class:`ReachabilityGraph` built by the sharded explorer.
-
-    The returned object is a *real* ``ReachabilityGraph`` — same
-    states, same discovery order, same per-state successor lists (tid
-    ascending, as every shard expands a state in dense order), same
-    property queries (``is_live``, ``deadlocks`` …) — materialised from
-    the gathered worker edge logs by the same breadth-first routine the
-    serial graph uses.  Gathering materialises the graph, so this
-    entry point parallelises the *exploration* but is not the
-    spill-scalable path; the verdict-only flows
-    (:func:`parallel_explore` without ``collect_edges``) are.
-    """
-    result = parallel_explore(
-        net,
-        workers=workers,
-        max_states=max_states,
-        memory_budget=memory_budget,
-        collect_edges=True,
-    )
-    rows: dict[PackedState, list[tuple[int, PackedState]]] = {}
-    for source, dense, target in result.edge_log:
-        rows.setdefault(source, []).append((dense, target))
-    return ReachabilityGraph.from_packed(net, lambda state: rows.pop(state, ()))

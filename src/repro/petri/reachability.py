@@ -132,20 +132,6 @@ class ReachabilityGraph:
         obs.count("engine.eager.edges", self._num_edges)
         obs.gauge_max("engine.eager.frontier_peak", self.frontier_peak)
 
-    @classmethod
-    def from_packed(
-        cls,
-        net: PetriNet,
-        expand: Callable[[PackedState], Iterable[tuple[int, PackedState]]],
-    ) -> "ReachabilityGraph":
-        """A graph built from an already-explored packed edge relation
-        (e.g. the sharded explorer's gathered edge logs): ``expand``
-        returns the ``(dense transition, target)`` row of a packed state
-        of ``net.compiled()``, and is called once per reachable state."""
-        graph = cls.__new__(cls)
-        graph._materialise(net, expand)
-        return graph
-
     def _materialise(
         self,
         net: PetriNet,

@@ -30,9 +30,10 @@ Level = int | None  # 0, 1 or None (X)
 
 
 class InterfaceError(ValueError):
-    """Modules whose interfaces do not fit the operator: shared outputs
-    or mismatched initial levels in a composition, or hidden signals
-    that are not outputs."""
+    """Modules whose interfaces do not fit the operator or their own
+    net: shared outputs or mismatched initial levels in a composition,
+    hidden signals that are not outputs, or signal declarations that
+    overlap or miss a signal the net's labels or guards use."""
 
 
 class Stg:
@@ -127,25 +128,25 @@ class Stg:
     def validate(self) -> None:
         """Structural validity: declared signal sets disjoint; every
         signal label refers to a declared signal; guards read declared
-        signals."""
+        signals.  Each violation raises :class:`InterfaceError`."""
         if self.inputs & self.outputs:
-            raise ValueError(
+            raise InterfaceError(
                 f"signals both input and output: {self.inputs & self.outputs}"
             )
         if (self.inputs | self.outputs) & self.internals:
-            raise ValueError("internal signals must not be inputs/outputs")
+            raise InterfaceError("internal signals must not be inputs/outputs")
         declared = self.signals()
         for transition in self.net.transitions.values():
             signal = signal_of(transition.action)
             if signal is not None and signal not in declared:
-                raise ValueError(
+                raise InterfaceError(
                     f"undeclared signal {signal!r} on {transition!r}"
                 )
         for (_, tid), guard in self.net.input_guards.items():
             if isinstance(guard, Guard):
                 undeclared = guard.signals() - declared
                 if undeclared:
-                    raise ValueError(
+                    raise InterfaceError(
                         f"guard on transition {tid} reads undeclared"
                         f" signals {sorted(undeclared)}"
                     )

@@ -402,7 +402,6 @@ def _parallel_failures(
     obligations: list[SyncObligation],
     max_states: int,
     workers: int,
-    memory_budget: int | None,
 ) -> tuple[list[ReceptivenessFailure], int]:
     """Prop 5.5 over the sharded parallel explorer.
 
@@ -420,7 +419,6 @@ def _parallel_failures(
         composite.net,
         workers=workers,
         max_states=max_states,
-        memory_budget=memory_budget,
         obligations=[
             (obligation.producer_preset, obligation.consumer_presets)
             for obligation in obligations
@@ -441,7 +439,6 @@ def check_receptiveness(
     engine: str | None = None,
     stop_at_first: bool = False,
     workers: int | None = None,
-    memory_budget: int | None = None,
     proviso: str | None = None,
 ) -> ReceptivenessReport:
     """Check Propositions 5.5/5.6 on the composition of two modules.
@@ -494,10 +491,9 @@ def check_receptiveness(
     that point; only the per-obligation attribution of *later* failures
     is lost).
 
-    ``workers`` > 1 (or any ``memory_budget``) routes the reachability
-    method through the sharded parallel explorer
-    (:mod:`repro.petri.parallel`): hash-partitioned visited sets with
-    spill-to-disk shards, full-space exploration, schedule-independent
+    ``workers`` > 1 routes the reachability method through the sharded
+    parallel explorer (:mod:`repro.petri.parallel`): hash-partitioned
+    visited sets, full-space exploration, schedule-independent
     verdicts, canonical per-obligation witnesses without traces.  It
     composes with the ``eager`` and ``onthefly`` engines but not with
     ``por`` (partial-order reduction is inherently order-sensitive: the
@@ -510,7 +506,6 @@ def check_receptiveness(
     same events are also forwarded to any recorder already active in the
     caller, e.g. the one behind ``cip verify --profile``.
     """
-    from repro.petri.parallel import resolve_workers
     from repro.petri.product import (
         DEFAULT_ENGINE,
         resolve_engine,
@@ -521,10 +516,15 @@ def check_receptiveness(
         engine if engine is not None else DEFAULT_ENGINE,
         extra=("symbolic",),
     )
-    workers = resolve_workers(workers)
-    if (workers > 1 or memory_budget is not None) and engine == "symbolic":
+    if workers is None:
+        workers = 1
+    else:
+        from repro.petri.parallel import resolve_workers
+
+        workers = resolve_workers(workers)
+    if workers > 1 and engine == "symbolic":
         raise ValueError(
-            "engine 'symbolic' does not compose with parallel/spill"
+            "engine 'symbolic' does not compose with parallel"
             " exploration: the state-equation engine explores no states,"
             " and its inconclusive fallback is the serial on-the-fly"
             " search; run the workers with engine 'eager' or 'onthefly'"
@@ -538,9 +538,9 @@ def check_receptiveness(
         proviso = resolve_proviso(
             proviso if proviso is not None else SEARCH_PROVISO
         )
-    if (workers > 1 or memory_budget is not None) and engine == "por":
+    if workers > 1 and engine == "por":
         raise ValueError(
-            "engine 'por' does not compose with parallel/spill"
+            "engine 'por' does not compose with parallel"
             " exploration: partial-order reduction is inherently"
             " order-sensitive (the DFS-stack proviso and sleep sets"
             " depend on one sequential search order that sharded workers"
@@ -562,7 +562,6 @@ def check_receptiveness(
             stop_at_first,
             recorder,
             workers,
-            memory_budget,
             proviso,
         )
     report.metrics = recorder.to_dict()
@@ -720,7 +719,6 @@ def _checked_receptiveness(
     stop_at_first: bool,
     recorder: obs.MetricsRecorder,
     workers: int = 1,
-    memory_budget: int | None = None,
     proviso: str | None = None,
 ) -> ReceptivenessReport:
     with obs.span("verify.receptiveness", method=method) as span:
@@ -799,20 +797,15 @@ def _checked_receptiveness(
         reduced: int | None = None
         clock = recorder.clock
         search_start = clock.now()
-        parallel = workers > 1 or memory_budget is not None
         with obs.span(
             "verify.receptiveness.search",
             engine=search_engine,
             workers=workers,
             proviso=proviso or "-",
         ) as search:
-            if parallel:
+            if workers > 1:
                 failures, explored = _parallel_failures(
-                    composite,
-                    pending,
-                    max_states,
-                    workers,
-                    memory_budget,
+                    composite, pending, max_states, workers
                 )
             elif search_engine in ("onthefly", "por"):
                 failures, explored, reduced = _onthefly_failures(
@@ -869,7 +862,6 @@ def check_receptiveness_with_hiding(
     max_states: int = 1_000_000,
     engine: str | None = None,
     workers: int | None = None,
-    memory_budget: int | None = None,
     proviso: str | None = None,
 ) -> ReceptivenessReport:
     """The Section 5.3 refinement: apply ``hide'`` (relabel-to-epsilon)
@@ -896,6 +888,5 @@ def check_receptiveness_with_hiding(
         max_states=max_states,
         engine=engine,
         workers=workers,
-        memory_budget=memory_budget,
         proviso=proviso,
     )

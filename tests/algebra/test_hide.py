@@ -1,5 +1,8 @@
 """Tests for hiding as net contraction (Def 4.10, Prop 4.6, Thm 4.7, Fig 3)."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from repro.algebra.hide import (
@@ -15,9 +18,11 @@ from repro.models.paper_figures import (
     fig3_marked_graph,
     fig3_simple_chain,
 )
+from repro.models.protocol_translator import sender, translator
 from repro.petri.marking import Marking
 from repro.petri.net import EPSILON, PetriNet
 from repro.petri.traces import bounded_language, hide_language
+from repro.stg.stg import compose, hide_signals, signal_actions
 from repro.verify.language import distinguishing_trace, languages_equal
 
 
@@ -177,6 +182,40 @@ class TestMechanics:
         contracted = hide_transition(net, 0, fast_path=False)
         guards = set(contracted.input_guards.values())
         assert "G" in guards
+
+
+class _TimeLimit(Exception):
+    pass
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise inside the body once it runs past ``seconds``, so a hang
+    fails the test instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise _TimeLimit(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestCascadedHide:
+    def test_signal_with_many_transitions_on_the_case_study(self):
+        """Hiding ``n`` on S||T (Fig 5||7) contracts one transition after
+        another; each contraction multiplies product places, so without
+        the duplicate-place merge in between the hide does not finish.
+        The merged result still satisfies Theorem 4.7."""
+        composite = compose(sender(), translator())
+        with time_limit(30):
+            hidden = hide_signals(composite, {"n"})
+        silent = signal_actions(composite.net.actions, {"n"}) | {EPSILON}
+        assert languages_equal(hidden.net, composite.net, silent=silent)
 
 
 class TestHidePrime:

@@ -134,13 +134,6 @@ class TestAnalyzeMemo:
             properties = analyze(net)
             assert properties.bounded and not properties.cached
 
-    def test_parallel_runs_bypass_memo(self, store_dir):
-        net = four_phase_master().net
-        with activated(store_dir):
-            analyze(net)
-            warm = analyze(net, workers=2)
-        assert not warm.cached
-
 
 class TestVerifyMemos:
     def test_language_checks(self, store_dir):

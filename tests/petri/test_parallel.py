@@ -3,7 +3,7 @@
 The differential suite (:mod:`tests.petri.test_parallel_differential`)
 proves parity on random nets; these tests pin the contract piece by
 piece on known nets — budget aborts, deadlock decoding, obligation
-witnesses, worker validation, graph reconstruction, metrics.
+witnesses, worker validation, metrics.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
 from repro.petri.parallel import (
     MAX_WORKERS,
+    pack_wide_key,
     parallel_explore,
-    parallel_reachability_graph,
-    parse_memory_budget,
     resolve_workers,
 )
 from repro.petri.reachability import ReachabilityGraph, UnboundedNetError
@@ -64,18 +63,11 @@ def test_resolve_workers_rejects_invalid(bad):
         resolve_workers(bad)
 
 
-def test_parse_memory_budget():
-    assert parse_memory_budget("0") == 0
-    assert parse_memory_budget("4096") == 4096
-    assert parse_memory_budget("64K") == 64 * 1024
-    assert parse_memory_budget("64m") == 64 * 1024**2
-    assert parse_memory_budget(" 2G ") == 2 * 1024**3
-
-
-@pytest.mark.parametrize("bad", ["", "x", "12Q", "-5", "1.5M", "M"])
-def test_parse_memory_budget_rejects_invalid(bad):
-    with pytest.raises(ValueError):
-        parse_memory_budget(bad)
+def test_pack_wide_key_is_injective_on_samples():
+    states = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 1, 3), (255, 256, 257)]
+    packed = {pack_wide_key(state) for state in states}
+    assert len(packed) == len(states)
+    assert pack_wide_key((0, 1, 2)) == pack_wide_key((0, 1, 2))
 
 
 # -- exploration contract ----------------------------------------------------
@@ -217,51 +209,6 @@ def test_bitmask_overflow_falls_back_to_general_kernel(workers):
     assert Marking.from_places(["c", "c"]) in result.deadlock_set()
 
 
-def test_bitmask_graph_keeps_exact_successor_order():
-    """Exact (not just multiset) successor-list parity on a 1-safe net
-    that takes the bitmask path end to end."""
-    net = channel_bank(2).net
-    serial = ReachabilityGraph(net)
-    graph = parallel_reachability_graph(net, workers=2)
-    for marking in serial.states:
-        assert graph.successors(marking) == serial.successors(marking)
-
-
-# -- graph reconstruction ----------------------------------------------------
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_reachability_graph_reconstruction(workers):
-    """The gathered graph is indistinguishable from a serial build:
-    same states, same per-state successor multisets, same queries."""
-    net = channel_bank(2).net
-    serial = ReachabilityGraph(net)
-    graph = parallel_reachability_graph(net, workers=workers)
-    assert graph.states == serial.states
-    assert graph.num_states() == serial.num_states()
-    assert graph.num_edges() == serial.num_edges()
-    for marking in serial.states:
-        assert sorted(graph.successors(marking), key=repr) == sorted(
-            serial.successors(marking), key=repr
-        )
-    assert set(graph.deadlocks()) == set(serial.deadlocks())
-    assert graph.is_live() == serial.is_live()
-    assert graph.is_reversible() == serial.is_reversible()
-    assert graph.is_safe() == serial.is_safe()
-    assert graph.fired_tids() == serial.fired_tids()
-    assert graph.dead_transitions() == serial.dead_transitions()
-
-
-def test_successor_edges_keep_engine_order():
-    """Per-state successor lists come out in dense/tid order, exactly
-    as the serial engines append them."""
-    net = deadlocking_net()
-    serial = ReachabilityGraph(net)
-    graph = parallel_reachability_graph(net, workers=2)
-    for marking in serial.states:
-        assert graph.successors(marking) == serial.successors(marking)
-
-
 # -- instrumentation ---------------------------------------------------------
 
 
@@ -284,12 +231,3 @@ def test_parallel_metrics_published():
     assert payload["counters"]["parallel.states"] == 16
     assert "parallel.batch_flush_ms_max" in gauges
     assert payload["counters"]["parallel.batches"] >= 1
-
-
-def test_single_worker_spill_metrics_published():
-    net = channel_bank(2).net
-    with obs.record() as recorder:
-        parallel_explore(net, workers=1, memory_budget=0)
-    payload = recorder.to_dict()
-    assert payload["counters"]["parallel.spill_count"] >= 1
-    assert payload["counters"]["parallel.spilled_keys"] > 0
