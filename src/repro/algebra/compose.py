@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.obs import metrics as obs
+from repro.petri.compiled import propose_union_weights
 from repro.petri.net import Action, PetriNet, disjoint_pair
 
 
@@ -89,6 +90,7 @@ def _parallel(
                 guard = net.guard_of(place, old_tid)
                 if guard is not None:
                     result.input_guards[(place, new_tid)] = guard
+    propose_union_weights(result, n1, n2)
     return result
 
 

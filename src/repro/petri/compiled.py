@@ -57,12 +57,14 @@ through the representation.
 
 The codec choice is sound, never heuristic: ``bits`` is used when the
 net is token-conservative (no firing increases the total count, so the
-initial total bounds every count), or when a weighted place invariant
-found by linear programming, and re-checked in exact integers, bounds
-the weighted total and hence every place count (fork/join nets from the
+initial total bounds every count), or when a place weighting under
+which no firing increases the weighted total, checked in exact
+integers, bounds every place count.  Fork/join nets from the
 rendez-vous composition are not conservative but almost always admit
-such a weighting).  Anything else takes ``wide``, which has no count
-limit.
+such a weighting: a composite inherits the union of its operands'
+weightings (:func:`propose_union_weights`), and a net with no usable
+proposal gets one from the pure-Python :func:`search_weights`.
+Anything else takes ``wide``, which has no count limit.
 """
 
 from __future__ import annotations
@@ -86,20 +88,16 @@ PackedState = Union[int, "tuple[int, ...]"]
 Deficits = Union["tuple[int, ...]", None]
 
 #: Net sizes for which a weighted certificate (an inherited proposal,
-#: then the LP) is attempted when the cheap conservative test fails.
+#: then the search) is attempted when the cheap conservative test fails.
 #: Below the lower bound the wide codec costs nothing measurable (and
 #: property-based tests compile thousands of tiny nets); above the upper
-#: bound the LP itself would dominate.
-_LP_MIN_PLACES = 16
-_LP_MAX_PLACES = 4096
+#: bound the search itself would dominate.
+_WEIGHTED_MIN_PLACES = 16
+_WEIGHTED_MAX_PLACES = 4096
 
-#: Largest place weight the LP may choose.
-_MAX_WEIGHT = 255
-
-
-#: Denominator grid the LP weights are snapped to before the exact
-#: integer re-verification.
-_WEIGHT_SCALE = 64
+#: Raises :func:`search_weights` may make per arc of the net before it
+#: gives up.
+_RAISES_PER_ARC = 16
 
 
 def checked_token_bound(
@@ -129,47 +127,75 @@ def checked_token_bound(
     return total // min((weights[place] for place in net.places), default=1)
 
 
-def _lp_weights(
-    net: PetriNet, place_order: tuple[Place, ...]
-) -> dict[Place, int] | None:
-    """Integer place weights proposed by linear programming, or ``None``
-    when the solver finds none.
+def search_weights(net: PetriNet) -> dict[Place, int] | None:
+    """Integer place weights under which no transition increases the
+    weighted total, found by local repair, or ``None``.
 
-    Minimises ``w . M0`` over rational weights ``1 <= w <= 255`` with
-    ``w . postset <= w . preset`` for every transition, and snaps the
-    solution to the 1/64 grid, scaled to integers.  Nothing here is
-    trusted: :func:`checked_token_bound` re-checks the snapped weights
-    exactly, so floating-point slack in the solver can never produce an
-    unsound certificate.
+    Every place starts at weight 1.  A last-in, first-out worklist takes
+    each transition whose produced weight exceeds its consumed weight
+    and adds the excess to its lightest consumed place (ties broken by
+    name).  That repairs the transition and can only break the
+    transitions producing into the raised place, which are queued
+    again.  A transition that produces without consuming cannot be
+    repaired, and after ``_RAISES_PER_ARC`` raises per arc the search
+    gives up: either way it proposes nothing.  Nothing here is trusted:
+    :func:`checked_token_bound` checks the answer.
     """
-    try:
-        import numpy as np
-        from scipy.optimize import linprog
-    except Exception:  # pragma: no cover - scipy is a hard dependency
-        return None
+    places = sorted(net.places)
+    index = {place: i for i, place in enumerate(places)}
     transitions = net.sorted_transitions()
-    index = {place: i for i, place in enumerate(place_order)}
-    rows = np.zeros((len(transitions), len(place_order)))
-    for row, transition in enumerate(transitions):
-        for place in transition.produce:
-            rows[row, index[place]] += 1.0
-        for place in transition.consume:
-            rows[row, index[place]] -= 1.0
-    objective = np.zeros(len(place_order))
-    for place, count in net.initial.items():
-        objective[index[place]] = float(count)
-    result = linprog(
-        c=objective,
-        A_ub=rows,
-        b_ub=np.zeros(len(transitions)),
-        bounds=(1.0, float(_MAX_WEIGHT)),
-        method="highs",
-    )
-    if not result.success:
-        return None
-    scale = _WEIGHT_SCALE
-    snapped = np.maximum(np.round(result.x * scale), scale)
-    return {place: int(weight) for place, weight in zip(place_order, snapped)}
+    consume = [[index[p] for p in t.consume] for t in transitions]
+    produce = [[index[p] for p in t.produce] for t in transitions]
+    producers: list[list[int]] = [[] for _ in places]
+    for dense, produced in enumerate(produce):
+        for i in produced:
+            producers[i].append(dense)
+    weight = [1] * len(places)
+    raises = _RAISES_PER_ARC * net.arcs()
+    stack = list(range(len(transitions)))
+    queued = [True] * len(transitions)
+    while stack:
+        dense = stack.pop()
+        queued[dense] = False
+        consumed = consume[dense]
+        excess = sum(weight[i] for i in produce[dense]) - sum(
+            weight[i] for i in consumed
+        )
+        if excess <= 0:
+            continue
+        if not consumed or not raises:
+            return None
+        raises -= 1
+        lightest = min(consumed, key=lambda i: (weight[i], i))
+        weight[lightest] += excess
+        for producer in producers[lightest]:
+            if not queued[producer]:
+                queued[producer] = True
+                stack.append(producer)
+    return dict(zip(places, weight))
+
+
+def propose_union_weights(composite: PetriNet, *operands: PetriNet) -> None:
+    """Propose the union of the operands' weightings as the token-bound
+    weighting of their parallel composition (``docs/ALGEBRA.md`` §6).
+
+    The operands' place sets are disjoint, and a fused transition
+    consumes and produces exactly what its halves do, so its produced
+    and consumed weights are the sums of its two halves': the union
+    passes :func:`checked_token_bound` whenever each operand's
+    weighting does.  An operand whose own proposal fails that check is
+    searched (:func:`search_weights`); if that finds nothing either,
+    the composite gets no proposal and compilation searches it whole.
+    """
+    union: dict[Place, int] = {}
+    for operand in operands:
+        weights = operand.bound_weights
+        if checked_token_bound(operand, weights) is None:
+            weights = search_weights(operand)
+            if checked_token_bound(operand, weights) is None:
+                return
+        union.update((place, weights[place]) for place in operand.places)
+    composite.bound_weights = union
 
 
 class CompiledNet:
@@ -225,7 +251,7 @@ class CompiledNet:
         self.place_index = {place: i for i, place in enumerate(place_names)}
         self.token_bound = token_bound
         #: ``token_bound`` comes from a sound non-increasing weighted
-        #: total (conservation or an exact-verified LP invariant).  Under
+        #: total (conservation or an exact-checked place weighting).  Under
         #: such a certificate no reachable marking can strictly cover an
         #: ancestor (a strict cover has a strictly larger weighted
         #: total), so the Karp-Miller covering walk is provably a no-op
@@ -567,12 +593,14 @@ def compile_net(net: PetriNet) -> CompiledNet:
 
     The token bound is certified by the first of: conservation (every
     weight 1); the net's proposed weighting ``net.bound_weights``, as
-    the algebra operators derive it from their operand's; the LP's
-    weighting.  The last two are tried only on nets of
-    ``_LP_MIN_PLACES``..``_LP_MAX_PLACES`` places and 1 to
-    ``2 * _LP_MAX_PLACES`` transitions, and both pass
-    :func:`checked_token_bound` or are discarded.  The certifying weighting becomes the net's proposal,
-    for the nets derived from it.
+    the algebra operators derive it from their operands'
+    (``inherited``); the weighting :func:`search_weights` finds
+    (``search``).  The last two are tried only on nets of
+    ``_WEIGHTED_MIN_PLACES``..``_WEIGHTED_MAX_PLACES`` places and 1 to
+    ``2 * _WEIGHTED_MAX_PLACES`` transitions, and both pass
+    :func:`checked_token_bound` or are discarded; a net none of them
+    certifies takes the ``wide`` codec.  The certifying weighting
+    becomes the net's proposal, for the nets derived from it.
 
     Emits ``compile.net`` span and ``compile.*`` gauges to the active
     obs recorders: compile wall time, chosen codec and field width, the
@@ -590,17 +618,17 @@ def compile_net(net: PetriNet) -> CompiledNet:
             weights = dict.fromkeys(place_order, 1)
             bound = net.initial.total()
         elif (
-            _LP_MIN_PLACES <= len(place_order) <= _LP_MAX_PLACES
-            and 0 < len(transitions) <= 2 * _LP_MAX_PLACES
+            _WEIGHTED_MIN_PLACES <= len(place_order) <= _WEIGHTED_MAX_PLACES
+            and 0 < len(transitions) <= 2 * _WEIGHTED_MAX_PLACES
         ):
             bound = checked_token_bound(net, net.bound_weights)
             if bound is not None:
                 certificate, weights = "inherited", net.bound_weights
             else:
-                weights = _lp_weights(net, place_order)
+                weights = search_weights(net)
                 bound = checked_token_bound(net, weights)
                 if bound is not None:
-                    certificate = "lp"
+                    certificate = "search"
         if bound is not None:
             net.bound_weights = weights
         compiled = CompiledNet(net, place_order, bound)

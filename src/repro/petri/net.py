@@ -98,12 +98,13 @@ class PetriNet:
         #: A proposed integer weighting of the places for the token-bound
         #: certificate of :func:`~repro.petri.compiled.compile_net`, or
         #: ``None``.  The algebra operators derive it from their
-        #: operand's, and compilation replaces it with the weighting it
-        #: certified.  Only a hint: compilation checks it in exact
-        #: integers first, so a wrong proposal costs an LP solve, never
-        #: a wrong bound.  Not part of :meth:`content_hash`,
-        #: :meth:`structurally_equal`, any written file or any cache
-        #: key.  Replaced, never mutated in place, so copies share it.
+        #: operands', renaming carries it along, and compilation
+        #: replaces it with the weighting it certified.  Only a hint:
+        #: compilation checks it in exact integers first, so a wrong
+        #: proposal costs a weighting search, never a wrong bound.  Not
+        #: part of :meth:`content_hash`, :meth:`structurally_equal`, any
+        #: written file or any cache key.  Replaced, never mutated in
+        #: place, so copies share it.
         self.bound_weights: Mapping[Place, int] | None = None
         self._next_tid = 0
         #: Lazily built tid-sorted transition tuple (see
@@ -334,6 +335,12 @@ class PetriNet:
             (targets[place], tid): guard
             for (place, tid), guard in self.input_guards.items()
         }
+        if self.bound_weights is not None:
+            net.bound_weights = {
+                targets[place]: weight
+                for place, weight in self.bound_weights.items()
+                if place in targets
+            }
         net._next_tid = self._next_tid
         return net
 
@@ -354,6 +361,7 @@ class PetriNet:
             (place, old_to_new[old_tid]): guard
             for (place, old_tid), guard in self.input_guards.items()
         }
+        net.bound_weights = self.bound_weights
         net._next_tid = tid
         return net
 

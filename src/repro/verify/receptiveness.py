@@ -35,6 +35,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.obs import metrics as obs
+from repro.petri.compiled import propose_union_weights
 from repro.petri.marking import Marking
 from repro.petri.net import EPSILON, PetriNet, disjoint_pair
 from repro.stg.signals import signal_of
@@ -229,6 +230,7 @@ def _compose_with_obligations(
                     consumer_presets=tuple(t.preset for t in consumer_parts),
                 )
             )
+    propose_union_weights(net, n1, n2)
     outputs = stg1.outputs | stg2.outputs
     inputs = (stg1.inputs | stg2.inputs) - outputs
     internals = stg1.internals | stg2.internals

@@ -3,22 +3,32 @@
 A place weighting ``w >= 1`` under which no transition increases the
 weighted total certifies ``floor(w . M0 / min w)`` as a bound on every
 reachable place count.  Each operator derives the weighting of the net
-it builds from its operand's, so compilation can check the derived one
-instead of solving the LP again.  On random nets that carry a checked
+it builds from its operands', so compilation can check the derived one
+instead of searching again.  On random nets that carry a checked
 weighting, these properties check that the derived weighting passes the
 same exact check — for the contraction, unless a successor of the
 hidden transition consumes from both its preset and its postset — and
-that no reachable count exceeds the bound it certifies.
+that no reachable count exceeds the bound it certifies.  On any random
+net, the weighting search stays within its raise cap and proposes
+nothing or a weighting that passes the check.
 """
+
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.algebra.compose import parallel
 from repro.algebra.dead import merge_duplicate_places, trim
 from repro.algebra.hide import _collapsible, hide_transition
-from repro.petri.compiled import checked_token_bound
+from repro.petri import compiled
+from repro.petri.compiled import checked_token_bound, search_weights
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
 from repro.petri.reachability import ReachabilityGraph
+from repro.stg.stg import Stg
+from repro.verify.receptiveness import compose_with_obligations
+
+from tests.strategies import petri_nets
 
 PROPERTY = settings(
     max_examples=150,
@@ -145,3 +155,29 @@ def test_trim_keeps_the_weighting(net, contract):
     bound = assert_certifies(net)
     assert assert_certifies(merge_duplicate_places(net)) <= bound
     assert assert_certifies(trim(net)) <= bound
+
+
+@PROPERTY
+@given(net=st.one_of(petri_nets(max_transitions=6, max_tokens=3), weighted_nets()))
+def test_search_is_capped_and_checked(net):
+    """The search makes at most ``_RAISES_PER_ARC`` raises per arc (one
+    ``min`` call each, for the lightest consumed place), and whatever it
+    proposes passes the exact check and bounds the reachable counts."""
+    with mock.patch.object(compiled, "min", wraps=min, create=True) as raises:
+        weights = search_weights(net)
+    assert raises.call_count <= compiled._RAISES_PER_ARC * net.arcs()
+    if weights is not None:
+        bound = checked_token_bound(net, weights)
+        assert bound is not None
+        assert ReachabilityGraph(net).bound() <= bound
+
+
+@PROPERTY
+@given(left=weighted_nets(), right=weighted_nets())
+def test_composition_keeps_the_weightings(left, right):
+    """Both compositions of two certified operands (whose place names
+    collide, so both are renamed) carry the union of their weightings,
+    which passes the exact check and bounds the reachable counts."""
+    composed, _ = compose_with_obligations(Stg(left), Stg(right))
+    for composite in (parallel(left, right), composed.net):
+        assert_certifies(composite)

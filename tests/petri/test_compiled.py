@@ -20,11 +20,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cache.store import activated
 from repro.models.library import four_phase_master
+from repro.petri import compiled
 from repro.petri.compiled import (
     CompiledNet,
     PackedMarkingView,
     checked_token_bound,
     compile_net,
+    search_weights,
 )
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
@@ -221,8 +223,8 @@ def forge(net: PetriNet, weights: dict, forgery: str) -> dict:
 
 class TestBoundCertificate:
     """``compile_net`` certifies the token bound by conservation, then by
-    the net's proposed weighting, then by the LP; a proposal counts only
-    once it passes the exact integer check."""
+    the net's proposed weighting, then by the weighting search; a
+    proposal counts only once it passes the exact integer check."""
 
     def test_conservation_records_unit_weights(self):
         net = demo_net()
@@ -230,16 +232,24 @@ class TestBoundCertificate:
         assert net.bound_weights == dict.fromkeys(net.places, 1)
 
     def test_certified_weighting_is_inherited(self):
+        """A composite inherits the union of its operands' weightings; a
+        net without a proposal is searched, and a copy inherits what
+        the search certified."""
+        assert certified(fig5_fig7_composite())[0] == "inherited"
         net = fig5_fig7_composite()
+        net.bound_weights = None
         kind, cnet = certified(net)
-        assert kind == "lp"
+        assert kind == "search"
         assert checked_token_bound(net, net.bound_weights) == cnet.token_bound
         kind, again = certified(net.copy())
         assert kind == "inherited"
         assert (again.codec, again.token_bound) == ("bits", cnet.token_bound)
 
     def test_proposal_is_not_part_of_the_identity(self):
+        """A composite carries a proposal before it is compiled; two
+        nets that differ only in their proposals are the same net."""
         net, other = fig5_fig7_composite(), fig5_fig7_composite()
+        other.bound_weights = None
         net.compiled()
         assert net.bound_weights is not None and other.bound_weights is None
         assert net.content_hash() == other.content_hash()
@@ -249,19 +259,68 @@ class TestBoundCertificate:
         "forgery", ["violated", "missing", "zero", "fractional"]
     )
     def test_forged_proposal_falls_back_to_the_lp(self, forgery):
+        """A forged proposal falls back to the weighting search (which
+        replaced the LP) and ends with the search's certificate."""
         reference = fig5_fig7_composite()
+        reference.bound_weights = None
         kind, expected = certified(reference)
-        assert kind == "lp"
+        assert kind == "search"
         net = fig5_fig7_composite()
         net.bound_weights = forge(net, reference.bound_weights, forgery)
         assert checked_token_bound(net, net.bound_weights) is None
         kind, cnet = certified(net)
-        assert kind == "lp"
+        assert kind == "search"
         assert (cnet.codec, cnet.token_bound) == (
             expected.codec,
             expected.token_bound,
         )
         assert net.bound_weights == reference.bound_weights
+
+    def test_renamed_operands_keep_their_weightings(self, monkeypatch):
+        """Composing two compiled modules whose place names collide
+        renames their places; the weightings follow the renaming, so
+        the composite inherits their union and nothing is searched."""
+        from repro.algebra.compose import parallel
+        from repro.models.protocol_translator import inconsistent_sender, sender
+
+        left, right = sender().net, inconsistent_sender().net
+        assert left.places & right.places
+        for module in (left, right):
+            assert certified(module)[0] == "search"
+
+        def no_search(net):
+            raise AssertionError(f"searched {net.name!r}")
+
+        monkeypatch.setattr(compiled, "search_weights", no_search)
+        composite = parallel(left, right)
+        assert not composite.places & (left.places | right.places)
+        kind, cnet = certified(composite)
+        assert (kind, cnet.codec) == ("inherited", "bits")
+
+    def test_unbounded_net_gets_no_weighting(self, tmp_path, capsys):
+        """A ring of 16 places whose last transition also feeds a sink:
+        not conservative and unbounded, so the search runs into its
+        raise cap, the net compiles ``wide`` and the covering walk
+        proves it unbounded."""
+        from repro.cli import main
+        from repro.io.formats import save_stg
+        from repro.stg.stg import Stg
+
+        net = PetriNet("leaky_ring")
+        ring = [f"r{i:02d}" for i in range(16)]
+        for i, place in enumerate(ring[:-1]):
+            net.add_transition({place}, "a", {ring[i + 1]})
+        net.add_transition({ring[-1]}, "b", {ring[0], "sink"})
+        net.set_initial(Marking({ring[0]: 1}))
+        assert search_weights(net) is None
+        kind, cnet = certified(net)
+        assert (kind, cnet.codec) == ("none", "wide")
+        path = str(tmp_path / "leaky_ring.net")
+        save_stg(Stg(net), path)
+        capsys.readouterr()
+        main(["info", path])
+        out = capsys.readouterr().out
+        assert "UNBOUNDED" in out and "strictly covers ancestor" in out
 
     def test_proposal_is_tried_only_inside_the_lp_gate(self):
         """Below 16 places no weighted certificate is attempted, so a

@@ -1,6 +1,7 @@
 """Tests for receptiveness checking (Props 5.5/5.6, Thm 5.7)."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +300,57 @@ class TestExactStructuralPath:
         completed = subprocess.run(
             [sys.executable, "-c", script],
             env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert completed.returncode == 0, completed.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "fig5_sender.net", "fig7_translator.net"],
+            ["info", "fig7_translator.net"],
+            [
+                "simplify",
+                "fig7_translator.net",
+                "fig5_sender.net",
+                "-o",
+                "simplified.net",
+            ],
+            ["bench", "modules"],
+        ],
+        ids=["verify", "info", "simplify", "bench"],
+    )
+    def test_cli_never_imports_scipy(self, argv, tmp_path):
+        """The token-bound certificate of every compiled net comes from
+        conservation, inheritance or the weighting search, so no
+        subcommand on the case-study modules loads scipy."""
+        import repro
+
+        source = str(Path(repro.__file__).resolve().parents[1])
+        corpus = Path(__file__).resolve().parents[1] / "corpus"
+        args = [
+            str(corpus / arg) if arg.startswith("fig") else arg for arg in argv
+        ]
+        (tmp_path / "modules").mkdir()
+        shutil.copy(corpus / "fig5_sender.net", tmp_path / "modules")
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+            "sys.exit(code)\n"
+        )
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            CIP_NO_CACHE="1",
+            PYTHONPATH=source if not path else f"{source}{os.pathsep}{path}",
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=env,
+            cwd=tmp_path,
             capture_output=True,
             text=True,
         )
