@@ -1,16 +1,22 @@
 """Gate the benchmark's exact counts: the ``tracing.EXACT`` metrics of a
-short traced run of every workload must equal the checked-in file.
+short traced run of every workload, and the corpus-matrix state counts,
+must equal the checked-in files.
 
 Run from the repository root::
 
     python3 benchmarks/exact_counts.py           # check, exit 1 on a difference
-    python3 benchmarks/exact_counts.py --write   # regenerate EXACT_counts.json
+    python3 benchmarks/exact_counts.py --write   # regenerate both files
 
 Each workload runs as ``perfbench/run.py --workload W --seed 1 --seconds
 0.1 --trace 1``.  Those counts (states, edges, enabledness checks, solver
 systems, cache traffic, ...) are per-request means over whole cycles, so
 they repeat exactly from run to run and a short run gives the same
-numbers as a long one.  Timings are deliberately not gated here.
+numbers as a long one; they are gated against ``EXACT_counts.json``.
+The corpus matrix is ``tests/corpus`` through every ``cip bench`` cell
+at a 50,000-state budget; the states each enumerating cell explores per
+instance are gated against ``BENCH_corpus.json``, the trajectory
+``test_corpus_bench.py`` writes.  Timings are deliberately not gated
+here.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTS = Path(__file__).resolve().parent / "EXACT_counts.json"
+CORPUS_COUNTS = Path(__file__).resolve().parent / "BENCH_corpus.json"
+CORPUS = ROOT / "tests" / "corpus"
 RUN = ROOT / "perfbench" / "run.py"
 ARGS = ("--seed", "1", "--seconds", "0.1", "--trace", "1")
 
@@ -47,30 +55,63 @@ def measure(workload: str) -> dict[str, float]:
     return {name: metrics[name]["value"] for name in EXACT}
 
 
+def corpus_counts() -> dict[str, dict[str, int]]:
+    """Explored states per corpus instance and enumerating cell, in the
+    layout of ``BENCH_corpus.json``."""
+    from repro.bench.corpus import run_corpus
+
+    report = run_corpus(CORPUS, max_states=50_000)
+    if report.disagreements:
+        raise SystemExit(f"corpus matrix disagrees: {report.disagreements}")
+    return report.state_counts()
+
+
+def differences(expected: dict, measured: dict, label: str) -> list[str]:
+    """One line per count that is not the same in ``expected`` and
+    ``measured`` (two levels of names: workload or instance, then
+    count), including counts only one side has."""
+    lines = []
+    for group in sorted(expected.keys() | measured.keys()):
+        want, got = expected.get(group, {}), measured.get(group, {})
+        for name in sorted(want.keys() | got.keys()):
+            if want.get(name) != got.get(name):
+                lines.append(
+                    f"{label}{group} {name}: expected {want.get(name)!r},"
+                    f" measured {got.get(name)!r}"
+                )
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--write", action="store_true", help="regenerate the checked-in file"
+        "--write", action="store_true", help="regenerate the checked-in files"
     )
     args = parser.parse_args(argv)
     measured = {workload: measure(workload) for workload in WORKLOADS}
+    corpus = corpus_counts()
     if args.write:
+        from repro.obs.emit import write_benchmark
+
         COUNTS.write_text(json.dumps(measured, indent=2, sort_keys=True) + "\n")
+        write_benchmark(
+            CORPUS_COUNTS, "corpus-matrix-state-counts", "explored states", corpus
+        )
         print(f"wrote {COUNTS.relative_to(ROOT)}")
+        print(f"wrote {CORPUS_COUNTS.relative_to(ROOT)}")
         return 0
-    expected = json.loads(COUNTS.read_text())
-    differences = [
-        f"{workload} {name}: expected {expected.get(workload, {}).get(name)!r},"
-        f" measured {value!r}"
-        for workload, counts in measured.items()
-        for name, value in counts.items()
-        if expected.get(workload, {}).get(name) != value
-    ]
-    for line in differences:
+    problems = differences(json.loads(COUNTS.read_text()), measured, "")
+    problems += differences(
+        json.loads(CORPUS_COUNTS.read_text())["instances"], corpus, "corpus "
+    )
+    for line in problems:
         print(line, file=sys.stderr)
-    if differences:
+    if problems:
         return 1
-    print(f"exact counts ok: {len(WORKLOADS)} workloads, {len(EXACT)} counts each")
+    print(
+        f"exact counts ok: {len(WORKLOADS)} workloads, {len(EXACT)} counts"
+        f" each; corpus matrix, {len(corpus)} instances"
+    )
     return 0
 
 

@@ -1,13 +1,14 @@
-"""On-the-fly vs. eager exploration on the Section 6 case study.
+"""On-the-fly exploration against the full state space on the Section 6
+case study.
 
 The demand-driven engine's claim is twofold:
 
 * on a *passing* instance it explores exactly the reachable states the
-  eager graph builds — never more (same BFS, no construction overhead
+  full :class:`~repro.petri.reachability.ReachabilityGraph` of the
+  composite holds — never more (same BFS, no construction overhead
   beyond bookkeeping);
 * on a *failing* instance it stops at the first Proposition 5.5 witness,
-  exploring a strict subset of the space the eager oracle must finish
-  materialising.
+  exploring a strict subset of that space.
 
 Both claims are asserted here on the paper's Fig. 5–7 sender /
 translator / receiver blocks and on a scaled-up channel bank with one
@@ -22,8 +23,12 @@ from repro.core.circuit import compose_many
 from repro.models.library import four_phase_master, four_phase_slave
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
+from repro.petri.reachability import ReachabilityGraph
 from repro.stg.stg import Stg
-from repro.verify.receptiveness import check_receptiveness
+from repro.verify.receptiveness import (
+    check_receptiveness,
+    compose_with_obligations,
+)
 
 
 def impatient_master(req: str, ack: str, name: str) -> Stg:
@@ -59,31 +64,36 @@ def explored(stg1, stg2, engine, **kwargs) -> tuple[int, bool]:
     return report.states_explored, report.is_receptive()
 
 
+def full_states(stg1, stg2) -> int:
+    """The state count of the composite's full reachability graph."""
+    composite, _ = compose_with_obligations(stg1, stg2)
+    return ReachabilityGraph(composite.net).num_states()
+
+
 # -- correctness / state-count assertions (CI smoke) --------------------
 
 
 def test_smoke_fig7_states_not_worse(case_study):
-    """CI gate: on the Fig. 7 sender/translator composition the lazy
-    engine must never explore more states than the eager graph."""
-    eager_states, eager_ok = explored(
-        case_study["sender"], case_study["translator"], "eager"
-    )
+    """CI gate: on the receptive Fig. 7 sender/translator composition
+    the lazy engine must never explore more states than the full
+    graph holds."""
+    total = full_states(case_study["sender"], case_study["translator"])
     lazy_states, lazy_ok = explored(
         case_study["sender"], case_study["translator"], "onthefly"
     )
-    assert lazy_ok == eager_ok
-    assert lazy_states <= eager_states
+    assert lazy_ok
+    assert lazy_states <= total
     print(
-        f"\nFig 7 sender||translator: eager={eager_states} states,"
+        f"\nFig 7 sender||translator: full={total} states,"
         f" onthefly={lazy_states} states"
     )
 
 
 def test_smoke_failing_instance_strictly_fewer(case_study):
     """Acceptance criterion: on the Fig. 8 failing instance, early exit
-    explores *strictly* fewer states than the full eager graph."""
-    eager_states, eager_ok = explored(
-        case_study["inconsistent_sender"], case_study["translator"], "eager"
+    explores *strictly* fewer states than the full graph holds."""
+    total = full_states(
+        case_study["inconsistent_sender"], case_study["translator"]
     )
     lazy_states, lazy_ok = explored(
         case_study["inconsistent_sender"],
@@ -91,10 +101,10 @@ def test_smoke_failing_instance_strictly_fewer(case_study):
         "onthefly",
         stop_at_first=True,
     )
-    assert not eager_ok and not lazy_ok
-    assert lazy_states < eager_states
+    assert not lazy_ok
+    assert lazy_states < total
     print(
-        f"\nFig 8 inconsistent sender||translator: eager={eager_states},"
+        f"\nFig 8 inconsistent sender||translator: full={total},"
         f" onthefly(first failure)={lazy_states}"
     )
 
@@ -104,40 +114,31 @@ def test_scaled_bank_early_exit_win():
     failure is near the initial marking, so the lazy engine's win grows
     with the (exponential) size of the full space."""
     masters, slaves = banked_pair(5, broken=True)
-    eager_states, eager_ok = explored(masters, slaves, "eager")
+    total = full_states(masters, slaves)
     lazy_states, lazy_ok = explored(
         masters, slaves, "onthefly", stop_at_first=True
     )
-    assert not eager_ok and not lazy_ok
-    assert lazy_states < eager_states
+    assert not lazy_ok
     # The broken handshake fails within a few steps of the initial
     # marking; BFS finds it long before the 4^5-state space is done.
-    assert lazy_states <= eager_states // 10
+    assert lazy_states <= total // 10
     print(
-        f"\nbank(5, one broken): eager={eager_states},"
+        f"\nbank(5, one broken): full={total},"
         f" onthefly(first failure)={lazy_states}"
-        f" ({eager_states / max(lazy_states, 1):.0f}x fewer)"
+        f" ({total / max(lazy_states, 1):.0f}x fewer)"
     )
 
 
 def test_passing_bank_parity():
     """On a fully receptive bank the lazy engine must visit the whole
-    space — same count as the eager graph (no missed states)."""
+    space — same count as the full graph (no missed states)."""
     masters, slaves = banked_pair(3, broken=False)
-    eager_states, eager_ok = explored(masters, slaves, "eager")
     lazy_states, lazy_ok = explored(masters, slaves, "onthefly")
-    assert eager_ok and lazy_ok
-    assert lazy_states == eager_states == 4**3
+    assert lazy_ok
+    assert lazy_states == full_states(masters, slaves) == 4**3
 
 
 # -- wall-clock benches -------------------------------------------------
-
-
-@pytest.mark.benchmark(group="engine-failing")
-def test_bench_eager_on_failing_bank(benchmark):
-    masters, slaves = banked_pair(4, broken=True)
-    _, ok = benchmark(explored, masters, slaves, "eager")
-    assert not ok
 
 
 @pytest.mark.benchmark(group="engine-failing")
@@ -147,14 +148,6 @@ def test_bench_onthefly_on_failing_bank(benchmark):
         explored, masters, slaves, "onthefly", stop_at_first=True
     )
     assert not ok
-
-
-@pytest.mark.benchmark(group="engine-passing")
-def test_bench_eager_fig7(benchmark, case_study):
-    _, ok = benchmark(
-        explored, case_study["sender"], case_study["translator"], "eager"
-    )
-    assert ok
 
 
 @pytest.mark.benchmark(group="engine-passing")

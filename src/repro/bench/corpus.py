@@ -3,10 +3,9 @@ every exploration engine, with loud disagreement reporting.
 
 The engines answer the same questions by different routes:
 
-* ``eager`` — full :class:`~repro.petri.reachability.ReachabilityGraph`
-  construction;
 * ``onthefly`` — demand-driven
-  :class:`~repro.petri.product.LazyStateSpace`, exhausted;
+  :class:`~repro.petri.product.LazyStateSpace`, exhausted: the full
+  state space, and the reference of the other cells;
 * ``por`` — the same lazy space under deadlock-preserving stubborn-set
   reduction (``visible_actions=()``);
 * ``symbolic`` — the state-equation semi-decision procedure
@@ -16,15 +15,12 @@ The engines answer the same questions by different routes:
 Each instance gets one cell per engine.  Agreement rules (checked by
 :func:`diff_cells`):
 
-* ``eager`` and ``onthefly`` must be *identical* — outcome, state
-  count, edge count, deadlock set (the lazy space is documented as a
-  drop-in for the eager graph);
 * ``por`` preserves deadlock sets exactly and never explores more
   states/edges than the full space, so on instances where both
-  complete, its deadlock set must equal the reference and its counts
-  must not exceed it.  When the reference completes, ``por`` must too
-  (it explores a subset); the converse is legitimately false under a
-  state budget.
+  complete, its deadlock set must equal the ``onthefly`` one and its
+  counts must not exceed it.  When ``onthefly`` completes, ``por`` must
+  too (it explores a subset); the converse is legitimately false under
+  a state budget.
 * ``symbolic`` CONCLUSIVE claims may never contradict explicit ground
   truth: a conclusive boundedness verdict forbids any ``unbounded``
   explicit outcome, a conclusively-dead action may never appear on an
@@ -55,7 +51,7 @@ from repro.petri.marking import Marking
 from repro.petri.net import EPSILON, PetriNet
 from repro.petri.reachability import ReachabilityGraph, UnboundedNetError
 
-ENGINES: tuple[str, ...] = ("eager", "onthefly", "por", "symbolic")
+ENGINES: tuple[str, ...] = ("onthefly", "por", "symbolic")
 
 #: fuzz_laws only touches nets whose full state space fits this budget —
 #: language comparison determinises, so corpus-sized nets must stay tiny.
@@ -143,6 +139,20 @@ class CorpusReport:
     def ok(self) -> bool:
         return not self.disagreements and not self.law_violations
 
+    def state_counts(self) -> dict[str, dict[str, int]]:
+        """Explored states per instance name and completed enumerating
+        cell, omitting instances with no such cell — the layout of the
+        ``benchmarks/BENCH_corpus.json`` trajectory."""
+        counts = {
+            instance.name: {
+                cell.engine: cell.states
+                for cell in instance.cells
+                if cell.outcome == "ok" and cell.states is not None
+            }
+            for instance in self.instances
+        }
+        return {name: cells for name, cells in counts.items() if cells}
+
 
 def discover(directory: str | Path) -> list[Path]:
     """All net files under ``directory`` (recursive), sorted.
@@ -176,37 +186,28 @@ def explore_cell(net: PetriNet, engine: str, max_states: int) -> CellResult:
     """
     if engine == "symbolic":
         return symbolic_cell(net)
-    fired: frozenset[str] | None = None
+    if engine not in ("onthefly", "por"):
+        raise CorpusError(f"unknown engine {engine!r}")
+    from repro.petri.product import LazyStateSpace
+
     with obs.span("bench.cell", engine=engine) as handle:
         try:
-            if engine == "eager":
-                graph = ReachabilityGraph(net, max_states=max_states)
-                states = graph.num_states()
-                edges = graph.num_edges()
-                deadlocks = frozenset(graph.deadlocks())
-            elif engine in ("onthefly", "por"):
-                from repro.petri.product import LazyStateSpace
-
-                space = LazyStateSpace(
-                    net,
-                    max_states=max_states,
-                    reduction=(engine == "por"),
-                    visible_actions=() if engine == "por" else None,
-                )
-                markings = list(space.iter_bfs())
-                successors = [space.successors(m) for m in markings]
-                states = len(markings)
-                edges = sum(len(step) for step in successors)
-                deadlocks = frozenset(
-                    m for m, step in zip(markings, successors) if not step
-                )
-                fired = frozenset(
-                    action
-                    for step in successors
-                    for action, _, _ in step
-                )
-            else:
-                raise CorpusError(f"unknown engine {engine!r}")
+            space = LazyStateSpace(
+                net,
+                max_states=max_states,
+                reduction=(engine == "por"),
+                visible_actions=() if engine == "por" else None,
+            )
+            markings = list(space.iter_bfs())
+            successors = [space.successors(m) for m in markings]
+            states = len(markings)
+            edges = sum(len(step) for step in successors)
+            deadlocks = frozenset(
+                m for m, step in zip(markings, successors) if not step
+            )
+            fired = frozenset(
+                action for step in successors for action, _, _ in step
+            )
         except UnboundedNetError as error:
             outcome = "unbounded" if error.bound is None else "bound-exceeded"
             cell = CellResult(engine, outcome, conclusive=outcome == "unbounded")
@@ -385,7 +386,7 @@ def diff_cells(
     """Cross-engine agreement violations (empty = all agree).
 
     With ``net``, the symbolic cell's claims are additionally checked
-    *against the net*: every deadlock marking an explicit engine
+    *against the net*: every deadlock marking the ``onthefly`` cell
     reached must remain state-equation feasible (a conclusive
     UNREACHABLE on a witnessed marking is a soundness bug, reported
     loudly here rather than silently tolerated).
@@ -397,24 +398,9 @@ def diff_cells(
     if symbolic is not None:
         problems.extend(_symbolic_problems(symbolic, cells, net))
 
-    full = [by_engine[e] for e in ("eager", "onthefly") if e in by_engine]
-    if not full:
-        return problems
-    reference = full[0]
-    for cell in full[1:]:
-        if (cell.outcome, cell.states, cell.edges, cell.deadlocks) != (
-            reference.outcome,
-            reference.states,
-            reference.edges,
-            reference.deadlocks,
-        ):
-            problems.append(
-                f"engine mismatch: {reference.engine} says"
-                f" {reference.summary()} but {cell.engine} says"
-                f" {cell.summary()}"
-            )
+    reference = by_engine.get("onthefly")
     por = by_engine.get("por")
-    if por is None or reference.outcome != "ok":
+    if reference is None or por is None or reference.outcome != "ok":
         return problems
     if por.outcome != "ok":
         problems.append(
@@ -424,7 +410,7 @@ def diff_cells(
         return problems
     if por.deadlocks != reference.deadlocks:
         problems.append(
-            f"por deadlock set differs from {reference.engine}:"
+            "por deadlock set differs from onthefly:"
             f" {len(por.deadlocks)} vs {len(reference.deadlocks)} markings"
         )
     if por.states > reference.states or por.edges > reference.edges:
@@ -450,9 +436,9 @@ def _symbolic_problems(
     Three checks: (1) a conclusive boundedness verdict forbids any
     explicit ``unbounded`` outcome; (2) a conclusively-dead action may
     never appear among the actions an explicit engine actually fired;
-    (3) with ``net``, explicit deadlock markings must stay
-    state-equation feasible (capped at :data:`MAX_DEADLOCK_PROBES`
-    probes per instance).
+    (3) with ``net``, the deadlock markings the ``onthefly`` cell
+    reached must stay state-equation feasible (capped at
+    :data:`MAX_DEADLOCK_PROBES` probes per instance).
     """
     problems: list[str] = []
     explicit = [cell for cell in cells if cell.engine != "symbolic"]
@@ -475,28 +461,17 @@ def _symbolic_problems(
                     f" {', '.join(witnessed)} are dead but"
                     f" {cell.engine} fired them"
                 )
-    if net is not None:
+    full = next((cell for cell in explicit if cell.engine == "onthefly"), None)
+    if net is not None and full is not None and full.deadlocks:
         from repro.petri.symbolic import marking_unreachable
 
-        reference = next(
-            (
-                cell
-                for cell in explicit
-                if cell.outcome == "ok"
-                and cell.engine in ("eager", "onthefly")
-                and cell.deadlocks
-            ),
-            None,
-        )
-        if reference is not None:
-            for marking in list(reference.deadlocks)[:MAX_DEADLOCK_PROBES]:
-                verdict = marking_unreachable(net, marking)
-                if verdict.conclusive and verdict.holds:
-                    problems.append(
-                        "symbolic claims a deadlock marking is"
-                        f" unreachable although {reference.engine}"
-                        f" reached it: {marking}"
-                    )
+        for marking in list(full.deadlocks)[:MAX_DEADLOCK_PROBES]:
+            verdict = marking_unreachable(net, marking)
+            if verdict.conclusive and verdict.holds:
+                problems.append(
+                    "symbolic claims a deadlock marking is"
+                    f" unreachable although onthefly reached it: {marking}"
+                )
     return problems
 
 

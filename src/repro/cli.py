@@ -205,9 +205,10 @@ def _print_symbolic_summary(report) -> None:
 
 def _print_por_summary(report, max_states: int) -> None:
     """The ``--engine por`` epilogue: the reduction achieved (straight
-    from the report — no re-exploration) and the eager baseline, which
-    is recomputed under the same state bound and reported as
-    unavailable when the full space does not fit."""
+    from the report — no re-exploration), the proviso of the reduced
+    search, and the unreduced baseline, which is recomputed under the
+    same state bound and reported as unavailable when the full space
+    does not fit."""
     from repro.petri.product import LazyStateSpace
     from repro.petri.reachability import UnboundedNetError
 
@@ -217,29 +218,19 @@ def _print_por_summary(report, max_states: int) -> None:
         f"# states reduced : {reduced}/{explored} markings expanded"
         " with a proper stubborn subset"
     )
-    counters = (report.metrics or {}).get("counters", {})
-    if report.proviso == "stack":
-        cycles = counters.get("engine.lazy.cycle_expansions", 0)
-        skips = counters.get("engine.lazy.sleep_skips", 0)
-        print(
-            f"# por proviso    : stack — depth-first, sleep sets"
-            f" ({cycles} cycle re-expansions, {skips} enabled"
-            " transitions skipped asleep)"
-        )
-    else:
-        print(
-            "# por proviso    : fresh — breadth-first, full expansion"
-            " on cycle re-entry"
-        )
+    print(
+        "# por proviso    : fresh — breadth-first, full expansion"
+        " on cycle re-entry"
+    )
     try:
         baseline = LazyStateSpace(report.composite.net, max_states=max_states)
-        eager_states = baseline.explore_all()
+        full_states = baseline.explore_all()
     except UnboundedNetError:
         print("# eager baseline : unavailable (bound exceeded)")
     else:
         print(
-            f"# eager baseline : {eager_states} states"
-            f" ({explored}/{eager_states} explored)"
+            f"# eager baseline : {full_states} states"
+            f" ({explored}/{full_states} explored)"
         )
 
 
@@ -257,19 +248,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             " (partial-order reduction is inherently order-sensitive: the"
             " DFS-stack proviso and sleep sets need one sequential search"
             " order); drop --parallel to run por serially, or keep it"
-            " with --engine eager or onthefly"
+            " with --engine onthefly"
         )
     if parallel and args.engine == "symbolic":
         raise CliError(
             "--engine symbolic does not compose with --parallel (the"
             " state-equation engine explores no states, and its"
             " inconclusive fallback is the serial on-the-fly search);"
-            " drop --parallel, or keep it with --engine eager or onthefly"
-        )
-    if args.proviso is not None and args.engine != "por":
-        raise CliError(
-            "--proviso tunes stubborn-set partial-order reduction and"
-            " requires --engine por"
+            " drop --parallel, or keep it with --engine onthefly"
         )
 
     def body() -> int:
@@ -281,7 +267,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 max_states=args.max_states,
                 engine=args.engine,
                 workers=workers,
-                proviso=args.proviso,
             )
         except UnboundedNetError as error:
             raise CliError(
@@ -572,25 +557,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--engine",
-        choices=("eager", "onthefly", "por", "symbolic"),
+        choices=("onthefly", "por", "symbolic"),
         default="onthefly",
         help="state-space engine for the reachability method: demand-driven"
         " with early exit (onthefly, default), demand-driven with"
-        " stubborn-set partial-order reduction (por, reports"
-        " explored-vs-eager state counts), full construction (eager),"
-        " or state-equation semi-decision over exact rationals"
-        " (symbolic: no enumeration when conclusive; undecided"
-        " obligations fall back to onthefly)",
-    )
-    verify.add_argument(
-        "--proviso",
-        choices=("fresh", "stack"),
-        default=None,
-        help="ignoring-prevention proviso for --engine por: fresh"
-        " (default) discovers breadth-first and exits early with"
-        " shortest reduced witness traces; stack discovers depth-first"
-        " under the DFS-stack proviso with sleep sets — much smaller"
-        " exhaustive spaces on cyclic receptive nets",
+        " stubborn-set partial-order reduction (por, reports explored"
+        " against unreduced state counts), or state-equation"
+        " semi-decision over exact rationals (symbolic: no enumeration"
+        " when conclusive; undecided obligations fall back to onthefly)",
     )
     verify.add_argument(
         "--max-states",
@@ -657,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("directory")
     bench.add_argument(
         "--engines",
-        default="eager,onthefly,por,symbolic",
-        help="comma-separated engine subset (default: all four,"
+        default="onthefly,por,symbolic",
+        help="comma-separated engine subset (default: all three,"
         " including the non-enumerating state-equation cell)",
     )
     bench.add_argument(

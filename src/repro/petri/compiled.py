@@ -833,8 +833,8 @@ class CompiledSpace:
         """Discover the successors of one discovered, not yet expanded
         state and return its edge row as ``(dense, target)`` pairs
         *without* memoising it — for a caller that expands every state
-        exactly once and keeps its own copy (the eager graph's
-        materialisation).  Not for stack-proviso spaces, whose DFS walk
+        exactly once and keeps its own copy (the
+        :class:`~repro.petri.reachability.ReachabilityGraph` build).  Not for stack-proviso spaces, whose DFS walk
         owns expansion; :meth:`successors` is the memoising entry
         point."""
         cnet = self.cnet

@@ -61,8 +61,7 @@ Deliberate non-goals, documented rather than approximated:
   chains do not exist across shards) — genuinely unbounded nets abort
   via the ``max_states`` budget instead of being *proven* unbounded;
 * no counterexample traces (discovery-parent pointers would dangle
-  across shards); receptiveness failures carry witness markings only,
-  exactly like the eager engine.
+  across shards); receptiveness failures carry witness markings only.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """On-the-fly product exploration for compositional verification.
 
-The eager :class:`~repro.petri.reachability.ReachabilityGraph` always
-materialises the *entire* state space before any question can be asked
-of it — the exact blowup the paper's compositional discipline
-(Theorems 4.5/4.7, Theorem 5.1) is meant to sidestep.  This module is
-the demand-driven counterpart:
+A :class:`~repro.petri.reachability.ReachabilityGraph` materialises the
+*entire* state space before any question can be asked of it — the
+exact blowup the paper's compositional discipline (Theorems 4.5/4.7,
+Theorem 5.1) is meant to sidestep.  This module is the demand-driven
+counterpart:
 
 * :class:`LazyStateSpace` — a reachability graph whose successor
   relation is computed (and memoised) only when asked, by the packed
@@ -29,20 +29,20 @@ the demand-driven counterpart:
 * :func:`deterministic_bisimulation` — an exact strong-bisimulation
   decision for deterministic systems by synchronous walk (with early
   exit), returning ``None`` when nondeterminism is encountered so the
-  caller can fall back to the eager partition-refinement oracle.
+  caller can fall back to partition refinement over the full graphs.
 
-A third engine, ``engine="por"``, layers stubborn-set partial-order
+The second engine, ``engine="por"``, layers stubborn-set partial-order
 reduction (:mod:`repro.petri.independence`) on top of the lazy
 exploration: at each marking only a sound subset of the enabled
 transitions is expanded, preserving deadlock markings, marking
 predicates over declared places, and the visible-action language
-exactly — so every verification verdict matches the other two engines
+exactly — so every verification verdict matches the unreduced engine
 while independent interleavings collapse.
 
-The eager paths stay available everywhere behind ``engine="eager"``:
-the same core, exhausted without early exit.  The differential suites
-check every engine against one naive breadth-first search over
-markings (``tests/oracle.py``).
+Both engines run the one core; the differential suites check them
+against a naive breadth-first search over markings
+(``tests/oracle.py``) and the languages against the minimal DFAs of
+:mod:`repro.verify.language`.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from repro.petri.net import EPSILON, PetriNet
 #: an ``engine=`` argument drawn from this set.  ``por`` is the
 #: on-the-fly engine with stubborn-set partial-order reduction layered
 #: on top (see :mod:`repro.petri.independence`).
-ENGINES = ("eager", "onthefly", "por")
+ENGINES = ("onthefly", "por")
 
 #: Engines available only to entry points that explicitly opt in (see
 #: :func:`resolve_engine`'s ``extra``).  ``symbolic`` is the
@@ -76,9 +76,11 @@ DEFAULT_ENGINE = "onthefly"
 
 #: The recognised ignoring-prevention provisos for the reduced engine.
 #: ``stack`` (the default) is the DFS-stack cycle condition with sleep
-#: sets (:mod:`repro.petri.dfs`); ``fresh`` is the original, strictly
-#: more conservative all-targets-new condition, kept for A/B runs and
-#: as the on-demand fallback (it needs no exploration-order control).
+#: sets (:mod:`repro.petri.dfs`), for exhaustive reduced spaces;
+#: ``fresh`` is the strictly more conservative all-targets-new
+#: condition, which needs no exploration-order control and so keeps
+#: breadth-first discovery — the early-exit witness hunt of
+#: :mod:`repro.verify.receptiveness` runs under it.
 PROVISOS = ("fresh", "stack")
 
 #: Proviso used when reduction is requested without naming one.
@@ -89,7 +91,7 @@ def resolve_engine(engine: str, extra: tuple[str, ...] = ()) -> str:
     """Validate an engine name (raises ``ValueError`` on unknown names).
 
     ``extra`` names additional engines the calling entry point supports
-    beyond the enumerating three — e.g. ``("symbolic",)`` for the
+    beyond the enumerating two — e.g. ``("symbolic",)`` for the
     verify layers that implement the explicit fallback the symbolic
     semi-decision engine requires."""
     if engine not in ENGINES and engine not in extra:
@@ -166,7 +168,7 @@ class LazyStateSpace:
     Nothing is explored at construction time beyond encoding the
     initial marking; :meth:`successors` expands one state at a time and
     memoises the result.  Exhausting :meth:`iter_bfs` yields exactly the
-    states (in exactly the discovery order) of the eager
+    states (in exactly the discovery order) of the
     :class:`~repro.petri.reachability.ReachabilityGraph`, including the
     same :class:`UnboundedNetError` behaviour — both are views of the
     same exploration core.
@@ -340,7 +342,7 @@ class LazyStateSpace:
 
         States are yielded as soon as they are *discovered* (before they
         are expanded), so a consumer checking a predicate per state can
-        stop strictly earlier than any eager construction.  Under the
+        stop strictly earlier than any full construction.  Under the
         stack proviso the reduced graph is explored (depth-first) in
         full first and this is a breadth-first replay — use
         :meth:`iter_discovery` for the traversal that streams states as
@@ -749,8 +751,8 @@ def compare_languages(
             for symbol in sorted(set(moves1) | set(moves2)):
                 if symbol not in universe:
                     # Labels outside the compared alphabet fall outside the
-                    # language on either side (same convention as the eager
-                    # DFA construction).
+                    # language on either side (same convention as the
+                    # DFA construction of repro.verify.language).
                     continue
                 successor = (moves1.get(symbol), moves2.get(symbol))
                 if successor in parents:
@@ -784,8 +786,8 @@ def deterministic_bisimulation(
     label on both sides, the synchronised path is forced, so a label-set
     mismatch proves non-bisimilarity and full agreement proves (strong)
     bisimilarity.  Returns ``(None, stats)`` as soon as nondeterminism
-    is encountered — the caller must fall back to the eager
-    partition-refinement oracle.
+    is encountered — the caller must fall back to partition refinement
+    over the full graphs.
     """
     space1 = LazyStateSpace(net1, max_states=max_states)
     space2 = LazyStateSpace(net2, max_states=max_states)

@@ -17,15 +17,11 @@ for the callers that read them.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
-from typing import TYPE_CHECKING
+from collections.abc import Iterable
 
 from repro.obs import metrics as obs
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet, Transition
-
-if TYPE_CHECKING:
-    from repro.petri.compiled import PackedState
 
 
 class UnboundedNetError(Exception):
@@ -124,54 +120,47 @@ class ReachabilityGraph:
         from repro.petri.product import ExplorationStats
 
         with obs.span("engine.eager.explore", net=net.name) as span:
+            self.net = net
+            self.initial = net.initial
             cnet = net.compiled()
-            core = CompiledSpace(cnet, max_states, ExplorationStats())
-            self._materialise(net, core.expand)
+            self._cnet = cnet
+            expand = CompiledSpace(cnet, max_states, ExplorationStats()).expand
+            # One breadth-first pass from the initial state: each packed
+            # state gets the next index on first sight, and its row is
+            # built over target indices before the next state is
+            # expanded.
+            start = cnet.initial_state
+            index_of = {start: 0}
+            packed = [start]
+            rows: list[tuple[tuple[int, int], ...]] = []
+            edges = 0
+            peak = 0
+            for position, state in enumerate(packed):
+                row = []
+                for dense, child in expand(state):
+                    target = index_of.get(child)
+                    if target is None:
+                        target = index_of[child] = len(packed)
+                        packed.append(child)
+                    row.append((dense, target))
+                rows.append(tuple(row))
+                edges += len(row)
+                queued = len(packed) - position - 1
+                if queued > peak:
+                    peak = queued
+            self._packed = packed
+            self._rows = rows
+            self._num_edges = edges
+            #: High-water mark of the BFS queue during construction.
+            self.frontier_peak = peak
+            self._scc: tuple[int, list[int]] | None = None
+            self._decoded: list[Marking] | None = None
+            self._position: dict[Marking, int] | None = None
+            self._decoded_rows: list | None = None
             span.set(states=self.num_states(), edges=self._num_edges)
         obs.count("engine.eager.states", self.num_states())
         obs.count("engine.eager.edges", self._num_edges)
         obs.gauge_max("engine.eager.frontier_peak", self.frontier_peak)
-
-    def _materialise(
-        self,
-        net: PetriNet,
-        expand: Callable[[PackedState], Iterable[tuple[int, PackedState]]],
-    ) -> None:
-        """One breadth-first pass from the initial state: each packed
-        state gets the next index on first sight, and its row is built
-        over target indices before the next state is expanded."""
-        self.net = net
-        self.initial = net.initial
-        cnet = net.compiled()
-        self._cnet = cnet
-        start = cnet.initial_state
-        index_of = {start: 0}
-        packed = [start]
-        rows: list[tuple[tuple[int, int], ...]] = []
-        edges = 0
-        peak = 0
-        for position, state in enumerate(packed):
-            row = []
-            for dense, child in expand(state):
-                target = index_of.get(child)
-                if target is None:
-                    target = index_of[child] = len(packed)
-                    packed.append(child)
-                row.append((dense, target))
-            rows.append(tuple(row))
-            edges += len(row)
-            queued = len(packed) - position - 1
-            if queued > peak:
-                peak = queued
-        self._packed = packed
-        self._rows = rows
-        self._num_edges = edges
-        #: High-water mark of the BFS queue during construction.
-        self.frontier_peak = peak
-        self._scc: tuple[int, list[int]] | None = None
-        self._decoded: list[Marking] | None = None
-        self._position: dict[Marking, int] | None = None
-        self._decoded_rows: list | None = None
 
     # -- the Marking view --------------------------------------------------
 
@@ -226,12 +215,6 @@ class ReachabilityGraph:
 
     def num_edges(self) -> int:
         return self._num_edges
-
-    def packed_states(self) -> Sequence[PackedState]:
-        """The packed states in discovery order (read-only), for scans
-        lowered through the codec of ``net.compiled()`` that decode only
-        what they keep."""
-        return self._packed
 
     def marked_places(self) -> set[str]:
         """Places that hold a token in at least one reachable marking."""
@@ -383,17 +366,6 @@ class ReachabilityGraph:
                     if low[node] < low[parent]:
                         low[parent] = low[node]
         return components, scc_of
-
-    def to_networkx(self):
-        """Export as a ``networkx.MultiDiGraph`` (for external analysis)."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph()
-        for state in self.states:
-            graph.add_node(state)
-        for source, action, tid, target in self.edges:
-            graph.add_edge(source, target, action=action, tid=tid)
-        return graph
 
 
 def firing_sequences(

@@ -1,8 +1,8 @@
 """State-equation symbolic engine: semi-decision without enumeration.
 
-Every other engine in this project (eager, onthefly, por, parallel)
-enumerates markings, so the whole verification stack is bounded by what
-fits in an explorer.  This module answers the same questions by linear
+Every other engine in this project (onthefly, por, parallel) and the
+reachability graph enumerate markings, so the whole verification stack
+is bounded by what fits in an explorer.  This module answers the same questions by linear
 algebra over the incidence matrix instead:
 
     M  =  M0 + C·x,   x >= 0                       (the state equation)

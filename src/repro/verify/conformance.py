@@ -75,7 +75,7 @@ def check_conformance(
     (``"onthefly"`` by default — lazy product exploration with early
     exit; ``"por"`` adds stubborn-set partial-order reduction to both
     the containment check and the mirror-composition receptiveness
-    search; ``"eager"`` forces the full-graph oracle path).
+    search).
     """
     from repro.petri.product import DEFAULT_ENGINE, resolve_engine
 

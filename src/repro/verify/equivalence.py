@@ -12,10 +12,10 @@ the finer equivalences a verification flow needs to tell those apart:
   specification does not allow.
 
 All are computed on explicit reachability graphs, so they apply to
-bounded nets.  The bisimulation entry points additionally accept an
-``engine`` argument: ``"onthefly"`` (default) answers through the lazy
-product engine whenever it can do so exactly (deterministic systems,
-or a refuting trace difference) before paying for the eager graphs.
+bounded nets.  The bisimulation checks first ask the lazy product
+engine, which answers exactly whenever it can (deterministic systems,
+or a refuting trace difference), before paying for partition
+refinement over the full graphs.
 """
 
 from __future__ import annotations
@@ -123,53 +123,39 @@ def strongly_bisimilar(
     net1: PetriNet,
     net2: PetriNet,
     max_states: int = 100_000,
-    engine: str = DEFAULT_ENGINE,
 ) -> bool:
     """Strong bisimulation equivalence of two bounded nets' behaviours.
 
-    With ``engine="onthefly"`` (default) the question is first put to
-    the lazy product engine: a synchronous walk decides it exactly —
-    with early exit and without materialising either state space — as
-    long as both systems are deterministic, and a strong trace
-    difference refutes bisimilarity even when they are not.  Only when
-    neither shortcut is conclusive does the check fall back to the
-    eager partition refinement (``engine="eager"`` goes there directly).
-    ``engine="por"`` behaves like ``"onthefly"`` here: strong
+    The question is first put to the lazy product engine: a synchronous
+    walk decides it exactly — with early exit and without materialising
+    either state space — as long as both systems are deterministic, and
+    a strong trace difference refutes bisimilarity even when they are
+    not.  Only when neither shortcut is conclusive does the check fall
+    back to partition refinement.  There is no engine choice: strong
     bisimulation observes every label, so no transition is invisible
-    and the stubborn-set selector has nothing to reduce.
+    and partial-order reduction has nothing to reduce.
     """
-    engine = resolve_engine(engine)
     cache_key = verdicts.pair_key("bisim-strong", net1, net2, ())
-    with obs.span("verify.bisim.strong", engine=engine) as span:
+    with obs.span("verify.bisim.strong") as span:
         hit = verdicts.pair_lookup(cache_key, max_states)
         if hit is not None:
             span.set(verdict=hit, cached=True)
             return hit
-        if engine != "eager":
-            verdict, _ = deterministic_bisimulation(net1, net2, max_states)
-            if verdict is not None:
-                span.set(verdict=verdict)
-                verdicts.pair_publish(cache_key, verdict, max_states, engine)
-                return verdict
-            # Nondeterministic somewhere: strong trace inequality still
-            # refutes bisimilarity (traces are coarser than bisimulation).
-            if not compare_languages(
-                net1,
-                net2,
-                mode="equal",
-                silent=(),
-                max_states=max_states,
-            ).verdict:
-                span.set(verdict=False)
-                verdicts.pair_publish(cache_key, False, max_states, engine)
-                return False
-        lts1 = _Lts(net1, max_states)
-        lts2 = _Lts(net2, max_states)
-        verdict = _partition_refinement(
-            lts1, lts2, lts1.successors, lts2.successors
-        )
+        verdict, _ = deterministic_bisimulation(net1, net2, max_states)
+        # Nondeterministic somewhere: strong trace inequality still
+        # refutes bisimilarity (traces are coarser than bisimulation).
+        if verdict is None and not compare_languages(
+            net1, net2, mode="equal", silent=(), max_states=max_states
+        ).verdict:
+            verdict = False
+        if verdict is None:
+            lts1 = _Lts(net1, max_states)
+            lts2 = _Lts(net2, max_states)
+            verdict = _partition_refinement(
+                lts1, lts2, lts1.successors, lts2.successors
+            )
         span.set(verdict=verdict)
-        verdicts.pair_publish(cache_key, verdict, max_states, engine)
+        verdicts.pair_publish(cache_key, verdict, max_states, DEFAULT_ENGINE)
         return verdict
 
 
@@ -208,8 +194,7 @@ def weakly_bisimilar(
     with early exit); ``engine="por"`` runs that refutation under
     stubborn-set partial-order reduction (the weak language is exactly
     preserved, so the refutation stays sound).  A positive answer still
-    requires the eager partition refinement over the weak transition
-    relations.
+    requires partition refinement over the weak transition relations.
     """
     engine = resolve_engine(engine)
     cache_key = verdicts.pair_key("bisim-weak", net1, net2, silent)
@@ -218,18 +203,17 @@ def weakly_bisimilar(
         if hit is not None:
             span.set(verdict=hit, cached=True)
             return hit
-        if engine != "eager":
-            if not compare_languages(
-                net1,
-                net2,
-                mode="equal",
-                silent=silent,
-                max_states=max_states,
-                reduction=engine == "por",
-            ).verdict:
-                span.set(verdict=False)
-                verdicts.pair_publish(cache_key, False, max_states, engine)
-                return False
+        if not compare_languages(
+            net1,
+            net2,
+            mode="equal",
+            silent=silent,
+            max_states=max_states,
+            reduction=engine == "por",
+        ).verdict:
+            span.set(verdict=False)
+            verdicts.pair_publish(cache_key, False, max_states, engine)
+            return False
         silent_set = set(silent)
         lts1 = _Lts(net1, max_states)
         lts2 = _Lts(net2, max_states)

@@ -2,10 +2,17 @@
 
 ``L(N)`` of a bounded net is a prefix-closed regular language: the
 reachability graph is a finite automaton in which *every* state is
-accepting.  This module converts nets to DFAs (with epsilon-closure over
-silent labels), minimizes them, and decides language equality and
-containment — the exact form of the paper's Theorems 4.5 and 4.7 and of
-Theorem 5.1's containment claim.
+accepting.  The checks here — :func:`languages_equal`,
+:func:`language_contained` and :func:`distinguishing_trace` — decide
+equality and containment (the exact form of the paper's Theorems 4.5
+and 4.7 and of Theorem 5.1's containment claim) on the fly, by
+:func:`repro.petri.product.compare_languages`.
+
+:func:`dfa_of_net` builds the other route: the whole reachability
+graph, subset construction with epsilon-closure over silent labels,
+then :func:`minimize`; :func:`dfa_equal` and :func:`dfa_contained`
+compare two such DFAs.  It shares no search with the on-the-fly
+comparison, which is why the test suites use it as their reference.
 """
 
 from __future__ import annotations
@@ -227,12 +234,10 @@ def languages_equal(
     product of the two determinised state spaces, terminating at the
     first difference; ``engine="por"`` additionally applies
     stubborn-set partial-order reduction to both sides (silent
-    interleavings collapse, the language is preserved exactly);
-    ``engine="eager"`` builds, minimises and compares both full DFAs
-    (the oracle path).  ``engine="symbolic"`` first runs the
-    state-equation pre-check (one-letter separating words via
-    conclusively-dead actions) and only enumerates when the pre-check
-    is INCONCLUSIVE.  All are exact, so they always agree — which is
+    interleavings collapse, the language is preserved exactly).
+    ``engine="symbolic"`` first runs the state-equation pre-check
+    (one-letter separating words via conclusively-dead actions) and
+    only enumerates when the pre-check is INCONCLUSIVE.  All are exact, so they always agree — which is
     why the verdict memo (:mod:`repro.cache`, active stores only) keys
     entries by content hashes, mode, silent set and budget but *not*
     by engine.
@@ -251,28 +256,14 @@ def languages_equal(
             if verdict.conclusive:
                 span.set(verdict=verdict.holds, symbolic=True)
                 return bool(verdict.holds)
-            verdict = compare_languages(
-                net1,
-                net2,
-                mode="equal",
-                silent=silent,
-                max_states=max_states,
-                reduction=False,
-            ).verdict
-        elif engine != "eager":
-            verdict = compare_languages(
-                net1,
-                net2,
-                mode="equal",
-                silent=silent,
-                max_states=max_states,
-                reduction=engine == "por",
-            ).verdict
-        else:
-            common = (net1.actions | net2.actions) - set(silent)
-            d1 = dfa_of_net(net1, silent, common, max_states)
-            d2 = dfa_of_net(net2, silent, common, max_states)
-            verdict = dfa_equal(d1, d2)
+        verdict = compare_languages(
+            net1,
+            net2,
+            mode="equal",
+            silent=silent,
+            max_states=max_states,
+            reduction=engine == "por",
+        ).verdict
         span.set(verdict=verdict)
         verdicts.pair_publish(cache_key, bool(verdict), max_states, engine)
         return verdict
@@ -302,28 +293,14 @@ def language_contained(
             if verdict.conclusive:
                 span.set(verdict=verdict.holds, symbolic=True)
                 return bool(verdict.holds)
-            verdict = compare_languages(
-                net1,
-                net2,
-                mode="contained",
-                silent=silent,
-                max_states=max_states,
-                reduction=False,
-            ).verdict
-        elif engine != "eager":
-            verdict = compare_languages(
-                net1,
-                net2,
-                mode="contained",
-                silent=silent,
-                max_states=max_states,
-                reduction=engine == "por",
-            ).verdict
-        else:
-            common = (net1.actions | net2.actions) - set(silent)
-            d1 = dfa_of_net(net1, silent, common, max_states)
-            d2 = dfa_of_net(net2, silent, common, max_states)
-            verdict = dfa_contained(d1, d2)
+        verdict = compare_languages(
+            net1,
+            net2,
+            mode="contained",
+            silent=silent,
+            max_states=max_states,
+            reduction=engine == "por",
+        ).verdict
         span.set(verdict=verdict)
         verdicts.pair_publish(cache_key, bool(verdict), max_states, engine)
         return verdict
@@ -349,37 +326,11 @@ def distinguishing_trace(
             return None
         if verdict.conclusive and verdict.witness is not None:
             return tuple(verdict.witness)
-        engine = "onthefly"
-    if engine != "eager":
-        return compare_languages(
-            net1,
-            net2,
-            mode="equal",
-            silent=silent,
-            max_states=max_states,
-            reduction=engine == "por",
-        ).counterexample
-    common = (net1.actions | net2.actions) - set(silent)
-    d1 = dfa_of_net(net1, silent, common, max_states)
-    d2 = dfa_of_net(net2, silent, common, max_states)
-    start = (d1.start, d2.start)
-    parents: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {
-        start: None
-    }
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        s1, s2 = pair
-        if (s1 == d1.sink) != (s2 == d2.sink):
-            trace: list[str] = []
-            cursor = pair
-            while parents[cursor] is not None:
-                cursor, symbol = parents[cursor]
-                trace.append(symbol)
-            return tuple(reversed(trace))
-        for index, symbol in enumerate(d1.symbols):
-            successor = (d1.transitions[s1][index], d2.transitions[s2][index])
-            if successor not in parents:
-                parents[successor] = (pair, symbol)
-                queue.append(successor)
-    return None
+    return compare_languages(
+        net1,
+        net2,
+        mode="equal",
+        silent=silent,
+        max_states=max_states,
+        reduction=engine == "por",
+    ).counterexample

@@ -60,14 +60,13 @@ class ReceptivenessFailure:
     """A Proposition 5.5 witness: the producer is ready to emit but no
     consumer alternative is ready to accept.
 
-    When found by the on-the-fly engine, ``trace`` holds the action
+    When found by the on-the-fly search, ``trace`` holds the action
     labels and ``tids`` the transition ids of a firable path from the
     composite's initial marking to ``marking`` — replayable step by
-    step via :mod:`repro.petri.simulation`.  The plain on-the-fly
-    engine discovers breadth-first, so its trace is shortest; the
-    reduced engine's trace is shortest in the reduced space under the
-    default ``proviso="fresh"`` (breadth-first discovery), and merely
-    firable under ``proviso="stack"`` (depth-first discovery).
+    step via :mod:`repro.petri.simulation`.  The search discovers
+    breadth-first, so the trace is shortest (in the reduced space under
+    ``engine="por"``).  Witnesses from the state equation or the
+    sharded explorer carry no trace.
     """
 
     obligation: SyncObligation
@@ -92,15 +91,14 @@ class ReceptivenessFailure:
 class ReceptivenessReport:
     """Outcome of a receptiveness check.
 
-    ``engine`` records which engine answered (``"eager"``,
-    ``"onthefly"``, ``"por"``, ``"symbolic"``, or ``"-"`` for the
-    structural method);
+    ``engine`` records which engine answered (``"onthefly"``,
+    ``"por"``, ``"symbolic"``, or ``"-"`` for the structural method);
     ``states_explored`` the number of composite markings it visited
     (``None`` for the structural method).  Under ``engine="por"``,
     ``states_reduced`` counts the markings at which the stubborn-set
     selector expanded a proper subset of the enabled transitions, and
-    ``proviso`` records which ignoring-prevention proviso governed the
-    reduced search (``"fresh"`` or ``"stack"``, see
+    ``proviso`` records the ignoring-prevention proviso that governed
+    the reduced search (:data:`SEARCH_PROVISO`, see
     :mod:`repro.petri.product`).
 
     ``metrics`` carries the full instrumentation payload of the check
@@ -116,7 +114,7 @@ class ReceptivenessReport:
     obligations: list[SyncObligation]
     failures: list[ReceptivenessFailure]
     method: str
-    engine: str = "eager"
+    engine: str
     states_explored: int | None = None
     states_reduced: int | None = None
     proviso: str | None = None
@@ -284,38 +282,12 @@ def _first_failures(
                 yield entry[0], state
 
 
-# Default ignoring-prevention proviso for the *verify* layer's reduced
-# searches.  Deliberately not ``repro.petri.product.DEFAULT_PROVISO``
-# ("stack"): the Prop 5.5 search early-exits once every obligation is
-# witnessed, and witnesses sit shallow, so breadth-first "fresh"
-# discovery wins on failing compositions and reports shortest reduced
-# traces.  Callers proving receptiveness of cyclic nets should pass
-# ``proviso="stack"`` to exhaust an exponentially smaller space.
+#: The ignoring-prevention proviso of the reduced Prop 5.5 search.
+#: Deliberately not ``repro.petri.product.DEFAULT_PROVISO`` ("stack"):
+#: the search early-exits once every obligation is witnessed, and
+#: witnesses sit shallow, so breadth-first "fresh" discovery wins on
+#: failing compositions and reports shortest reduced traces.
 SEARCH_PROVISO = "fresh"
-
-
-def _reachability_failures(
-    composite: Stg,
-    obligations: list[SyncObligation],
-    max_states: int,
-) -> tuple[list[ReceptivenessFailure], int]:
-    """The eager path: materialise the full composite state space, then
-    scan its packed states once, in breadth-first discovery order, for
-    each obligation's first failing state — the first failing marking
-    the on-the-fly search would discover too, independent of hash
-    seeds.  Only the witnesses are decoded."""
-    from repro.petri.reachability import ReachabilityGraph
-
-    graph = ReachabilityGraph(composite.net, max_states=max_states)
-    cnet = composite.net.compiled()
-    witnesses = dict(
-        _first_failures(graph.packed_states(), obligations, cnet)
-    )
-    failures = [
-        ReceptivenessFailure(obligations[position], cnet.decode(state))
-        for position, state in sorted(witnesses.items())
-    ]
-    return failures, graph.num_states()
 
 
 def _onthefly_failures(
@@ -324,7 +296,6 @@ def _onthefly_failures(
     max_states: int,
     stop_at_first: bool = False,
     reduce: bool = False,
-    proviso: str | None = None,
 ) -> tuple[list[ReceptivenessFailure], int, int]:
     """Demand-driven Proposition 5.5 search: obligations are checked as
     each composite marking is *discovered*, so exploration stops as soon
@@ -340,31 +311,18 @@ def _onthefly_failures(
     only for the witnesses themselves).
 
     With ``reduce`` the space is explored under stubborn-set
-    partial-order reduction, governed by ``proviso``
-    (:mod:`repro.petri.product`).  The verify layer defaults to
-    ``"fresh"``, not the space-level default ``"stack"``: this search
-    is breadth-sensitive — it exits as soon as every obligation is
-    witnessed, and failure witnesses sit shallow, so breadth-first
-    fresh-proviso discovery reaches them after far fewer states than
-    the depth-first stack walk, and its traces are shortest in the
-    reduced space.  ``"stack"`` pays off on the opposite workload:
-    receptive (witness-free) compositions with pure cycles, where the
-    search must exhaust the reduced space and the stack proviso keeps
-    that space exponentially smaller (see ``docs/PERFORMANCE.md``).  The Prop 5.5 failure predicate only reads
-    the token counts of the obligation places (producer and consumer
-    presets), so those are declared as *visible places*: every
-    transition that changes one of them is visible to the selector, the
-    predicate's value is invariant under invisible firings, and a
-    failure marking is reachable in the reduced space iff one is
-    reachable in the full space.  Reduced edges are real firings of the
+    partial-order reduction with :data:`SEARCH_PROVISO`.  The Prop 5.5
+    failure predicate only reads the token counts of the obligation
+    places (producer and consumer presets), so those are declared as
+    *visible places*: every transition that changes one of them is
+    visible to the selector, the predicate's value is invariant under
+    invisible firings, and a failure marking is reachable in the
+    reduced space iff one is reachable in the full space.  Reduced edges are real firings of the
     unreduced net, so witness traces replay unchanged.
     """
-    from repro.petri.product import LazyStateSpace, resolve_proviso
+    from repro.petri.product import LazyStateSpace
 
     if reduce:
-        proviso = resolve_proviso(
-            proviso if proviso is not None else SEARCH_PROVISO
-        )
         predicate_places: set[str] = set()
         for obligation in obligations:
             predicate_places |= obligation.producer_preset
@@ -376,7 +334,7 @@ def _onthefly_failures(
             reduction=True,
             visible_actions=(),
             visible_places=predicate_places,
-            proviso=proviso,
+            proviso=SEARCH_PROVISO,
         )
     else:
         space = LazyStateSpace(composite.net, max_states=max_states)
@@ -413,7 +371,7 @@ def _parallel_failures(
     the canonical (minimum packed key) witness per failing obligation
     is returned.  Verdicts and the set of failing obligations are
     byte-identical to the serial engines; witnesses carry no trace
-    (``trace=None``), exactly like the eager oracle.
+    (``trace=None``).
     """
     from repro.petri.parallel import parallel_explore
 
@@ -441,7 +399,6 @@ def check_receptiveness(
     engine: str | None = None,
     stop_at_first: bool = False,
     workers: int | None = None,
-    proviso: str | None = None,
 ) -> ReceptivenessReport:
     """Check Propositions 5.5/5.6 on the composition of two modules.
 
@@ -463,33 +420,17 @@ def check_receptiveness(
     being *discovered* and stops as soon as every obligation is resolved
     (failure witnesses come with a shortest firable counterexample
     trace); ``"por"`` additionally applies stubborn-set partial-order
-    reduction with the obligation places declared visible, so the
-    Prop 5.5 verdict is unchanged while fewer interleavings are
-    explored; ``"eager"`` materialises the full graph first (the same
-    exploration core without early exit; its witnesses are the first
-    failing markings in breadth-first discovery order, as on the
-    on-the-fly path); ``"symbolic"`` first attempts to decide every
-    obligation by state-equation reasoning alone
-    (:mod:`repro.petri.symbolic`: exact-rational linear feasibility
-    with trap refinement — no marking is ever constructed, so
-    ``max_states`` does not bound it), and only the obligations the
+    reduction with the obligation places declared visible (under the
+    breadth-first :data:`SEARCH_PROVISO`), so the Prop 5.5 verdict is
+    unchanged while fewer interleavings are explored; ``"symbolic"``
+    first attempts to decide every obligation by state-equation
+    reasoning alone (:mod:`repro.petri.symbolic`: exact-rational linear
+    feasibility with trap refinement — no marking is ever constructed,
+    so ``max_states`` does not bound it), and only the obligations the
     semi-decision procedure leaves INCONCLUSIVE fall back to the
     on-the-fly search; ``report.symbolic`` records the partition.
 
-    ``proviso`` (``engine="por"`` only) picks the ignoring-prevention
-    rule of the reduced search: the default ``"fresh"`` discovers
-    breadth-first and fully expands any state with an already-discovered
-    reduced successor — best for this early-exit witness hunt, and its
-    traces stay shortest in the reduced space; ``"stack"`` discovers
-    depth-first under the DFS-stack proviso with sleep sets — its
-    traces are firable but not necessarily shortest, and it wins when
-    the composition is receptive and cyclic, where the search must
-    exhaust the reduced space and ``"stack"`` keeps that space
-    exponentially smaller (channel banks: ``3*2^(n-1)+1`` states
-    versus the full ``4^n``; see ``docs/PERFORMANCE.md``).
-
-    ``stop_at_first`` makes the demand-driven engines
-    return after the first failure (the verdict is already decided at
+    ``stop_at_first`` makes the search return after the first failure (the verdict is already decided at
     that point; only the per-obligation attribution of *later* failures
     is lost).
 
@@ -497,22 +438,19 @@ def check_receptiveness(
     parallel explorer (:mod:`repro.petri.parallel`): hash-partitioned
     visited sets, full-space exploration, schedule-independent
     verdicts, canonical per-obligation witnesses without traces.  It
-    composes with the ``eager`` and ``onthefly`` engines but not with
-    ``por`` (partial-order reduction is inherently order-sensitive: the
+    composes with the ``onthefly`` engine only: not with ``por``
+    (partial-order reduction is inherently order-sensitive: the
     DFS-stack proviso and sleep sets assume one sequential search
-    order), and ``stop_at_first`` is ignored on this path.  The
-    structural method uses these knobs only for its fallback search.
+    order), nor with ``symbolic``.  ``stop_at_first`` is ignored on
+    this path.  The structural method uses these knobs only for its
+    fallback search.
 
     Every check records its own instrumentation (spans, counters and
     gauges under the ``repro.obs/v1`` schema) on ``report.metrics``; the
     same events are also forwarded to any recorder already active in the
     caller, e.g. the one behind ``cip verify --profile``.
     """
-    from repro.petri.product import (
-        DEFAULT_ENGINE,
-        resolve_engine,
-        resolve_proviso,
-    )
+    from repro.petri.product import DEFAULT_ENGINE, resolve_engine
 
     engine = resolve_engine(
         engine if engine is not None else DEFAULT_ENGINE,
@@ -529,16 +467,7 @@ def check_receptiveness(
             "engine 'symbolic' does not compose with parallel"
             " exploration: the state-equation engine explores no states,"
             " and its inconclusive fallback is the serial on-the-fly"
-            " search; run the workers with engine 'eager' or 'onthefly'"
-        )
-    if proviso is not None and engine != "por":
-        raise ValueError(
-            "proviso is a partial-order-reduction knob;"
-            " it requires engine 'por'"
-        )
-    if engine == "por":
-        proviso = resolve_proviso(
-            proviso if proviso is not None else SEARCH_PROVISO
+            " search; run the workers with engine 'onthefly'"
         )
     if workers > 1 and engine == "por":
         raise ValueError(
@@ -547,7 +476,7 @@ def check_receptiveness(
             " order-sensitive (the DFS-stack proviso and sleep sets"
             " depend on one sequential search order that sharded workers"
             " cannot preserve); run engine 'por' serially, or keep the"
-            " workers with engine 'eager' or 'onthefly'"
+            " workers with engine 'onthefly'"
         )
     cache_key = _receptiveness_key(stg1, stg2, method, stop_at_first)
     if cache_key is not None:
@@ -564,7 +493,6 @@ def check_receptiveness(
             stop_at_first,
             recorder,
             workers,
-            proviso,
         )
     report.metrics = recorder.to_dict()
     _receptiveness_publish(cache_key, report, max_states, workers)
@@ -721,7 +649,6 @@ def _checked_receptiveness(
     stop_at_first: bool,
     recorder: obs.MetricsRecorder,
     workers: int = 1,
-    proviso: str | None = None,
 ) -> ReceptivenessReport:
     with obs.span("verify.receptiveness", method=method) as span:
         composite, obligations = compose_with_obligations(stg1, stg2)
@@ -797,6 +724,7 @@ def _checked_receptiveness(
             if engine == "symbolic":
                 search_engine = "onthefly"
         reduced: int | None = None
+        proviso = SEARCH_PROVISO if engine == "por" else None
         clock = recorder.clock
         search_start = clock.now()
         with obs.span(
@@ -809,18 +737,13 @@ def _checked_receptiveness(
                 failures, explored = _parallel_failures(
                     composite, pending, max_states, workers
                 )
-            elif search_engine in ("onthefly", "por"):
+            else:
                 failures, explored, reduced = _onthefly_failures(
                     composite,
                     pending,
                     max_states,
                     stop_at_first=stop_at_first,
                     reduce=search_engine == "por",
-                    proviso=proviso,
-                )
-            else:
-                failures, explored = _reachability_failures(
-                    composite, pending, max_states
                 )
             search.set(states=explored)
         failures = symbolic_failures + failures
@@ -864,7 +787,6 @@ def check_receptiveness_with_hiding(
     max_states: int = 1_000_000,
     engine: str | None = None,
     workers: int | None = None,
-    proviso: str | None = None,
 ) -> ReceptivenessReport:
     """The Section 5.3 refinement: apply ``hide'`` (relabel-to-epsilon)
     to each module's private signals before composing, keeping the
@@ -890,5 +812,4 @@ def check_receptiveness_with_hiding(
         max_states=max_states,
         engine=engine,
         workers=workers,
-        proviso=proviso,
     )

@@ -89,6 +89,13 @@ class TestFullMatrix:
         assert symbolic.outcome == "inconclusive"
         assert symbolic.conclusive is False
 
+    def test_state_counts_layout(self, report):
+        """Explored states per instance and enumerating cell; instances
+        no enumerating cell completed (the unbounded source) drop out."""
+        counts = report.state_counts()
+        assert counts["channel_bank_2"] == {"onthefly": 16, "por": 7}
+        assert "unbounded_source" not in counts
+
     def test_deadlocking_instance_agrees_on_the_deadlock(self, report):
         (phils,) = [
             i for i in report.instances if i.name == "philosophers_2"
@@ -127,14 +134,14 @@ class TestDiffCells:
         return CellResult(engine, "ok", states, edges, frozenset(dead))
 
     def test_engine_count_mismatch_flagged(self):
-        problems = diff_cells([self.ok("eager"), self.ok("onthefly", edges=9)])
-        assert any("engine mismatch" in p for p in problems)
+        problems = diff_cells([self.ok("onthefly"), self.ok("por", edges=9)])
+        assert any("explored more" in p for p in problems)
 
     def test_por_deadlock_divergence_flagged(self):
         marking = Marking({"p": 1})
         problems = diff_cells(
             [
-                self.ok("eager", dead=(marking,)),
+                self.ok("onthefly", dead=(marking,)),
                 self.ok("por", states=3, edges=3),
             ]
         )
@@ -142,14 +149,14 @@ class TestDiffCells:
 
     def test_por_exploring_more_flagged(self):
         problems = diff_cells(
-            [self.ok("eager"), self.ok("por", states=9)]
+            [self.ok("onthefly"), self.ok("por", states=9)]
         )
         assert any("explored more" in p for p in problems)
 
     def test_por_bound_exceeded_when_reference_ok_flagged(self):
         problems = diff_cells(
             [
-                self.ok("eager"),
+                self.ok("onthefly"),
                 CellResult("por", "bound-exceeded"),
             ]
         )
@@ -157,15 +164,15 @@ class TestDiffCells:
 
     def test_por_smaller_space_is_fine(self):
         problems = diff_cells(
-            [self.ok("eager"), self.ok("por", states=3, edges=3)]
+            [self.ok("onthefly"), self.ok("por", states=3, edges=3)]
         )
         assert problems == []
 
     def test_outcome_mismatch_across_engines_flagged(self):
         problems = diff_cells(
-            [self.ok("eager"), CellResult("onthefly", "unbounded")]
+            [self.ok("onthefly"), CellResult("por", "unbounded")]
         )
-        assert any("engine mismatch" in p for p in problems)
+        assert any("por reports unbounded" in p for p in problems)
 
     def symbolic(self, outcome="ok", conclusive=True, dead=()):
         return CellResult(
@@ -180,7 +187,7 @@ class TestDiffCells:
         covering is a soundness bug and must be loud."""
         problems = diff_cells(
             [
-                CellResult("eager", "unbounded"),
+                CellResult("onthefly", "unbounded"),
                 self.symbolic(outcome="ok", conclusive=True),
             ]
         )
@@ -189,7 +196,7 @@ class TestDiffCells:
     def test_symbolic_inconclusive_against_unbounded_is_fine(self):
         problems = diff_cells(
             [
-                CellResult("eager", "unbounded"),
+                CellResult("onthefly", "unbounded"),
                 self.symbolic(outcome="inconclusive", conclusive=False),
             ]
         )
@@ -198,7 +205,7 @@ class TestDiffCells:
     def test_symbolic_dead_action_fired_by_explicit_engine_flagged(self):
         cells = [
             CellResult(
-                "eager",
+                "onthefly",
                 "ok",
                 5,
                 7,
@@ -213,7 +220,7 @@ class TestDiffCells:
     def test_symbolic_dead_action_never_fired_is_fine(self):
         cells = [
             CellResult(
-                "eager",
+                "onthefly",
                 "ok",
                 5,
                 7,
@@ -254,7 +261,7 @@ class TestCliBench:
                 "bench",
                 str(corpus_dir),
                 "--engines",
-                "eager,onthefly",
+                "onthefly,por",
                 "--max-states",
                 "5000",
                 "--out",

@@ -32,7 +32,7 @@ class TestWarmInstance:
         assert "cache.misses" not in counters
         names = [span["name"] for span in warm.payload["spans"]]
         assert "compile.net" not in names
-        assert names.count("bench.cell") == len(warm.cells) == 4
+        assert names.count("bench.cell") == len(warm.cells) == 3
         assert all(cell.cached for cell in warm.cells)
         assert not any(cell.cached for cell in cold.cells)
         assert warm.cells == cold.cells
@@ -55,18 +55,17 @@ class TestBudgetRule:
             small = run_instance(path, max_states=10)
             assert [cell.outcome for cell in small.cells] == [
                 "bound-exceeded",
-                "bound-exceeded",
                 "ok",
                 "ok",
             ]
-            assert small.cells[2].states == 7
-            assert cached(10) == [True] * 4
+            assert small.cells[1].states == 7
+            assert cached(10) == [True] * 3
             full = run_instance(path, max_states=16)
             assert not any(cell.cached for cell in full.cells)
-            assert [cell.states for cell in full.cells[:2]] == [16, 16]
+            assert [cell.states for cell in full.cells[:2]] == [16, 7]
             for budget in (16, 17, 1_000):
-                assert cached(budget) == [True] * 4
-            assert cached(15) == [False] * 4
+                assert cached(budget) == [True] * 3
+            assert cached(15) == [False] * 3
 
 
 class TestMalformedEntry:
@@ -74,7 +73,7 @@ class TestMalformedEntry:
         "mangle",
         [
             lambda cells: [],
-            lambda cells: cells[:3],
+            lambda cells: cells[:-1],
             lambda cells: cells[::-1],
             lambda cells: [1, 2, 3, 4],
             lambda cells: [{"engine": cell["engine"]} for cell in cells],

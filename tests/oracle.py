@@ -4,7 +4,8 @@ oracle the exploration core is checked against.
 It reads only ``net.initial`` and the tid-sorted transition relation,
 fires with its own token arithmetic and builds
 :class:`~repro.petri.marking.Marking` values itself; no exploration code
-of :mod:`repro.petri` is involved.
+of :mod:`repro.petri` is involved.  On top of the search it answers the
+behavioural questions by brute force, Proposition 5.5 included.
 """
 
 from __future__ import annotations
@@ -124,3 +125,25 @@ class Oracle:
         return all(
             self.initial in self.reachable_from(marking) for marking in self.rows
         )
+
+    # -- Proposition 5.5, by brute force ---------------------------------------
+
+    def first_failures(self, obligations) -> list[tuple[object, Marking]]:
+        """``(obligation, marking)`` for every obligation some marking
+        fails, in obligation order: the first marking, in discovery
+        order, where the producer preset is marked and no consumer
+        preset is (Proposition 5.5)."""
+
+        def marked(marking: Marking, preset) -> bool:
+            return all(marking[place] >= 1 for place in preset)
+
+        failures = []
+        for obligation in obligations:
+            for marking in self.rows:
+                if marked(marking, obligation.producer_preset) and not any(
+                    marked(marking, preset)
+                    for preset in obligation.consumer_presets
+                ):
+                    failures.append((obligation, marking))
+                    break
+        return failures

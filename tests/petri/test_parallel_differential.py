@@ -30,7 +30,10 @@ from repro.io.json_io import net_to_dict
 from repro.petri.net import PetriNet
 from repro.petri.parallel import parallel_explore
 from repro.stg.stg import Stg
-from repro.verify.receptiveness import check_receptiveness
+from repro.verify.receptiveness import (
+    check_receptiveness,
+    compose_with_obligations,
+)
 
 from tests.oracle import Oracle
 from tests.strategies import bounded_multi_token_nets, bounded_nets
@@ -141,26 +144,18 @@ def test_sharded_run_is_deterministic(net):
     ),
 )
 def test_receptiveness_verdicts_agree_with_serial(net1, net2):
-    """Prop 5.5 through the parallel path: same verdict and the same
-    failing obligations as the serial eager engine, at every worker
-    count."""
+    """Prop 5.5 through the parallel path: the same verdict and the
+    same failing obligations as the brute-force scan, at every worker
+    count; the sharded path explores the whole composite space."""
     with persists_counterexamples("receptiveness", net1=net1, net2=net2):
         producer = Stg(net1, outputs={"a", "b"})
         consumer = Stg(net2, inputs={"a", "b"})
-
-        def check(workers):
-            return check_receptiveness(
-                producer,
-                consumer,
-                method="reachability",
-                max_states=20_000,
-                engine="eager",
-                workers=workers,
-            )
-
-        eager = check(workers=None)
-        failed = lambda r: {  # noqa: E731
-            (f.obligation.action, f.obligation.producer) for f in r.failures
+        composite, obligations = compose_with_obligations(producer, consumer)
+        oracle = Oracle(composite.net, limit=20_000)
+        assert oracle.complete
+        expected = {
+            (obligation.action, obligation.producer)
+            for obligation, _ in oracle.first_failures(obligations)
         }
         for workers in (1, 2):
             report = check_receptiveness(
@@ -168,9 +163,13 @@ def test_receptiveness_verdicts_agree_with_serial(net1, net2):
                 consumer,
                 method="reachability",
                 max_states=20_000,
-                engine="eager",
                 workers=workers,
             )
-            assert report.is_receptive() == eager.is_receptive(), workers
-            assert failed(report) == failed(eager), workers
-            assert report.states_explored == eager.states_explored, workers
+            failed = {
+                (f.obligation.action, f.obligation.producer)
+                for f in report.failures
+            }
+            assert report.is_receptive() == (not expected), workers
+            assert failed == expected, workers
+            if workers > 1 or report.is_receptive():
+                assert report.states_explored == len(oracle.rows), workers

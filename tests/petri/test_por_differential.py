@@ -1,14 +1,17 @@
 """Differential testing of the exploration engines.
 
 Every property here runs the same verification question through
-``eager`` (the oracle), ``onthefly`` (the lazy engine PR 1 validated
-against the oracle), ``por`` (the stubborn-set reduced engine) and —
-where the question supports it — ``symbolic`` (the state-equation
-semi-decision engine, whose inconclusive cases fall back to the
-explicit search and must therefore reach the same verdicts), and
-asserts engine-matrix agreement — on verdicts, on the visible-action
-language of the reduced space, and on deadlock sets — over the
-non-safe-net strategies in :mod:`tests.strategies`.
+``onthefly`` (the lazy engine), ``por`` (the stubborn-set reduced
+engine) and — where the question supports it — ``symbolic`` (the
+state-equation semi-decision engine, whose inconclusive cases fall back
+to the explicit search and must therefore reach the same verdicts), and
+asserts that each agrees with an independent reference — on verdicts,
+on the visible-action language of the reduced space, and on deadlock
+sets — over the non-safe-net strategies in :mod:`tests.strategies`.
+The references: the minimal DFAs of
+:func:`repro.verify.language.dfa_of_net` for languages, the
+brute-force Proposition 5.5 scan of ``tests/oracle.py`` for
+receptiveness, and the full :class:`ReachabilityGraph` for deadlocks.
 
 When a property fails, the shrunk counterexample net(s) are persisted
 as JSON under ``tests/petri/por_failures/`` (hypothesis replays the
@@ -27,13 +30,20 @@ from hypothesis import HealthCheck, given, settings
 from repro.io.json_io import net_to_dict
 from repro.petri.marking import Marking
 from repro.petri.net import EPSILON, PetriNet
-from repro.petri.product import LazyStateSpace, compare_languages
+from repro.petri.product import LazyStateSpace
 from repro.petri.reachability import ReachabilityGraph
 from repro.petri.simulation import TokenGame
 from repro.stg.stg import Stg
-from repro.verify.language import language_contained, languages_equal
+from repro.verify.language import (
+    dfa_contained,
+    dfa_equal,
+    dfa_of_net,
+    language_contained,
+    languages_equal,
+)
 from repro.verify.receptiveness import check_receptiveness
 
+from tests.oracle import Oracle
 from tests.strategies import bounded_multi_token_nets, bounded_nets
 
 RELAXED = settings(
@@ -85,9 +95,20 @@ class persists_counterexamples:
         return False
 
 
+def reference_verdict(
+    net1: PetriNet, net2: PetriNet, silent, mode: str = "equal"
+) -> bool:
+    """The language verdict of the minimal DFAs over the common
+    alphabet: the reference the engines are compared with."""
+    universe = (net1.actions | net2.actions) - set(silent)
+    d1 = dfa_of_net(net1, silent, universe)
+    d2 = dfa_of_net(net2, silent, universe)
+    return dfa_equal(d1, d2) if mode == "equal" else dfa_contained(d1, d2)
+
+
 def reduced_space_as_lts(space: LazyStateSpace) -> PetriNet:
     """The fully-explored (reduced) space as a one-token state-machine
-    net, so its language can be compared by the eager DFA oracle."""
+    net, so its language can be compared with the reference DFA."""
     lts = PetriNet("reduced-lts")
     names: dict[Marking, str] = {}
     for marking in space.iter_bfs():
@@ -106,34 +127,19 @@ def reduced_space_as_lts(space: LazyStateSpace) -> PetriNet:
 @THOROUGH
 @given(net1=bounded_nets(), net2=bounded_nets())
 def test_language_verdicts_agree_across_engines(net1, net2):
-    """Equality and containment verdicts across the four-way matrix:
-    eager == onthefly == por == symbolic (the symbolic pre-check either
-    concludes exactly or falls back to the explicit comparison)."""
+    """Equality and containment verdicts: onthefly == por == symbolic
+    == the minimal DFAs (the symbolic pre-check either concludes
+    exactly or falls back to the explicit comparison)."""
     with persists_counterexamples("language_verdicts", net1=net1, net2=net2):
         for mode in ("equal", "contained"):
+            check = languages_equal if mode == "equal" else language_contained
             verdicts = {
-                engine: languages_equal(
-                    net1, net2, silent=SILENT, engine=engine
-                )
-                if mode == "equal"
-                else compare_languages(
-                    net1,
-                    net2,
-                    mode=mode,
-                    silent=SILENT,
-                    reduction=engine == "por",
-                ).verdict
-                for engine in ("eager", "onthefly", "por")
+                engine: check(net1, net2, silent=SILENT, engine=engine)
+                for engine in ("onthefly", "por", "symbolic")
             }
-            verdicts["symbolic"] = (
-                languages_equal(net1, net2, silent=SILENT, engine="symbolic")
-                if mode == "equal"
-                else language_contained(
-                    net1, net2, silent=SILENT, engine="symbolic"
-                )
-            )
-            for engine in ("onthefly", "por", "symbolic"):
-                assert verdicts[engine] == verdicts["eager"], (mode, verdicts)
+            reference = reference_verdict(net1, net2, SILENT, mode)
+            for engine, verdict in verdicts.items():
+                assert verdict == reference, (mode, engine, verdicts)
 
 
 @THOROUGH
@@ -146,10 +152,10 @@ def test_language_verdicts_agree_across_engines(net1, net2):
     ),
 )
 def test_receptiveness_verdicts_agree_across_engines(net1, net2):
-    """Same Prop 5.5 verdict and failing obligations across the
-    four-way matrix (symbolic decides what it can and falls back to
-    the explicit search for the rest), and every por witness trace
-    replays on the unreduced composite."""
+    """Each engine fails the obligations the brute-force Prop 5.5 scan
+    fails (symbolic decides what it can and falls back to the explicit
+    search for the rest), and every por witness trace replays on the
+    unreduced composite."""
     with persists_counterexamples("receptiveness", net1=net1, net2=net2):
         producer = Stg(net1, outputs={"a", "b"})
         consumer = Stg(net2, inputs={"a", "b"})
@@ -161,17 +167,23 @@ def test_receptiveness_verdicts_agree_across_engines(net1, net2):
                 max_states=20_000,
                 engine=engine,
             )
-            for engine in ("eager", "onthefly", "por", "symbolic")
+            for engine in ("onthefly", "por", "symbolic")
         }
-        eager = reports["eager"]
-        for engine in ("onthefly", "por", "symbolic"):
-            report = reports[engine]
-            assert report.is_receptive() == eager.is_receptive(), engine
-            failed = lambda r: {  # noqa: E731
+        oracle = Oracle(reports["onthefly"].composite.net, limit=20_000)
+        assert oracle.complete
+        expected = {
+            (obligation.action, obligation.producer)
+            for obligation, _ in oracle.first_failures(
+                reports["onthefly"].obligations
+            )
+        }
+        for engine, report in reports.items():
+            assert report.is_receptive() == (not expected), engine
+            failed = {
                 (f.obligation.action, f.obligation.producer)
-                for f in r.failures
+                for f in report.failures
             }
-            assert failed(report) == failed(eager), engine
+            assert failed == expected, engine
         # por edges are real firings: witnesses replay on the full net.
         por = reports["por"]
         for failure in por.failures:
@@ -188,15 +200,15 @@ def test_deadlock_sets_preserved(net):
     """With nothing visible the reduced space still reaches *exactly*
     the deadlock markings of the full space."""
     with persists_counterexamples("deadlocks", net=net):
-        eager = set(ReachabilityGraph(net).deadlocks())
+        full = ReachabilityGraph(net)
         space = LazyStateSpace(net, reduction=True, visible_actions=())
         reduced = {
             marking
             for marking in space.iter_bfs()
             if not space.successors(marking)
         }
-        assert reduced == eager
-        assert space.num_explored() <= ReachabilityGraph(net).num_states()
+        assert reduced == set(full.deadlocks())
+        assert space.num_explored() <= full.num_states()
 
 
 @RELAXED
@@ -212,7 +224,7 @@ def test_visible_language_preserved_by_reduction(net):
         )
         space.explore_all()
         lts = reduced_space_as_lts(space)
-        assert languages_equal(lts, net, silent=SILENT, engine="eager")
+        assert reference_verdict(lts, net, SILENT)
 
 
 @RELAXED
@@ -283,9 +295,9 @@ def corpus_silent(net: PetriNet) -> frozenset[str]:
 @pytest.mark.parametrize("name", CORPUS_FAMILIES)
 def test_corpus_family_deadlock_sets_agree(name, proviso):
     """Deadlock-set parity on the corpus families: the reduced space
-    reaches exactly the deadlock markings of the eager oracle."""
+    reaches exactly the deadlock markings of the full graph."""
     net = corpus_net(name)
-    eager = set(ReachabilityGraph(net).deadlocks())
+    full = ReachabilityGraph(net)
     space = LazyStateSpace(
         net, reduction=True, visible_actions=(), proviso=proviso
     )
@@ -294,15 +306,15 @@ def test_corpus_family_deadlock_sets_agree(name, proviso):
         for marking in space.iter_bfs()
         if not space.successors(marking)
     }
-    assert reduced == eager
-    assert space.num_explored() <= ReachabilityGraph(net).num_states()
+    assert reduced == set(full.deadlocks())
+    assert space.num_explored() <= full.num_states()
 
 
 @pytest.mark.parametrize("proviso", PROVISOS)
 @pytest.mark.parametrize("name", CORPUS_FAMILIES)
 def test_corpus_family_visible_language_preserved(name, proviso):
     """Visible-language parity on the corpus families, via the LTS
-    replay against the eager DFA oracle."""
+    replay against the reference DFA."""
     net = corpus_net(name)
     silent = corpus_silent(net)
     space = LazyStateSpace(
@@ -313,7 +325,7 @@ def test_corpus_family_visible_language_preserved(name, proviso):
     )
     space.explore_all()
     lts = reduced_space_as_lts(space)
-    assert languages_equal(lts, net, silent=silent, engine="eager")
+    assert reference_verdict(lts, net, silent)
 
 
 @pytest.mark.parametrize(
@@ -326,18 +338,18 @@ def test_corpus_family_visible_language_preserved(name, proviso):
     ],
 )
 def test_corpus_family_language_verdicts_agree(name1, name2):
-    """Four-way verdict parity on corpus family pairs: whatever the
-    eager oracle answers, the lazy, reduced and symbolic engines must
-    echo."""
+    """Verdict parity on corpus family pairs: whatever the reference
+    DFAs answer, the lazy, reduced and symbolic engines must echo."""
     net1, net2 = corpus_net(name1), corpus_net(name2)
     silent = corpus_silent(net1) | corpus_silent(net2)
+    reference = reference_verdict(net1, net2, silent)
     verdicts = {
         engine: languages_equal(net1, net2, silent=silent, engine=engine)
-        for engine in ("eager", "onthefly", "por", "symbolic")
+        for engine in ("onthefly", "por", "symbolic")
     }
-    for engine in ("onthefly", "por", "symbolic"):
-        assert verdicts[engine] == verdicts["eager"], verdicts
-    assert verdicts["eager"] is (name1 == name2)
+    for engine, verdict in verdicts.items():
+        assert verdict == reference, (engine, verdicts)
+    assert reference is (name1 == name2)
 
 
 def test_corpus_channel_bank_strictly_reduces_under_stack_proviso():

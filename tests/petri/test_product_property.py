@@ -1,11 +1,16 @@
-"""Property-based agreement between the on-the-fly engine and the eager
-:class:`ReachabilityGraph` / DFA oracle on random (non-safe) nets.
+"""Property-based agreement between the on-the-fly engine and the
+independent references on random (non-safe) nets.
 
-The eager implementations predate the demand-driven engine and are kept
-as the test oracle; every property here asserts that both paths compute
-the same answer — state counts, language verdicts, counterexamples,
-bisimilarity and receptiveness — on hypothesis-generated nets whose
-initial markings are *not* restricted to be safe.
+The references: the :class:`ReachabilityGraph` (the core exhausted in
+one pass, itself pinned to ``tests/oracle.py`` by ``test_compiled.py``)
+for state spaces, the minimal DFAs of
+:func:`repro.verify.language.dfa_of_net` for languages, partition
+refinement over the full graphs for bisimilarity, and the brute-force
+Proposition 5.5 scan of ``tests/oracle.py`` for receptiveness.  Every
+property asserts that both paths compute the same answer — state counts, language verdicts,
+counterexamples, bisimilarity and receptiveness witnesses — on
+hypothesis-generated nets whose initial markings are *not* restricted
+to be safe.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,8 +20,16 @@ from repro.petri.product import LazyStateSpace, compare_languages
 from repro.petri.reachability import ReachabilityGraph, UnboundedNetError
 from repro.petri.simulation import TokenGame
 from repro.stg.stg import Stg
-from repro.verify.equivalence import strongly_bisimilar, weakly_bisimilar
+from repro.verify.equivalence import (
+    _Lts,
+    _partition_refinement,
+    _weak_moves,
+    strongly_bisimilar,
+    weakly_bisimilar,
+)
 from repro.verify.language import (
+    dfa_contained,
+    dfa_equal,
     dfa_of_net,
     distinguishing_trace,
     language_contained,
@@ -24,6 +37,7 @@ from repro.verify.language import (
 )
 from repro.verify.receptiveness import check_receptiveness
 
+from tests.oracle import Oracle
 from tests.strategies import bounded_multi_token_nets, bounded_nets, petri_nets
 
 RELAXED = settings(
@@ -89,34 +103,29 @@ def test_unboundedness_verdicts_agree(net):
 @given(net1=bounded_nets(), net2=bounded_nets())
 def test_language_verdicts_agree(net1, net2):
     """Equality, both containments and the distinguishing trace agree
-    between the subset-construction oracle and the lazy pair walk."""
-    eq_eager = languages_equal(net1, net2, engine="eager")
-    eq_lazy = languages_equal(net1, net2, engine="onthefly")
-    assert eq_eager == eq_lazy
-    for first, second in ((net1, net2), (net2, net1)):
-        assert language_contained(
-            first, second, engine="eager"
-        ) == language_contained(first, second, engine="onthefly")
-    trace = distinguishing_trace(net1, net2, engine="onthefly")
-    assert (trace is None) == eq_eager
+    between the minimal DFAs and the lazy pair walk."""
+    universe = (net1.actions | net2.actions) - {EPSILON}
+    d1 = dfa_of_net(net1, silent={EPSILON}, alphabet=universe)
+    d2 = dfa_of_net(net2, silent={EPSILON}, alphabet=universe)
+    equal = dfa_equal(d1, d2)
+    assert languages_equal(net1, net2) == equal
+    assert language_contained(net1, net2) == dfa_contained(d1, d2)
+    assert language_contained(net2, net1) == dfa_contained(d2, d1)
+    trace = distinguishing_trace(net1, net2)
+    assert (trace is None) == equal
     if trace is not None:
         # The counterexample must separate the two weak languages.
-        universe = (net1.actions | net2.actions) - {EPSILON}
-        d1 = dfa_of_net(net1, silent={EPSILON}, alphabet=universe)
-        d2 = dfa_of_net(net2, silent={EPSILON}, alphabet=universe)
         assert d1.accepts(trace) != d2.accepts(trace)
 
 
 @RELAXED
 @given(net1=bounded_nets(), net2=bounded_nets())
 def test_strong_language_comparison_agrees_with_strict_dfa(net1, net2):
-    """With no silent labels the lazy walk must match the eager DFA on
-    the *strong* (epsilon-visible) language."""
+    """With no silent labels the lazy walk must match the minimal DFAs
+    on the *strong* (epsilon-visible) language."""
     universe = net1.actions | net2.actions
     d1 = dfa_of_net(net1, silent=set(), alphabet=universe)
     d2 = dfa_of_net(net2, silent=set(), alphabet=universe)
-    from repro.verify.language import dfa_equal
-
     result = compare_languages(net1, net2, silent=())
     assert result.verdict == dfa_equal(d1, d2)
     if result.counterexample is not None:
@@ -128,12 +137,18 @@ def test_strong_language_comparison_agrees_with_strict_dfa(net1, net2):
 @RELAXED
 @given(net1=bounded_nets(), net2=bounded_nets())
 def test_bisimulation_verdicts_agree(net1, net2):
-    assert strongly_bisimilar(net1, net2, engine="onthefly") == (
-        strongly_bisimilar(net1, net2, engine="eager")
+    """The checks' on-the-fly shortcuts answer as partition refinement
+    over the full graphs does."""
+    lts1, lts2 = _Lts(net1, 100_000), _Lts(net2, 100_000)
+    strong = _partition_refinement(
+        lts1, lts2, lts1.successors, lts2.successors
     )
-    assert weakly_bisimilar(net1, net2, engine="onthefly") == (
-        weakly_bisimilar(net1, net2, engine="eager")
+    silent = {EPSILON}
+    weak = _partition_refinement(
+        lts1, lts2, _weak_moves(lts1, silent), _weak_moves(lts2, silent)
     )
+    assert strongly_bisimilar(net1, net2) == strong
+    assert weakly_bisimilar(net1, net2) == weak
 
 
 @RELAXED
@@ -146,26 +161,19 @@ def test_bisimulation_verdicts_agree(net1, net2):
     ),
 )
 def test_receptiveness_verdicts_agree(net1, net2):
-    """Same verdict and the same set of failing obligations, whichever
-    engine discovers the composite state space."""
+    """The on-the-fly search fails exactly the obligations the
+    brute-force scan fails, each at the first failing marking in
+    breadth-first discovery order."""
     producer = Stg(net1, outputs={"a", "b"})
     consumer = Stg(net2, inputs={"a", "b"})
-    reports = {}
-    for engine in ("eager", "onthefly"):
-        reports[engine] = check_receptiveness(
-            producer,
-            consumer,
-            method="reachability",
-            max_states=20_000,
-            engine=engine,
-        )
-    eager, lazy = reports["eager"], reports["onthefly"]
-    assert eager.is_receptive() == lazy.is_receptive()
-    failed = lambda report: {  # noqa: E731
-        (f.obligation.action, f.obligation.producer, f.obligation.consumer)
-        for f in report.failures
-    }
-    assert failed(eager) == failed(lazy)
+    lazy = check_receptiveness(
+        producer, consumer, method="reachability", max_states=20_000
+    )
+    oracle = Oracle(lazy.composite.net, limit=20_000)
+    assert oracle.complete
+    expected = dict(oracle.first_failures(lazy.obligations))
+    assert lazy.is_receptive() == (not expected)
+    assert {f.obligation: f.marking for f in lazy.failures} == expected
     # On-the-fly failures always carry a replayable shortest trace.
     composite = lazy.composite
     for failure in lazy.failures:

@@ -1,9 +1,10 @@
-"""Soundness of the symbolic engine, property-tested against eager.
+"""Soundness of the symbolic engine, property-tested against explicit
+enumeration.
 
 The state-equation engine is a semi-decision procedure: INCONCLUSIVE is
 always allowed, but every CONCLUSIVE verdict is a *proof* and must
-therefore agree with the eager oracle on any net hypothesis can dream
-up.  Each property enumerates the ground truth explicitly (reachable
+therefore agree with the explicit ground truth on any net hypothesis
+can dream up.  Each property enumerates the ground truth explicitly (reachable
 markings, fired actions, receptiveness verdicts) and checks that no
 conclusive symbolic answer ever contradicts it.
 
@@ -41,6 +42,7 @@ from repro.petri.symbolic import (
 from repro.stg.stg import Stg
 from repro.verify.receptiveness import check_receptiveness
 
+from tests.oracle import Oracle
 from tests.strategies import bounded_nets, multi_token_nets, petri_nets
 
 RELAXED = settings(
@@ -155,8 +157,8 @@ def test_phase1_matches_highs_in_both_arithmetics(problem):
 @THOROUGH
 @given(net=multi_token_nets())
 def test_bounded_verdict_sound(net):
-    """A conclusive 'bounded' must never be contradicted by the eager
-    construction hitting an unbounded witness (the strategy draws
+    """A conclusive 'bounded' must never be contradicted by the full
+    graph construction hitting an unbounded witness (the strategy draws
     genuinely unbounded nets, so the dangerous direction is hit)."""
     with persists_counterexamples("bounded", net=net):
         verdict = bounded(net)
@@ -266,7 +268,7 @@ def test_dead_actions_sound(net):
 @RELAXED
 @given(net1=bounded_nets(), net2=bounded_nets())
 def test_language_precheck_sound(net1, net2):
-    """A conclusive language pre-check verdict must match the eager
+    """A conclusive language pre-check verdict must match the explicit
     language comparison, in both modes."""
     with persists_counterexamples("precheck", net1=net1, net2=net2):
         for mode in ("equal", "contained"):
@@ -290,27 +292,31 @@ def test_language_precheck_sound(net1, net2):
 )
 def test_receptiveness_parity_with_eager(net1, net2):
     """engine=symbolic reports the same receptiveness verdict and the
-    same failing obligations as eager: conclusively-safe obligations
-    are safe, and the explicit fallback covers everything undecided."""
+    same failing obligations as the exhaustive (eager) brute-force scan
+    of ``tests/oracle.py``: conclusively-safe obligations are safe, and
+    the explicit fallback covers everything undecided."""
     with persists_counterexamples("receptiveness", net1=net1, net2=net2):
         producer = Stg(net1, outputs={"a", "b"})
         consumer = Stg(net2, inputs={"a", "b"})
-        reports = {
-            engine: check_receptiveness(
-                producer,
-                consumer,
-                method="reachability",
-                max_states=20_000,
-                engine=engine,
-            )
-            for engine in ("eager", "symbolic")
+        symbolic = check_receptiveness(
+            producer,
+            consumer,
+            method="reachability",
+            max_states=20_000,
+            engine="symbolic",
+        )
+        oracle = Oracle(symbolic.composite.net, limit=20_000)
+        assert oracle.complete
+        expected = {
+            (obligation.action, obligation.producer)
+            for obligation, _ in oracle.first_failures(symbolic.obligations)
         }
-        eager, symbolic = reports["eager"], reports["symbolic"]
-        assert symbolic.is_receptive() == eager.is_receptive()
-        failed = lambda r: {  # noqa: E731
-            (f.obligation.action, f.obligation.producer) for f in r.failures
+        assert symbolic.is_receptive() == (not expected)
+        failed = {
+            (f.obligation.action, f.obligation.producer)
+            for f in symbolic.failures
         }
-        assert failed(symbolic) == failed(eager)
+        assert failed == expected
         assert symbolic.symbolic is not None
         counts = symbolic.symbolic
         assert counts["safe"] + counts["failed"] + counts["undecided"] == len(

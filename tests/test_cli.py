@@ -162,6 +162,22 @@ class TestFailurePaths:
             assert err.startswith(f"cip: error: cannot parse {path}: ")
             assert err.count("\n") == 1
 
+    def test_verify_rejects_the_eager_engine(
+        self, master_file, slave_file, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", master_file, slave_file, "--engine", "eager"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --engine: invalid choice: 'eager'" in err
+
+    def test_bench_rejects_the_eager_engine(self, corpus_dir, capsys):
+        assert main(["bench", str(corpus_dir), "--engines", "eager"]) == 2
+        assert capsys.readouterr().err == (
+            "cip: error: unknown engine 'eager'; expected a comma-separated"
+            " subset of onthefly, por, symbolic\n"
+        )
+
     def test_unknown_input_extension(self, tmp_path, capsys):
         path = tmp_path / "net.xyz"
         path.write_text("")
@@ -387,49 +403,6 @@ class TestVerifyPor:
             " on cycle re-entry" in out
         )
         assert "# eager baseline : 1444 states (228/1444 explored)" in out
-
-    def test_por_stack_proviso_reports_sleep_and_cycle_work(
-        self, case_study_files, capsys
-    ):
-        # The DFS-stack proviso is opt-in on the verify path; its
-        # epilogue must name the proviso actually used and surface the
-        # sleep-set / cycle-re-expansion counters.
-        sender_path, translator_path = case_study_files
-        assert (
-            main(
-                [
-                    "verify",
-                    sender_path,
-                    translator_path,
-                    "--engine",
-                    "por",
-                    "--proviso",
-                    "stack",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "# por proviso    : stack — depth-first, sleep sets" in out
-        assert "cycle re-expansions" in out
-
-    def test_proviso_requires_por_engine(self, case_study_files, capsys):
-        sender_path, translator_path = case_study_files
-        assert (
-            main(
-                [
-                    "verify",
-                    sender_path,
-                    translator_path,
-                    "--proviso",
-                    "stack",
-                ]
-            )
-            == 2
-        )
-        err = capsys.readouterr().err
-        assert "requires --engine por" in err
-        assert err.count("\n") == 1
 
     def test_por_baseline_unavailable_when_bound_exceeded(
         self, case_study_files, capsys
@@ -775,7 +748,7 @@ class TestParallelFlags:
         assert "does not compose with --parallel" in err
         assert "inherently order-sensitive" in err
         assert "run por serially" in err
-        assert "--engine eager or onthefly" in err
+        assert "keep it with --engine onthefly" in err
         assert err.count("\n") == 1
 
     def test_parallel_verify_matches_serial(

@@ -18,6 +18,8 @@ from repro.verify.receptiveness import (
     compose_with_obligations,
 )
 
+from tests.oracle import Oracle
+
 
 def impatient_master() -> Stg:
     """Drops the request without waiting for the acknowledge: the
@@ -122,29 +124,36 @@ class TestReachabilityMethod:
         assert report.is_receptive()
 
     def test_eager_witnesses_match_onthefly_on_fig8(self):
-        """The eager engine scans its graph in breadth-first discovery
-        order, so every obligation's witness is the first failing
-        marking the on-the-fly search discovers too — never one picked
-        by set iteration order (which would vary with the hash seed)."""
+        """The brute-force scan of ``tests/oracle.py`` exhausts the
+        composite space (eagerly) and takes each obligation's first
+        failing marking in breadth-first discovery order; the on-the-fly
+        search must report exactly those witnesses — never one picked by
+        set iteration order (which would vary with the hash seed)."""
         from repro.models.protocol_translator import (
             inconsistent_sender,
             translator,
         )
 
-        witnesses = {}
-        for engine in ("eager", "onthefly"):
-            report = check_receptiveness(
-                inconsistent_sender(),
-                translator(),
-                method="reachability",
-                engine=engine,
+        report = check_receptiveness(
+            inconsistent_sender(), translator(), method="reachability"
+        )
+        oracle = Oracle(report.composite.net)
+        assert oracle.complete
+        expected = dict(oracle.first_failures(report.obligations))
+        assert len(expected) == 16
+        assert {
+            failure.obligation: failure.marking for failure in report.failures
+        } == expected
+
+    def test_eager_engine_is_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            check_receptiveness(
+                four_phase_master(), four_phase_slave(), engine="eager"
             )
-            witnesses[engine] = {
-                failure.obligation: failure.marking
-                for failure in report.failures
-            }
-        assert len(witnesses["eager"]) == 16
-        assert witnesses["eager"] == witnesses["onthefly"]
+        message = str(excinfo.value)
+        assert "unknown engine 'eager'" in message
+        for engine in ("onthefly", "por", "symbolic"):
+            assert repr(engine) in message
 
 
 class TestStructuralMethod:
@@ -453,18 +462,6 @@ class TestCounterexampleTraces:
         rendered = str(report)
         assert "(after " in rendered
 
-    def test_eager_engine_agrees_but_has_no_trace(self):
-        eager = check_receptiveness(
-            impatient_master(),
-            four_phase_slave(),
-            method="reachability",
-            engine="eager",
-        )
-        lazy = self.failing_report()
-        assert eager.failing_actions() == lazy.failing_actions()
-        assert eager.engine == "eager" and lazy.engine == "onthefly"
-        assert all(f.trace is None for f in eager.failures)
-
     def test_stop_at_first_explores_no_further(self):
         full = self.failing_report()
         early = self.failing_report(stop_at_first=True)
@@ -480,14 +477,7 @@ class TestCounterexampleTraces:
             engine="onthefly",
         )
         assert report.is_receptive()
-        assert report.states_explored is not None
-        eager = check_receptiveness(
-            four_phase_master(),
-            four_phase_slave(),
-            method="reachability",
-            engine="eager",
-        )
-        assert report.states_explored == eager.states_explored
+        assert report.states_explored == len(Oracle(report.composite.net).rows)
 
 class TestPorEngine:
     """``engine="por"`` must agree with the oracle on every verdict, and
@@ -498,18 +488,24 @@ class TestPorEngine:
             engine: check_receptiveness(
                 first, second, method="reachability", engine=engine, **kwargs
             )
-            for engine in ("eager", "onthefly", "por")
+            for engine in ("onthefly", "por")
         }
 
     def test_verdicts_agree_on_failing_composition(self):
         reports = self.reports(impatient_master(), four_phase_slave())
-        assert not reports["eager"].is_receptive()
+        composite = reports["onthefly"].composite
+        expected = sorted(
+            {
+                obligation.action
+                for obligation, _ in Oracle(composite.net).first_failures(
+                    reports["onthefly"].obligations
+                )
+            }
+        )
+        assert expected
         for engine in ("onthefly", "por"):
             assert not reports[engine].is_receptive()
-            assert (
-                reports[engine].failing_actions()
-                == reports["eager"].failing_actions()
-            )
+            assert reports[engine].failing_actions() == expected
 
     def test_verdicts_agree_on_receptive_composition(self):
         reports = self.reports(four_phase_master(), four_phase_slave())
