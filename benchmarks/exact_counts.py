@@ -1,11 +1,12 @@
 """Gate the benchmark's exact counts: the ``tracing.EXACT`` metrics of a
-short traced run of every workload, and the corpus-matrix state counts,
-must equal the checked-in files.
+short traced run of every workload, the corpus-matrix state counts and
+the partial-order-reduction state counts must equal the checked-in
+files.
 
 Run from the repository root::
 
     python3 benchmarks/exact_counts.py           # check, exit 1 on a difference
-    python3 benchmarks/exact_counts.py --write   # regenerate both files
+    python3 benchmarks/exact_counts.py --write   # regenerate all three files
 
 Each workload runs as ``perfbench/run.py --workload W --seed 1 --seconds
 0.1 --trace 1``.  Those counts (states, edges, enabledness checks, solver
@@ -15,8 +16,12 @@ numbers as a long one; they are gated against ``EXACT_counts.json``.
 The corpus matrix is ``tests/corpus`` through every ``cip bench`` cell
 at a 50,000-state budget; the states each enumerating cell explores per
 instance are gated against ``BENCH_corpus.json``, the trajectory
-``test_corpus_bench.py`` writes.  Timings are deliberately not gated
-here.
+``test_corpus_bench.py`` writes.  The seven instances of
+``BENCH_por.json``, the trajectory ``test_por_engine.py`` writes, are
+recomputed with that module's own calls: explored states under
+``onthefly`` and ``por`` of the Fig 5-8 receptiveness checks, whose
+early exit on Fig 8||7 pins where the search stops, and of the
+channel-bank explorations.  Timings are deliberately not gated here.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COUNTS = Path(__file__).resolve().parent / "EXACT_counts.json"
 CORPUS_COUNTS = Path(__file__).resolve().parent / "BENCH_corpus.json"
+POR_COUNTS = Path(__file__).resolve().parent / "BENCH_por.json"
 CORPUS = ROOT / "tests" / "corpus"
 RUN = ROOT / "perfbench" / "run.py"
 ARGS = ("--seed", "1", "--seconds", "0.1", "--trace", "1")
@@ -66,6 +72,41 @@ def corpus_counts() -> dict[str, dict[str, int]]:
     return report.state_counts()
 
 
+def por_counts() -> dict[str, dict[str, int]]:
+    """Explored states per ``BENCH_por.json`` instance and engine, by the
+    calls ``test_por_engine.py`` makes."""
+    from repro.models import protocol_translator as paper
+    from repro.petri.product import LazyStateSpace
+    from test_por_engine import channel_bank, engine_states
+
+    sender, translator = paper.sender(), paper.translator()
+    pairs = {
+        "fig5||fig7 sender||translator": (sender, translator),
+        "fig7||fig6 translator||receiver": (translator, paper.receiver()),
+        "fig8||fig7 inconsistent||translator": (
+            paper.inconsistent_sender(),
+            translator,
+        ),
+    }
+    counts = {
+        name: {
+            engine: engine_states(*pair, engine) for engine in ("onthefly", "por")
+        }
+        for name, pair in pairs.items()
+    }
+    for channels in range(1, 5):
+        net = channel_bank(channels).net
+        full = LazyStateSpace(net)
+        full.explore_all()
+        reduced = LazyStateSpace(net, reduction=True, visible_actions=())
+        reduced.explore_all()
+        counts[f"channel-bank({channels}) deadlock-preserving"] = {
+            "onthefly": full.stats.states,
+            "por": reduced.stats.states,
+        }
+    return counts
+
+
 def differences(expected: dict, measured: dict, label: str) -> list[str]:
     """One line per count that is not the same in ``expected`` and
     ``measured`` (two levels of names: workload or instance, then
@@ -90,6 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     measured = {workload: measure(workload) for workload in WORKLOADS}
     corpus = corpus_counts()
+    por = por_counts()
     if args.write:
         from repro.obs.emit import write_benchmark
 
@@ -97,12 +139,16 @@ def main(argv: list[str] | None = None) -> int:
         write_benchmark(
             CORPUS_COUNTS, "corpus-matrix-state-counts", "explored states", corpus
         )
-        print(f"wrote {COUNTS.relative_to(ROOT)}")
-        print(f"wrote {CORPUS_COUNTS.relative_to(ROOT)}")
+        write_benchmark(POR_COUNTS, "por-engine-state-counts", "explored states", por)
+        for path in (COUNTS, CORPUS_COUNTS, POR_COUNTS):
+            print(f"wrote {path.relative_to(ROOT)}")
         return 0
     problems = differences(json.loads(COUNTS.read_text()), measured, "")
     problems += differences(
         json.loads(CORPUS_COUNTS.read_text())["instances"], corpus, "corpus "
+    )
+    problems += differences(
+        json.loads(POR_COUNTS.read_text())["instances"], por, "por "
     )
     for line in problems:
         print(line, file=sys.stderr)
@@ -110,7 +156,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         f"exact counts ok: {len(WORKLOADS)} workloads, {len(EXACT)} counts"
-        f" each; corpus matrix, {len(corpus)} instances"
+        f" each; corpus matrix, {len(corpus)} instances; por, {len(por)}"
+        " instances"
     )
     return 0
 

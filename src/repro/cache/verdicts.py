@@ -12,14 +12,18 @@ the ``max_states`` exploration budget it was computed under:
   budget-dependent, so they are served **only** at exactly that budget;
   a larger budget must re-explore.
 
-Entries are *not* keyed by engine or worker count — the differential
-harnesses prove verdicts invariant under both.  The
+Language, bisimulation and analysis entries are *not* keyed by engine
+or worker count — the differential harnesses prove verdicts invariant
+under both, and those reports carry nothing engine-specific.  The
 original execution configuration is kept as ``provenance`` and surfaced
-on reports (``cached: true`` + the original engine), so a hit is
-byte-identical to the cold run that produced the entry.  The one
-engine-keyed entry is a ``cip bench`` instance (check ``bench``): it
-records one cell per requested engine, so the engine tuple and the por
-proviso are part of what it answers.
+on reports (``cached: true`` + the original engine).  Two kinds of
+entry are engine-keyed, because what they answer depends on the engine:
+a receptiveness report (the engine, and whether the sharded explorer
+ran, decide its state count, witnesses, their order and traces), so a
+hit is byte-identical to the cold run of the same command; and a
+``cip bench`` instance (check ``bench``), which records one cell per
+requested engine, so the engine tuple and the por proviso are part of
+what it answers.
 
 Every caller asks :func:`memo_enabled` first: with no active store, or
 a net with opaque guards, nothing is hashed, looked up or written.

@@ -70,7 +70,9 @@ Anything else takes ``wide``, which has no count limit.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from itertools import islice
 from typing import Union
 
 from repro.obs import metrics as obs
@@ -459,8 +461,8 @@ class CompiledNet:
         ``enabled`` lists the enabled dense indices, ascending, and
         ``deficits[t]`` counts the empty preset places of transition
         ``t`` (``None`` under ``bits``).  Used once per exploration (for
-        the initial state); everything after is maintained
-        incrementally by :meth:`successor`.
+        the initial state); everything after is derived incrementally
+        by :meth:`derive`.
         """
         if self.field_bits:
             marked = (state + self._fill) & self._guards
@@ -511,28 +513,28 @@ class CompiledNet:
             vec[i] += 1
         return tuple(vec)
 
-    def successor(
+    def derive(
         self,
-        state: PackedState,
+        child: PackedState,
         deficits: Deficits,
         enabled: tuple[int, ...],
         dense: int,
-    ) -> tuple[PackedState, Deficits, tuple[int, ...], int]:
-        """Fire ``dense`` (enabled in ``state``) and derive the child's
-        enabled set (and, under ``wide``, its deficit counters)
-        incrementally.
+    ) -> tuple[Deficits, tuple[int, ...], int]:
+        """The enabled set (and, under ``wide``, the deficit counters) of
+        ``child = fire(state, dense)``, derived incrementally from those
+        of ``state``: the second half of :meth:`successor`.
 
-        Returns ``(child, child_deficits, child_enabled, checked)``
-        where ``checked`` counts the transitions whose enabledness was
+        Returns ``(child_deficits, child_enabled, checked)`` where
+        ``checked`` counts the transitions whose enabledness was
         re-derived: the affected transitions of ``dense`` under
         ``bits``, the consumers of places that became empty or became
-        marked under ``wide``.
+        marked under ``wide`` (consumed and produced places are
+        disjoint, so the child's counts tell which).
         """
         if self.field_bits:
-            child = state + self.delta[dense]
             affected = self.affected[dense]
             if not affected:
-                return child, None, enabled, 0
+                return None, enabled, 0
             marked = (child + self._fill) & self._guards
             pre_masks = self.pre_masks
             skip = self._affected_sets[dense]
@@ -542,27 +544,11 @@ class CompiledNet:
                 if marked & mask == mask:
                     merged.append(t)
             merged.sort()
-            return child, None, tuple(merged), len(affected)
-        consume = self.consume[dense]
-        produce = self.produce[dense]
-        if not consume and not produce:
-            return state, deficits, enabled, 0
-        newly_empty: list[int] = []
-        newly_marked: list[int] = []
-        wide = list(state)
-        for i in consume:
-            count = wide[i] - 1
-            wide[i] = count
-            if not count:
-                newly_empty.append(i)
-        for i in produce:
-            count = wide[i] + 1
-            wide[i] = count
-            if count == 1:
-                newly_marked.append(i)
-        child = tuple(wide)
+            return None, tuple(merged), len(affected)
+        newly_empty = [i for i in self.consume[dense] if not child[i]]
+        newly_marked = [i for i in self.produce[dense] if child[i] == 1]
         if not newly_empty and not newly_marked:
-            return child, deficits, enabled, 0
+            return deficits, enabled, 0
         consumers = self.consumers
         affected: set[int] = set()
         child_deficits = list(deficits)
@@ -575,11 +561,29 @@ class CompiledNet:
                 child_deficits[t] -= 1
                 affected.add(t)
         if not affected:
-            return child, deficits, enabled, 0
+            return deficits, enabled, 0
         merged = [t for t in enabled if t not in affected]
         merged.extend(t for t in affected if not child_deficits[t])
         merged.sort()
-        return child, tuple(child_deficits), tuple(merged), len(affected)
+        return tuple(child_deficits), tuple(merged), len(affected)
+
+    def successor(
+        self,
+        state: PackedState,
+        deficits: Deficits,
+        enabled: tuple[int, ...],
+        dense: int,
+    ) -> tuple[PackedState, Deficits, tuple[int, ...], int]:
+        """Both halves of one step: :meth:`fire` ``dense`` (enabled in
+        ``state``), then :meth:`derive` the child's enabled set.
+
+        Returns ``(child, child_deficits, child_enabled, checked)``.
+        For a caller that derives on every edge (the sharded explorer's
+        kernel); :class:`CompiledSpace` calls the halves apart, so that
+        only a child that turns out to be new pays for the derivation.
+        """
+        child = self.fire(state, dense)
+        return (child, *self.derive(child, deficits, enabled, dense))
 
     def __repr__(self) -> str:
         return (
@@ -681,9 +685,12 @@ class CompiledSpace:
     exploration core behind every serial engine.
 
     :class:`~repro.petri.product.LazyStateSpace` owns one of these and
-    translates at its :class:`Marking`-domain API boundary;
-    :class:`~repro.petri.reachability.ReachabilityGraph` materialises
-    one breadth-first.  Discovery order (breadth-first, children in tid
+    translates at its :class:`Marking`-domain API boundary.  Two ways
+    drive it: :meth:`successors`, which memoises each row for callers
+    that revisit states, and :meth:`walk`, the breadth-first walk that
+    keeps no rows, under the Prop 5.5 search and the
+    :class:`~repro.petri.reachability.ReachabilityGraph` build.
+    Discovery order (breadth-first, children in tid
     order), memoisation, interner-hit accounting, the ``max_states``
     budget, the Karp-Miller covering walk (with witnesses decoded into
     the error) and the stubborn-set reduction decisions live here and
@@ -745,12 +752,13 @@ class CompiledSpace:
         enabled: tuple[int, ...],
         dense: int,
     ) -> PackedState:
+        """Fire ``dense`` from ``parent`` and intern the child.  The
+        child's enabled set is derived (from ``parent``'s ``deficits``
+        and ``enabled``) only when the child is new: an interner hit
+        costs one firing and one lookup."""
         cnet = self.cnet
-        child, child_deficits, child_enabled, checked = cnet.successor(
-            parent, deficits, enabled, dense
-        )
+        child = cnet.fire(parent, dense)
         stats = self.stats
-        stats.enabledness_checks += checked
         parents = self._parent
         if child in parents:
             stats.interner_hits += 1
@@ -771,6 +779,10 @@ class CompiledSpace:
                 frontier=decoded,
             )
         parents[child] = (parent, dense)
+        child_deficits, child_enabled, checked = cnet.derive(
+            child, deficits, enabled, dense
+        )
+        stats.enabledness_checks += checked
         self._info[child] = (child_deficits, child_enabled)
         stats.states += 1
         if self._check_covering:
@@ -810,7 +822,8 @@ class CompiledSpace:
     ) -> tuple[tuple[str, int, PackedState], ...]:
         """Outgoing edges as ``(action, tid, target)`` triples, computed
         on first request and memoised, including the stubborn-set
-        reduction."""
+        reduction.  A state that :meth:`walk` expanded has no row to
+        serve: it raises the ``KeyError`` of :meth:`expand`."""
         cached = self._succ.get(state)
         if cached is not None:
             return cached
@@ -827,18 +840,26 @@ class CompiledSpace:
         self._succ[state] = result
         return result
 
-    def expand(
-        self, state: PackedState
-    ) -> tuple[tuple[int, PackedState], ...]:
+    def expand(self, state: PackedState) -> list[tuple[int, PackedState]]:
         """Discover the successors of one discovered, not yet expanded
         state and return its edge row as ``(dense, target)`` pairs
-        *without* memoising it — for a caller that expands every state
-        exactly once and keeps its own copy (the
-        :class:`~repro.petri.reachability.ReachabilityGraph` build).  Not for stack-proviso spaces, whose DFS walk
-        owns expansion; :meth:`successors` is the memoising entry
-        point."""
+        *without* memoising it (:meth:`successors` is the memoising
+        entry point).  Not for stack-proviso spaces, whose DFS walk owns
+        expansion.
+
+        Raises ``KeyError`` for a state that was already expanded
+        without a memo, by :meth:`walk`: its row was dropped, and under
+        the ``fresh`` proviso it cannot be derived again, because the
+        reduction chose it by which states were discovered at the time.
+        """
+        info = self._info.get(state)
+        if info is None:
+            raise KeyError(
+                f"no successor row for {state!r}: it was expanded without"
+                " a memo, or never discovered"
+            )
+        deficits, enabled = info
         cnet = self.cnet
-        deficits, enabled = self._info[state]
         expand = enabled
         selector = self._selector
         if selector is not None and len(enabled) > 1:
@@ -854,13 +875,61 @@ class CompiledSpace:
                     expand = dense_set
                     self.stats.reduced_states += 1
         discover = self._discover
-        result = tuple(
+        row = [
             (dense, discover(state, deficits, enabled, dense))
             for dense in expand
-        )
+        ]
         del self._info[state]
-        self.stats.edges += len(result)
-        return result
+        self.stats.edges += len(row)
+        return row
+
+    def walk(
+        self, on_row: Callable[[list], None] | None = None
+    ) -> Iterator[tuple[int, PackedState]]:
+        """Breadth-first exploration that keeps no successor rows.
+
+        Expands every discovered state once, in discovery order, through
+        :meth:`expand`, and yields ``(dense, state)`` for each state as
+        it is discovered, ``dense`` being the transition on its
+        discovery-parent link (``-1`` for the initial state).  The
+        order, the counts and the budget are those of :meth:`successors`
+        driven breadth-first (``LazyStateSpace.iter_raw``), and so is
+        ``stats.frontier_peak``, the most states discovered but not yet
+        expanded at any yield.  Each expansion's ``(dense, target)`` row
+        goes to ``on_row`` when one is given, right after the expansion
+        and before the states it discovered are yielded (the
+        :class:`~repro.petri.reachability.ReachabilityGraph` build
+        indexes it there), and is then dropped: :meth:`successors`
+        cannot serve the states the walk expanded.  Needs a space
+        nothing has expanded yet, and not a stack-proviso one.
+        """
+        if self._dfs is not None:
+            raise ValueError(
+                "a stack-proviso space is explored by its depth-first"
+                " search, not breadth-first"
+            )
+        stats = self.stats
+        parents = self._parent
+        expand = self.expand
+        queue = deque([self.initial])
+        yield -1, self.initial
+        while queue:
+            known = len(parents)
+            row = expand(queue.popleft())
+            if on_row is not None:
+                on_row(row)
+            fresh = len(parents) - known
+            if not fresh:
+                continue
+            # ``_parent`` only grows, in discovery order: the expansion's
+            # new states are its last ``fresh`` entries.
+            for child, (_, dense) in reversed(
+                list(islice(reversed(parents.items()), fresh))
+            ):
+                queue.append(child)
+                if len(queue) > stats.frontier_peak:
+                    stats.frontier_peak = len(queue)
+                yield dense, child
 
     # -- traversal ---------------------------------------------------------
 

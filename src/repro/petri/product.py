@@ -123,10 +123,13 @@ class ExplorationStats:
     ``sleep_skips`` the enabled transitions pruned by sleep sets and
     ``cycle_expansions`` the full expansions forced by the DFS-stack
     proviso (both ``0`` outside ``proviso="stack"``).
+    ``enabledness_checks`` counts the transitions whose enabledness
+    was re-derived for new states (an interner hit derives nothing).
     ``interner_hits`` counts discoveries that landed on an
     already-interned marking (re-convergent paths); ``frontier_peak``
-    is the high-water mark of the BFS queue in :meth:`iter_bfs` (the
-    DFS stack depth under the stack proviso).
+    is the high-water mark of the BFS queue in
+    :meth:`LazyStateSpace.iter_bfs` and :meth:`LazyStateSpace.walk`
+    (the DFS stack depth under the stack proviso).
     """
 
     states: int = 0
@@ -141,9 +144,11 @@ class ExplorationStats:
     def interner_hit_rate(self) -> float:
         """Fraction of interner lookups that found an existing marking.
 
-        Per-space: every :meth:`CompiledSpace._discover` call performs
-        exactly one lookup, a miss creates a state, and the initial
-        marking is interned without a lookup — so the lookup count is
+        Per-space: every :meth:`CompiledSpace._discover` call fires once
+        and performs exactly one lookup, a miss creates a state (and only
+        a miss pays for deriving an enabled set, counted in
+        ``enabledness_checks``), and the initial marking is interned
+        without a lookup — so the lookup count is
         ``interner_hits + states - 1``.
         """
         lookups = self.interner_hits + max(self.states - 1, 0)
@@ -183,7 +188,8 @@ class LazyStateSpace:
     Marking-domain API by translating at the boundary (packed states
     are decoded at most once each).  Callers that can test packed
     states through the codec of :attr:`compiled_net` should use
-    :meth:`iter_raw` / :meth:`decode` to skip the translation entirely.
+    :meth:`iter_raw` (or :meth:`walk`, which keeps no successor rows) /
+    :meth:`decode` to skip the translation entirely.
 
     Partial-order reduction (``engine="por"``) is switched on with
     ``reduction=True`` (or an explicit
@@ -388,11 +394,6 @@ class LazyStateSpace:
         for state in self._core.iter_dfs():
             yield decode(state)
 
-    def iter_raw_dfs(self) -> Iterator:
-        """DFS over *packed* states — the allocation-light twin of
-        :meth:`iter_dfs`."""
-        return self._core.iter_dfs()
-
     def iter_discovery(self) -> Iterator[Marking]:
         """States in the order the active exploration discovers them.
 
@@ -406,11 +407,17 @@ class LazyStateSpace:
             return self.iter_dfs()
         return self.iter_bfs()
 
-    def iter_raw_discovery(self) -> Iterator:
-        """Packed twin of :meth:`iter_discovery`."""
-        if self._stack_driven:
-            return self._core.iter_dfs()
-        return self.iter_raw()
+    def walk(self) -> Iterator:
+        """Breadth-first exploration that keeps no successor rows:
+        :meth:`CompiledSpace.walk <repro.petri.compiled.CompiledSpace.walk>`
+        over this space, yielding ``(dense, packed state)`` in the
+        discovery order of :meth:`iter_raw`, ``dense`` being the
+        transition on the state's discovery-parent link (``-1`` for the
+        initial state).  It drives a fresh space, once, for callers that
+        only scan states (the Prop 5.5 search) or count them; a state it
+        expanded has no row left, so :meth:`successors` on it raises
+        ``KeyError``.  Not for ``proviso="stack"`` spaces."""
+        return self._core.walk()
 
     def explore_all(self) -> int:
         """Force full exploration; returns the number of reachable states."""

@@ -124,35 +124,31 @@ class ReachabilityGraph:
             self.initial = net.initial
             cnet = net.compiled()
             self._cnet = cnet
-            expand = CompiledSpace(cnet, max_states, ExplorationStats()).expand
-            # One breadth-first pass from the initial state: each packed
-            # state gets the next index on first sight, and its row is
-            # built over target indices before the next state is
-            # expanded.
-            start = cnet.initial_state
-            index_of = {start: 0}
-            packed = [start]
+            # The core's breadth-first walk hands over each state's row
+            # as it is expanded; a target seen for the first time gets
+            # the next index, so indices follow discovery order.
+            packed = [cnet.initial_state]
+            index_of = {packed[0]: 0}
             rows: list[tuple[tuple[int, int], ...]] = []
-            edges = 0
-            peak = 0
-            for position, state in enumerate(packed):
-                row = []
-                for dense, child in expand(state):
+
+            def index_row(row: list) -> None:
+                indexed = []
+                for dense, child in row:
                     target = index_of.get(child)
                     if target is None:
                         target = index_of[child] = len(packed)
                         packed.append(child)
-                    row.append((dense, target))
-                rows.append(tuple(row))
-                edges += len(row)
-                queued = len(packed) - position - 1
-                if queued > peak:
-                    peak = queued
+                    indexed.append((dense, target))
+                rows.append(tuple(indexed))
+
+            core = CompiledSpace(cnet, max_states, ExplorationStats())
+            for _ in core.walk(index_row):
+                pass
             self._packed = packed
             self._rows = rows
-            self._num_edges = edges
+            self._num_edges = core.stats.edges
             #: High-water mark of the BFS queue during construction.
-            self.frontier_peak = peak
+            self.frontier_peak = core.stats.frontier_peak
             self._scc: tuple[int, list[int]] | None = None
             self._decoded: list[Marking] | None = None
             self._position: dict[Marking, int] | None = None

@@ -239,22 +239,32 @@ def _compose_with_obligations(
 
 
 def _first_failures(
-    states: Iterable, obligations: list[SyncObligation], cnet
+    walk: Iterable, obligations: list[SyncObligation], cnet
 ) -> Iterator[tuple[int, object]]:
-    """Scan packed states of ``cnet`` (a
-    :class:`~repro.petri.compiled.CompiledNet`) in the order given and
-    yield ``(obligation index, state)`` for the first state failing each
+    """Scan the ``(dense, state)`` pairs of a breadth-first walk of
+    ``cnet`` (a :class:`~repro.petri.compiled.CompiledNet`; see
+    :meth:`~repro.petri.compiled.CompiledSpace.walk`) and yield
+    ``(obligation index, state)`` for the first state failing each
     obligation — Proposition 5.5's condition: the producer ready, no
     consumer alternative ready.  Stops drawing states once every
     obligation has a witness.
 
-    Obligation presets are lowered once to place masks, and each state's
+    The initial state (``dense == -1``) is tested against every
+    obligation.  Any other state is tested only against the pending
+    obligations with a producer or consumer place that ``dense``, the
+    transition on its discovery-parent link, consumes from or produces
+    into.  The others read the same marked places as at the parent,
+    which was scanned earlier: had one failed there, it would no longer
+    be pending.  So the witnesses, and where the scan stops, are those
+    of testing every pending obligation at every state.
+
+    Obligation presets are lowered once to place masks, and a state's
     marked places are read once through the codec
     (:meth:`~repro.petri.compiled.CompiledNet.marked_mask`), so each test
     is one mask compare."""
     index = cnet.place_index
     mask = cnet.place_mask
-    pending = [
+    tests = [
         (
             position,
             mask(index[p] for p in obligation.producer_preset),
@@ -265,21 +275,40 @@ def _first_failures(
         )
         for position, obligation in enumerate(obligations)
     ]
+    readers: list[list[int]] = [[] for _ in range(cnet.num_places)]
+    for position, obligation in enumerate(obligations):
+        for place in obligation.producer_preset.union(
+            *obligation.consumer_presets
+        ):
+            readers[index[place]].append(position)
+    touched = [
+        [
+            tests[position]
+            for position in sorted(
+                {position for i in consume + produce for position in readers[i]}
+            )
+        ]
+        for consume, produce in zip(cnet.consume, cnet.produce)
+    ]
+    pending = set(range(len(tests)))
     marked_mask = cnet.marked_mask
-    for state in states:
+    for dense, state in walk:
         if not pending:
             return
+        entries = tests if dense < 0 else touched[dense]
+        if not entries:
+            continue
         marked = marked_mask(state)
         hits = [
             entry
-            for entry in pending
-            if marked & entry[1] == entry[1]
+            for entry in entries
+            if entry[0] in pending
+            and marked & entry[1] == entry[1]
             and not any(marked & ready == ready for ready in entry[2])
         ]
-        if hits:
-            pending = [entry for entry in pending if entry not in hits]
-            for entry in hits:
-                yield entry[0], state
+        pending.difference_update(entry[0] for entry in hits)
+        for entry in hits:
+            yield entry[0], state
 
 
 #: The ignoring-prevention proviso of the reduced Prop 5.5 search.
@@ -305,8 +334,10 @@ def _onthefly_failures(
     initial marking (shortest without reduction, where discovery is
     breadth-first).
 
-    Obligation presets are lowered once to place masks of the codec, so
-    the failure predicate tests packed states directly — no
+    The space is walked once, breadth-first, keeping no successor rows
+    (:meth:`~repro.petri.product.LazyStateSpace.walk`), and obligation
+    presets are lowered once to place masks of the codec, so the
+    failure predicate tests packed states directly — no
     :class:`Marking` is materialised until a witness is found (and then
     only for the witnesses themselves).
 
@@ -317,8 +348,9 @@ def _onthefly_failures(
     *visible places*: every transition that changes one of them is
     visible to the selector, the predicate's value is invariant under
     invisible firings, and a failure marking is reachable in the
-    reduced space iff one is reachable in the full space.  Reduced edges are real firings of the
-    unreduced net, so witness traces replay unchanged.
+    reduced space iff one is reachable in the full space.  Reduced
+    edges are real firings of the unreduced net, so witness traces
+    replay unchanged.
     """
     from repro.petri.product import LazyStateSpace
 
@@ -340,7 +372,7 @@ def _onthefly_failures(
         space = LazyStateSpace(composite.net, max_states=max_states)
     failures: list[ReceptivenessFailure] = []
     for position, state in _first_failures(
-        space.iter_raw_discovery(), obligations, space.compiled_net
+        space.walk(), obligations, space.compiled_net
     ):
         steps = space.trace_to(state)
         failures.append(
@@ -478,7 +510,9 @@ def check_receptiveness(
             " cannot preserve); run engine 'por' serially, or keep the"
             " workers with engine 'onthefly'"
         )
-    cache_key = _receptiveness_key(stg1, stg2, method, stop_at_first)
+    cache_key = _receptiveness_key(
+        stg1, stg2, method, engine, stop_at_first, workers > 1
+    )
     if cache_key is not None:
         hit = _receptiveness_restore(cache_key, stg1, stg2, max_states)
         if hit is not None:
@@ -500,16 +534,28 @@ def check_receptiveness(
 
 
 def _receptiveness_key(
-    stg1: Stg, stg2: Stg, method: str, stop_at_first: bool
+    stg1: Stg,
+    stg2: Stg,
+    method: str,
+    engine: str,
+    stop_at_first: bool,
+    sharded: bool,
 ) -> str | None:
     """Verdict-memo key for a receptiveness check, ``None`` when caching
-    is off or either net has opaque guards.  Keyed by the semantics only
-    (STG content hashes, requested method, ``stop_at_first`` — the
-    latter changes which failures are attributed, so reports differ);
-    engine/workers never change the verdict or the witnesses' validity
-    and stay provenance-only.  The trailing ``"exact"`` retires the
-    entries written while ``structural`` trusted a float LP, whose
-    "not receptive" could rest on an unreachable marking."""
+    is off or either net has opaque guards.
+
+    The verdict is the same under every engine and worker count, but
+    the report is not, and a warm run must print what the cold run
+    would.  So the key holds, beside the STG content hashes and the
+    requested method: the engine, which decides the state count, the
+    witnesses and their traces (``por`` reports reduced ones and an
+    epilogue); ``stop_at_first``, which decides which failures are
+    attributed; and whether more than one worker ran, since the sharded
+    explorer reports canonical witnesses without traces, in its own
+    order, after a full search.  The number of workers beyond one
+    changes nothing and stays provenance.  The trailing ``"exact"``
+    retires the entries written while ``structural`` trusted a float
+    LP, whose "not receptive" could rest on an unreachable marking."""
     from repro.cache import verdicts
 
     if not verdicts.memo_enabled(stg1.net, stg2.net):
@@ -519,7 +565,9 @@ def _receptiveness_key(
         verdicts.stg_content_hash(stg1),
         verdicts.stg_content_hash(stg2),
         method,
+        engine,
         bool(stop_at_first),
+        bool(sharded),
         "exact",
     )
 

@@ -97,6 +97,51 @@ class TestCliVerifyParity:
         assert recovered == cold
 
 
+class TestCliVerifyAcrossEngines:
+    """A verdict stored by one engine or worker count never answers a
+    command run with another: the report it prints (state count,
+    witnesses, their order and traces, the por epilogue) depends on
+    them, so the warm output must equal the cold one."""
+
+    def run(self, capsys, status, *argv) -> str:
+        assert main(["verify", *argv]) == status
+        return capsys.readouterr().out
+
+    def test_default_entry_does_not_answer_por(
+        self, tmp_path, capsys, corpus_dir
+    ):
+        files = (
+            str(corpus_dir / "fig5_sender.json"),
+            str(corpus_dir / "fig7_translator.net"),
+            "--method",
+            "reachability",
+        )
+        store = ("--cache-dir", str(tmp_path / "cache"))
+        self.run(capsys, 0, *files, *store)
+        warm = self.run(capsys, 0, *files, *store, "--engine", "por")
+        cold = self.run(capsys, 0, *files, "--no-cache", "--engine", "por")
+        assert warm == cold
+        assert "# states explored: 228 (por)" in warm
+        assert "# eager baseline : 1444 states (228/1444 explored)" in warm
+
+    def test_parallel_entry_does_not_answer_serial(
+        self, tmp_path, capsys, corpus_dir
+    ):
+        files = (
+            str(corpus_dir / "fig8_inconsistent.net"),
+            str(corpus_dir / "fig7_translator.net"),
+            "--method",
+            "reachability",
+        )
+        store = ("--cache-dir", str(tmp_path / "cache"))
+        self.run(capsys, 1, *files, *store, "--parallel", "2")
+        warm = self.run(capsys, 1, *files, *store)
+        cold = self.run(capsys, 1, *files, "--no-cache")
+        assert warm == cold
+        # Serial witnesses carry their breadth-first traces.
+        assert "(after rec~.a0+)" in warm
+
+
 class TestCliAlgebraParity:
     """``compose --trim`` and ``hide --trim`` write the same file and
     print the same line cold, warm and with ``--no-cache``.  Only the

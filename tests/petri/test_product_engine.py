@@ -120,6 +120,45 @@ class TestLazyStateSpace:
         assert lazy_error.value.bound is None  # proven, not a budget abort
 
 
+class TestMemoFreeWalk:
+    """``walk`` expands each state once and keeps no successor rows."""
+
+    def test_walk_counts_what_explore_all_counts(self):
+        composite = compose(four_phase_master(), four_phase_slave())
+        walked = LazyStateSpace(composite.net)
+        memo = LazyStateSpace(composite.net)
+        assert sum(1 for _ in walked.walk()) == memo.explore_all()
+        assert walked.stats == memo.stats
+
+    def test_successors_of_a_walked_state_raise(self):
+        net = loop("n", ["a", "b", "c"])
+        lazy = LazyStateSpace(net)
+        for _ in lazy.walk():
+            pass
+        with pytest.raises(KeyError, match="expanded without a memo"):
+            lazy.successors(lazy.initial)
+
+    def test_successors_of_a_state_the_walk_only_discovered(self):
+        # Stopped at the first child: that child is discovered, not
+        # expanded, so ``successors`` expands and memoises it as usual.
+        net = loop("n", ["a", "b", "c"])
+        lazy = LazyStateSpace(net)
+        walk = lazy.walk()
+        next(walk)
+        dense, child = next(walk)
+        assert lazy.compiled_net.tids[dense] == lazy.trace_to(child)[-1][0]
+        marking = lazy.decode(child)
+        reference = LazyStateSpace(net)
+        list(reference.iter_bfs())
+        assert lazy.successors(marking) == reference.successors(marking)
+
+    def test_walk_refuses_the_stack_proviso(self):
+        net = loop("n", ["a", "b"])
+        lazy = LazyStateSpace(net, reduction=True, proviso="stack")
+        with pytest.raises(ValueError, match="stack-proviso"):
+            next(lazy.walk())
+
+
 class TestSynchronousProduct:
     def test_product_lts_matches_interleaving(self):
         left = loop("l", ["x", "s"])

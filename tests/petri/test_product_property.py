@@ -67,6 +67,23 @@ def test_state_spaces_agree_on_multi_token_nets(net):
     assert set(lazy.iter_bfs()) == eager.states
 
 
+@THOROUGH
+@given(net=bounded_multi_token_nets())
+def test_walk_matches_iter_raw_on_multi_token_nets(net):
+    """The memo-free walk discovers the states of the memoised BFS, in
+    the same order, with the same counters (states, edges, frontier
+    peak, ...), and names each state's discovery-parent transition."""
+    memo = LazyStateSpace(net)
+    walked = LazyStateSpace(net)
+    pairs = list(walked.walk())
+    assert [state for _, state in pairs] == list(memo.iter_raw())
+    assert walked.stats == memo.stats
+    tids = walked.compiled_net.tids
+    assert pairs[0][0] == -1
+    for dense, state in pairs[1:]:
+        assert walked.trace_to(state)[-1][0] == tids[dense]
+
+
 @RELAXED
 @given(net=bounded_multi_token_nets(), data=st.data())
 def test_traces_replay_to_their_state(net, data):
@@ -176,9 +193,47 @@ def test_receptiveness_verdicts_agree(net1, net2):
     assert {f.obligation: f.marking for f in lazy.failures} == expected
     # On-the-fly failures always carry a replayable shortest trace.
     composite = lazy.composite
-    for failure in lazy.failures:
+    assert_replayable(composite.net, lazy.failures)
+    # stop_at_first keeps exactly the first witness the full scan finds:
+    # the earliest failing marking in discovery order, and at that
+    # marking the first failing obligation.
+    first = check_receptiveness(
+        producer,
+        consumer,
+        method="reachability",
+        max_states=20_000,
+        stop_at_first=True,
+    )
+    order = {marking: index for index, marking in enumerate(oracle.rows)}
+    position = {o: index for index, o in enumerate(lazy.obligations)}
+    earliest = sorted(
+        expected.items(), key=lambda item: (order[item[1]], position[item[0]])
+    )[:1]
+    assert [(f.obligation, f.marking) for f in first.failures] == earliest
+    assert first.states_explored <= lazy.states_explored
+    # por fails the same obligations, at markings of the reduced space
+    # that its traces reach and that fail the obligation.
+    reduced = check_receptiveness(
+        producer, consumer, method="reachability", max_states=20_000, engine="por"
+    )
+    assert {f.obligation for f in reduced.failures} == set(expected)
+    assert_replayable(composite.net, reduced.failures)
+    for failure in reduced.failures:
+        marking = failure.marking
+        obligation = failure.obligation
+        assert all(marking[p] for p in obligation.producer_preset)
+        assert not any(
+            all(marking[p] for p in preset)
+            for preset in obligation.consumer_presets
+        )
+
+
+def assert_replayable(net, failures):
+    """Every failure's trace fires from the initial marking to its
+    marking."""
+    for failure in failures:
         assert failure.trace is not None and failure.tids is not None
-        game = TokenGame(composite.net)
+        game = TokenGame(net)
         for tid in failure.tids:
             game.fire_tid(tid)
         assert game.marking == failure.marking
