@@ -342,6 +342,8 @@ def cmd_stategraph(args: argparse.Namespace) -> int:
     try:
         graph = build_state_graph(stg, max_states=args.max_states)
     except UnboundedNetError as error:
+        if error.bound is None:
+            raise CliError(str(error)) from None
         raise CliError(
             f"state graph exceeds --max-states={args.max_states}: {error}"
         ) from None

@@ -118,29 +118,6 @@ def classify(net: PetriNet) -> NetClass:
 # -- polynomial marked-graph checks (basis of Theorem 5.7) -----------------
 
 
-def marked_graph_cycles(net: PetriNet) -> list[list[str]]:
-    """Enumerate the simple place-cycles of a marked graph.
-
-    In a marked graph every place has a unique producer and consumer, so
-    the place-to-place successor relation induced by transitions forms an
-    ordinary digraph whose simple cycles characterise liveness/safeness.
-    Only usable on marked graphs (``ValueError`` otherwise).  Cycle counts
-    can be exponential in pathological nets; the nets the paper works
-    with are small.
-    """
-    if not is_marked_graph(net):
-        raise ValueError("cycle analysis requires a marked graph")
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    graph.add_nodes_from(net.places)
-    for transition in net.transitions.values():
-        for source in transition.preset:
-            for target in transition.postset:
-                graph.add_edge(source, target)
-    return [list(cycle) for cycle in nx.simple_cycles(graph)]
-
-
 def marked_graph_is_live(net: PetriNet) -> bool:
     """Polynomial liveness for marked graphs: every cycle carries a token.
 
@@ -178,32 +155,42 @@ def marked_graph_is_live_safe(net: PetriNet) -> bool:
         return False
     if any(count > 1 for count in net.initial.values()):
         return False
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    graph.add_nodes_from(net.places)
+    successors: dict[str, set[str]] = {place: set() for place in net.places}
+    predecessors: dict[str, set[str]] = {place: set() for place in net.places}
     for transition in net.transitions.values():
         for source in transition.preset:
+            successors[source].update(transition.postset)
             for target in transition.postset:
-                graph.add_edge(source, target, weight=net.initial[target])
+                predecessors[target].add(source)
     for place in net.places:
         # Cheapest cycle through ``place``: tokens on the cycle must be 1.
-        best = None
-        try:
-            lengths = nx.single_source_dijkstra_path_length(graph, place)
-        except nx.NetworkXError:
-            return False
-        for predecessor in graph.predecessors(place):
-            if predecessor == place:
-                cycle_cost = net.initial[place]
-            elif predecessor in lengths:
-                cycle_cost = lengths[predecessor] + net.initial[place]
-            else:
-                continue
-            best = cycle_cost if best is None else min(best, cycle_cost)
-        if best is None or best != 1:
+        lengths = _token_distances(place, successors, net.initial)
+        cycles = [lengths[p] for p in predecessors[place] if p in lengths]
+        if not cycles or min(cycles) + net.initial[place] != 1:
             return False
     return True
+
+
+def _token_distances(
+    source: str, successors: dict[str, set[str]], tokens
+) -> dict[str, int]:
+    """The fewest tokens entered on a path from ``source`` to each place
+    it reaches.  Entering a place costs its token count, 0 or 1 on a safe
+    marking, so a 0-1 breadth-first search finds them: zero-cost steps
+    go to the front of the queue, unit-cost steps to the back."""
+    lengths = {source: 0}
+    queue = deque([source])
+    while queue:
+        place = queue.popleft()
+        for target in successors[place]:
+            length = lengths[place] + tokens[target]
+            if length < lengths.get(target, length + 1):
+                lengths[target] = length
+                if tokens[target]:
+                    queue.append(target)
+                else:
+                    queue.appendleft(target)
+    return lengths
 
 
 def _is_acyclic(nodes: list[str], successors: dict[str, set[str]]) -> bool:

@@ -16,29 +16,31 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-
-import numpy as np
+from math import gcd
 
 from repro.petri.net import PetriNet
 
 
-def incidence_matrix(net: PetriNet) -> tuple[list[str], list[int], np.ndarray]:
-    """The incidence matrix ``C`` with ``C[i, j] = post(t_j, p_i) - pre(t_j, p_i)``.
+def incidence_matrix(
+    net: PetriNet,
+) -> tuple[list[str], list[int], list[list[int]]]:
+    """The incidence matrix ``C`` with ``C[i][j] = post(t_j, p_i) - pre(t_j, p_i)``.
 
     Returns ``(places, tids, C)`` with rows ordered by sorted place name
-    and columns by sorted transition id.  Self-loop places contribute 0
-    (consume one, produce one), matching the firing rule of Definition 2.2.
+    and columns by sorted transition id; ``C`` is a list of int rows.
+    Self-loop places contribute 0 (consume one, produce one), matching
+    the firing rule of Definition 2.2.
     """
     places = sorted(net.places)
     tids = sorted(net.transitions)
     index = {place: i for i, place in enumerate(places)}
-    matrix = np.zeros((len(places), len(tids)), dtype=np.int64)
+    matrix = [[0] * len(tids) for _ in places]
     for column, tid in enumerate(tids):
         transition = net.transitions[tid]
-        for place in transition.preset - transition.postset:
-            matrix[index[place], column] -= 1
-        for place in transition.postset - transition.preset:
-            matrix[index[place], column] += 1
+        for place in transition.consume:
+            matrix[index[place]][column] -= 1
+        for place in transition.produce:
+            matrix[index[place]][column] += 1
     return places, tids, matrix
 
 
@@ -67,10 +69,10 @@ class SemiflowBudgetError(RuntimeError):
 
 
 def _minimal_semiflows(
-    matrix: np.ndarray,
+    matrix: list[list[int]],
     max_vectors: int = 4096,
     on_budget: str = "raise",
-) -> tuple[list[np.ndarray], bool]:
+) -> tuple[list[list[int]], bool]:
     """Minimal-support non-negative integer solutions of ``x^T . matrix = 0``.
 
     Classical Farkas algorithm: start from the identity alongside the
@@ -90,28 +92,37 @@ def _minimal_semiflows(
             f"unknown on_budget mode {on_budget!r};"
             " expected 'raise' or 'truncate'"
         )
-    rows, cols = matrix.shape
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
     truncated = False
     # Each entry: (coefficients over original rows, residual matrix row).
-    table: list[tuple[np.ndarray, np.ndarray]] = [
-        (np.eye(rows, dtype=object)[i], matrix[i].astype(object)) for i in range(rows)
+    table: list[tuple[list[int], list[int]]] = [
+        ([int(i == k) for k in range(rows)], matrix[i]) for i in range(rows)
     ]
     for column in range(cols):
         positive = [entry for entry in table if entry[1][column] > 0]
         negative = [entry for entry in table if entry[1][column] < 0]
         zero = [entry for entry in table if entry[1][column] == 0]
-        combined: list[tuple[np.ndarray, np.ndarray]] = list(zero)
+        combined: list[tuple[list[int], list[int]]] = list(zero)
         for coeff_p, row_p in positive:
             if truncated and len(combined) >= max_vectors:
                 break
             for coeff_n, row_n in negative:
                 weight_p = -row_n[column]
                 weight_n = row_p[column]
-                coeff = coeff_p * weight_p + coeff_n * weight_n
-                gcd = np.gcd.reduce([int(v) for v in coeff if v] or [1])
-                if gcd > 1:
-                    coeff = coeff // gcd
-                residual = (row_p * weight_p + row_n * weight_n) // gcd
+                coeff = [
+                    p * weight_p + n * weight_n
+                    for p, n in zip(coeff_p, coeff_n)
+                ]
+                # The residual is ``coeff . matrix``, so it divides by
+                # the coefficients' gcd exactly.
+                divisor = gcd(*coeff) or 1
+                if divisor > 1:
+                    coeff = [v // divisor for v in coeff]
+                residual = [
+                    (p * weight_p + n * weight_n) // divisor
+                    for p, n in zip(row_p, row_n)
+                ]
                 combined.append((coeff, residual))
                 if len(combined) > max_vectors:
                     if on_budget == "raise":
@@ -124,8 +135,10 @@ def _minimal_semiflows(
         table = combined
     # Keep minimal-support, non-zero solutions.
     solutions = [coeff for coeff, _ in table if any(coeff)]
-    supports = [frozenset(np.nonzero(vector)[0].tolist()) for vector in solutions]
-    minimal: list[np.ndarray] = []
+    supports = [
+        frozenset(i for i, v in enumerate(vector) if v) for vector in solutions
+    ]
+    minimal: list[list[int]] = []
     seen: set[frozenset[int]] = set()
     for i, vector in enumerate(solutions):
         if supports[i] in seen:
@@ -135,7 +148,7 @@ def _minimal_semiflows(
         ):
             continue
         seen.add(supports[i])
-        minimal.append(vector.astype(np.int64))
+        minimal.append(vector)
     return minimal, truncated
 
 
@@ -168,8 +181,8 @@ def p_invariants_partial(
     Callers that rely on completeness (e.g. invariant *coverage*) must
     check the flag.
     """
-    places, _, matrix = incidence_matrix(net)
-    if not places or matrix.shape[1] == 0:
+    places, tids, matrix = incidence_matrix(net)
+    if not places or not tids:
         return [], False
     vectors, truncated = _minimal_semiflows(
         matrix, max_vectors=max_vectors, on_budget=on_budget
@@ -203,11 +216,13 @@ def t_invariants_partial(
 ) -> tuple[list[dict[int, int]], bool]:
     """Like :func:`t_invariants` but budget-tolerant; see
     :func:`p_invariants_partial` for the soundness contract."""
-    _, tids, matrix = incidence_matrix(net)
-    if not tids or matrix.shape[0] == 0:
+    places, tids, matrix = incidence_matrix(net)
+    if not tids or not places:
         return [], False
     vectors, truncated = _minimal_semiflows(
-        matrix.T, max_vectors=max_vectors, on_budget=on_budget
+        [list(column) for column in zip(*matrix)],
+        max_vectors=max_vectors,
+        on_budget=on_budget,
     )
     return [
         {tids[i]: int(v) for i, v in enumerate(vector) if v} for vector in vectors
@@ -244,8 +259,9 @@ def is_structurally_bounded(net: PetriNet) -> bool:
     return bounded(net).conclusive
 
 
-def fraction_rank(matrix: np.ndarray) -> int:
-    """Exact rank of an integer matrix over the rationals."""
+def fraction_rank(matrix: list[list[int]]) -> int:
+    """Exact rank of an integer matrix (a list of rows) over the
+    rationals."""
     working = [[Fraction(int(v)) for v in row] for row in matrix]
     rows = len(working)
     cols = len(working[0]) if rows else 0

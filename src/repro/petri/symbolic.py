@@ -430,7 +430,7 @@ class StateEquation:
         if not self.oversized:
             columns = [column_of[tid] for tid in self.tids]
             for place in self.places:
-                row = matrix[row_of[place]].tolist()
+                row = matrix[row_of[place]]
                 self._rows[place] = tuple(row[j] for j in columns)
 
     def coefficients(self, place: str) -> tuple[int, ...]:
@@ -781,7 +781,7 @@ def bounded(net: PetriNet) -> SymbolicVerdict:
     if not net.places:
         return SymbolicVerdict(True, True, "no places", {"systems": 0})
     places, tids, matrix = incidence_matrix(net)
-    columns = matrix.T.tolist()
+    columns = [list(column) for column in zip(*matrix)]
     system = LinearSystem(tuple(places))
     for tid, column in zip(tids, columns):
         system.inequality(column, -sum(column), tag=f"column[{tid}]")

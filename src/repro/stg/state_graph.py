@@ -191,7 +191,12 @@ def build_state_graph(stg: Stg, max_states: int = 200_000) -> StateGraph:
 
     Raises :class:`~repro.petri.reachability.UnboundedNetError` (with
     ``bound=max_states``) when more than ``max_states`` encoded states
-    are reachable.
+    are reachable, and (with ``bound=None``) when unboundedness is
+    proven: a new state has the encoding of an ancestor on its
+    discovery path and a marking that strictly covers the ancestor's.
+    Guards and encoding updates read only the encoding, so the path
+    between the two can fire again from the new state, forever.  Nets
+    whose token bound compilation certified skip that check.
     """
     signals = tuple(sorted(stg.signals()))
     index_of = {signal: i for i, signal in enumerate(signals)}
@@ -203,6 +208,11 @@ def build_state_graph(stg: Stg, max_states: int = 200_000) -> StateGraph:
     graph.initial = start
     graph.states.add(start)
     queue: deque[StgState] = deque([start])
+    # state -> the state it was discovered from, kept only for the
+    # covering check.
+    parents: dict[StgState, StgState | None] | None = (
+        None if stg.net.compiled().bounded_certified else {start: None}
+    )
 
     def guards_allow(transition: Transition, state: StgState) -> bool:
         for place in transition.preset:
@@ -251,7 +261,31 @@ def build_state_graph(stg: Stg, max_states: int = 200_000) -> StateGraph:
                         )
                     graph.states.add(successor)
                     queue.append(successor)
+                    if parents is not None:
+                        parents[successor] = state
+                        _check_covering(stg, successor, parents)
     return graph
+
+
+def _check_covering(
+    stg: Stg, state: StgState, parents: dict[StgState, StgState | None]
+) -> None:
+    """Raise the proven-unbounded error if ``state`` strictly covers an
+    ancestor with the same encoding."""
+    ancestor = parents[state]
+    while ancestor is not None:
+        if (
+            ancestor.encoding == state.encoding
+            and ancestor.marking != state.marking
+            and state.marking.covers(ancestor.marking)
+        ):
+            raise UnboundedNetError(
+                f"the state graph of {stg.name!r} is unbounded:"
+                f" {state.marking!r} strictly covers ancestor"
+                f" {ancestor.marking!r} under the same signal encoding",
+                witness=state.marking,
+            )
+        ancestor = parents[ancestor]
 
 
 def is_consistent(stg: Stg, max_states: int = 200_000) -> bool:

@@ -1,7 +1,5 @@
 """Tests for net-class detection and the polynomial marked-graph checks."""
 
-import pytest
-
 from repro.petri.classify import (
     classify,
     is_asymmetric_choice,
@@ -9,7 +7,6 @@ from repro.petri.classify import (
     is_free_choice,
     is_marked_graph,
     is_state_machine,
-    marked_graph_cycles,
     marked_graph_is_live,
     marked_graph_is_live_safe,
 )
@@ -98,15 +95,6 @@ class TestClasses:
 
 
 class TestMarkedGraphChecks:
-    def test_cycles_of_simple_loop(self):
-        cycles = marked_graph_cycles(marked_graph_cycle())
-        assert len(cycles) == 1
-        assert set(cycles[0]) == {"p0", "p1"}
-
-    def test_cycle_analysis_rejects_non_mg(self):
-        with pytest.raises(ValueError):
-            marked_graph_cycles(state_machine_choice())
-
     def test_live_iff_token_on_cycle(self):
         assert marked_graph_is_live(marked_graph_cycle())
         empty = marked_graph_cycle(tokens=0)

@@ -184,7 +184,7 @@ def test_bounded_matches_exact_unshifted_system(net):
         places, tids, matrix = incidence_matrix(net)
         system = LinearSystem(tuple(places))
         for j in range(len(tids)):
-            system.inequality([int(v) for v in matrix[:, j]], 0)
+            system.inequality([row[j] for row in matrix], 0)
         for i in range(len(places)):
             system.inequality(
                 [-1 if k == i else 0 for k in range(len(places))], -1
@@ -197,7 +197,7 @@ def test_bounded_matches_exact_unshifted_system(net):
             )
             for j in range(len(tids)):
                 assert sum(
-                    int(matrix[i, j]) * weights[i] for i in range(len(places))
+                    matrix[i][j] * weights[i] for i in range(len(places))
                 ) <= 0
         invariants, truncated = p_invariants_partial(net)
         covered = set().union(*invariants)

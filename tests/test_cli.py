@@ -269,16 +269,31 @@ class TestFailurePaths:
     def test_synth_bound_exceeded_is_a_clean_error(
         self, corpus_dir, capsys, monkeypatch
     ):
-        # The unbounded source exhausts any budget; a 1,000-state default
-        # reaches the same error as the 200,000-state one in milliseconds.
+        # ``cip synth`` takes no --max-states; a 10-state default makes
+        # the bounded Fig 5 sender exceed it.
         from repro.synth import implementation
 
-        monkeypatch.setattr(implementation.synthesize, "__defaults__", (1_000,))
-        path = str(corpus_dir / "mcc_unbounded_source.net")
+        monkeypatch.setattr(implementation.synthesize, "__defaults__", (10,))
+        path = str(corpus_dir / "fig5_sender.net")
         assert main(["synth", path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("cip: error: cannot synthesize: more than 1000")
+        assert err.startswith("cip: error: cannot synthesize: more than 10 ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["synth", "stategraph"])
+    def test_unbounded_state_graph_is_proven(self, corpus_dir, capsys, command):
+        """A source transition pumps tokens into ``buf``: the state graph
+        build proves unboundedness by strict covering at the second
+        state, long before any budget."""
+        path = str(corpus_dir / "mcc_unbounded_source.net")
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cip: error: ")
+        assert err.count("\n") == 1
+        assert (
+            "is unbounded: Marking({buf:1, src:1}) strictly covers ancestor"
+            " Marking({src:1})" in err
+        )
 
     @pytest.mark.parametrize(
         "arcs, message",

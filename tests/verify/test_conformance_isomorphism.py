@@ -5,9 +5,21 @@ import pytest
 from repro.models.library import four_phase_master, four_phase_slave
 from repro.petri.marking import Marking
 from repro.petri.net import EPSILON, PetriNet
+from repro.stg.guards import parse_guard
 from repro.stg.stg import Stg, mirror
 from repro.verify.conformance import check_conformance, conforms
 from repro.verify.isomorphism import isomorphic, place_bijection
+
+
+def guarded_cycle(guard: str | None, prefix: str = "") -> PetriNet:
+    """A two-transition cycle with ``guard`` on the arc ``p -> t0``."""
+    net = PetriNet()
+    first = net.add_transition({f"{prefix}p"}, "a", {f"{prefix}q"})
+    net.add_transition({f"{prefix}q"}, "b", {f"{prefix}p"})
+    net.set_initial(Marking({f"{prefix}p": 1}))
+    if guard is not None:
+        net.set_guard(f"{prefix}p", first.tid, parse_guard(guard))
+    return net
 
 
 def slow_slave() -> Stg:
@@ -134,6 +146,19 @@ class TestIsomorphism:
         right = PetriNet()
         right.add_transition({"p"}, "a", {"q", "r"})
         assert not isomorphic(left, right)
+
+    def test_isomorphic_compares_arc_guards(self):
+        assert not isomorphic(guarded_cycle("y"), guarded_cycle("!y"))
+        assert not isomorphic(guarded_cycle("y"), guarded_cycle(None))
+        assert isomorphic(guarded_cycle("y"), guarded_cycle("y", "x_"))
+
+    def test_place_bijection_compares_arc_guards(self):
+        assert place_bijection(guarded_cycle("y"), guarded_cycle("!y")) is None
+        assert place_bijection(guarded_cycle(None), guarded_cycle("y")) is None
+        assert place_bijection(guarded_cycle("y"), guarded_cycle("y", "x_")) == {
+            "p": "x_p",
+            "q": "x_q",
+        }
 
     def test_derived_vs_reference(self):
         """The fast-path contraction of the simple chain is isomorphic
