@@ -31,19 +31,20 @@ Three refinements sharpen the over-approximation:
   (integral) solution is a CONCLUSIVE witness, not merely inconclusive.
 
 Every CONCLUSIVE verdict rests on exact arithmetic — no float drift
-can flip a verdict.  Incidence rows and initial markings are Python
-integers, lifted to :class:`fractions.Fraction` only in constraint
-rows.  One dependency-free phase-1 simplex (Dantzig's rule) decides
-every system, in two arithmetics: over ``Fraction`` with tolerance 0
-(the authority; Bland's rule takes over past an iteration limit, so
-the run terminates) and over floats with tolerance ``1e-9·scale`` (a
-*screen* that runs first and gives up at that limit).  A float-feasible
-system is reported feasible directly where feasible only ever means
-INCONCLUSIVE, while float infeasibility is always re-proven exactly
-before anything is concluded.  :func:`bounded` is one such system,
-solved shifted, whose feasible float proposal concludes something and
-is therefore accepted only after an exact integer check of the
-weighting it proposes.
+can flip a verdict.  Incidence rows, initial markings and every
+constraint row stay Python integers: one :class:`StateEquation` per
+net holds them, and :class:`fractions.Fraction` lives only inside the
+exact run's own tableau.  One dependency-free phase-1 simplex
+(Dantzig's rule) decides every system, in two arithmetics: over
+``Fraction`` with tolerance 0 (the authority; Bland's rule takes over
+past an iteration limit, so the run terminates) and over floats with
+tolerance ``1e-9·scale`` (a *screen* that runs first and gives up at
+that limit).  A float-feasible system is reported feasible directly
+where feasible only ever means INCONCLUSIVE, while float infeasibility
+is always re-proven exactly before anything is concluded.
+:func:`bounded` is one such system, solved shifted, whose feasible
+float proposal concludes something and is therefore accepted only
+after an exact integer check of the weighting it proposes.
 
 Constraint derivation and conclusiveness semantics are documented in
 ``docs/SYMBOLIC.md``.
@@ -52,6 +53,7 @@ Constraint derivation and conclusiveness semantics are documented in
 from __future__ import annotations
 
 from collections.abc import Iterable
+from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _product
@@ -92,8 +94,8 @@ PIVOT_ENTRY_BITS = 256
 #: simplex, so the bound trades only speed, never soundness.
 ROUNDING_DENOMINATOR = 1 << 16
 
-#: Incidence entries are -1, 0 or +1: constraint rows reuse these three
-#: exact coefficients instead of building one Fraction per entry.
+#: Incidence entries are -1, 0 or +1: the exact run's tableau reuses
+#: these three Fractions instead of building one per entry.
 _SHARED = {value: Fraction(value) for value in (-1, 0, 1)}
 
 
@@ -117,14 +119,17 @@ class PivotBudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class Constraint:
-    """One row ``coeffs . x  <rel>  rhs`` over non-negative variables.
+    """One row ``coeffs . x  <rel>  rhs`` over non-negative variables,
+    in Python integers.
 
     ``relation`` is ``"<="`` or ``"=="``; ``tag`` names the row for
-    diagnostics and for the hand-computed encoding tests."""
+    diagnostics and for the hand-computed encoding tests.  Immutable,
+    so one row may sit in many systems: a :class:`StateEquation`
+    restriction builds its ``nonneg`` rows once and shares them."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
     relation: str
-    rhs: Fraction
+    rhs: int
     tag: str = ""
 
     def __str__(self) -> str:
@@ -146,19 +151,23 @@ class LinearSystem:
     iff that minimum is zero; the final basis then yields a solution.
     The routine runs over :class:`fractions.Fraction` (:meth:`solve`,
     the authority) or over floats (the screen of
-    :meth:`screened_solve`)."""
+    :meth:`screened_solve`).
+
+    Rows are stored as given, integer coefficients and right-hand
+    sides; each solve builds its own tableau from them, so a system
+    can be solved again after more rows are added."""
 
     variables: tuple[str, ...]
     constraints: list[Constraint] = field(default_factory=list)
 
-    def _add(self, coeffs, relation: str, rhs, tag: str) -> Constraint:
-        row = tuple(map(_rational, coeffs))
+    def _add(self, coeffs, relation: str, rhs: int, tag: str) -> Constraint:
+        row = tuple(coeffs)
         if len(row) != len(self.variables):
             raise ValueError(
                 f"constraint {tag!r} has {len(row)} coefficients for"
                 f" {len(self.variables)} variables"
             )
-        constraint = Constraint(row, relation, _rational(rhs), tag)
+        constraint = Constraint(row, relation, rhs, tag)
         self.constraints.append(constraint)
         return constraint
 
@@ -176,9 +185,13 @@ class LinearSystem:
     def _phase1(
         self, exact: bool, pivot_budget: int | None = None
     ) -> tuple[str, dict | None]:
-        """Phase 1 over ``Fraction`` rows with tolerance 0 (``exact``)
-        or over ``float`` rows with tolerance ``1e-9·scale``, ``scale``
-        being the largest right-hand side magnitude (at least 1).
+        """Phase 1 over ``Fraction`` with tolerance 0 (``exact``) or over
+        floats with tolerance ``1e-9·scale``, ``scale`` being the
+        largest right-hand side magnitude (at least 1).  The exact run
+        lifts the integer rows with :func:`_rational` into its own
+        tableau; the float run reads them directly, and Python's
+        int/float arithmetic yields the same floats a float copy of the
+        rows would.
 
         Returns ``("feasible", values)``, ``("infeasible", None)`` or
         ``("unknown", None)``.  Only rows that cannot start from their
@@ -206,17 +219,19 @@ class LinearSystem:
         tableau: list[list] = []
         basis: list[int] = []
         cost = [zero] * width
+        padding = [zero] * (width - n)
         slack, artificial = n, total
         for constraint in self.constraints:
             if constraint.relation not in ("<=", "=="):
                 raise ValueError(
                     f"unknown relation {constraint.relation!r}"
                 )
-            coeffs = constraint.coeffs
-            row = (
-                list(coeffs) if exact else [float(c) for c in coeffs]
-            ) + [zero] * (width - n)
-            row[-1] = number(constraint.rhs)
+            if exact:
+                row = [*map(_rational, constraint.coeffs), *padding]
+                row[-1] = _rational(constraint.rhs)
+            else:
+                row = [*constraint.coeffs, *padding]
+                row[-1] = constraint.rhs
             if constraint.relation == "<=":
                 row[slack] = one
                 slack += 1
@@ -356,32 +371,20 @@ class LinearSystem:
         return self._phase1(True, pivot_budget)
 
 
-# -- the state equation over a component-restricted subnet -------------------
-
-
-def _component_places(net: PetriNet, focus: Iterable[str]) -> set[str]:
-    """All places in connected components (of the place/transition
-    graph) that contain a focus place."""
-    neighbours: dict[str, set[str]] = {place: set() for place in net.places}
-    for transition in net.transitions.values():
-        touched = sorted(transition.preset | transition.postset)
-        for place in touched:
-            neighbours[place].update(touched)
-    seen: set[str] = set()
-    frontier = [place for place in focus if place in neighbours]
-    while frontier:
-        place = frontier.pop()
-        if place in seen:
-            continue
-        seen.add(place)
-        frontier.extend(neighbours[place] - seen)
-    return seen
+# -- the state equation and its component restrictions -----------------------
 
 
 class StateEquation:
-    """Constraint builder for ``M = M0 + C·x`` on the components of
-    ``net`` that contain ``focus`` (the whole net when ``focus`` covers
-    it, or when ``restrict=False``).
+    """``M = M0 + C·x`` for ``net`` in Python integers, restricted to the
+    components of the place/transition graph that contain ``focus`` (the
+    whole net when ``focus`` is empty, or when ``restrict=False``).
+
+    One object serves every query of a call on one net.  It holds the
+    sparse incidence rows, ``M0``, a place-to-component map and
+    :func:`exactness_applies` (``exact``); :meth:`restrict` derives the
+    other restrictions from them, memoised per set of components.  A
+    restriction builds its ``nonneg`` rows once, and every
+    :meth:`base_system` starts from those immutable constraints.
 
     Restriction is feasibility-preserving in both directions: any
     solution of the restricted system extends to the full net with
@@ -395,25 +398,79 @@ class StateEquation:
         restrict: bool = True,
     ):
         self.net = net
-        focus_set = set(focus)
-        unknown = focus_set - net.places
+        self.exact: bool = exactness_applies(net)
+        self.m0: dict[str, int] = {
+            place: net.initial[place] for place in net.places
+        }
+        self._all_places = sorted(net.places)
+        self._all_tids = sorted(net.transitions)
+        # Column j is the j-th transition in tid order.  A place's row
+        # lists its nonzero entries (j, C[p, t_j]) in column order.
+        self._incidence: dict[str, list[tuple[int, int]]] = {
+            place: [] for place in self._all_places
+        }
+        touching: dict[str, list[int]] = {
+            place: [] for place in self._all_places
+        }
+        arcs = [net.transitions[tid].places() for tid in self._all_tids]
+        for column, tid in enumerate(self._all_tids):
+            transition = net.transitions[tid]
+            for place in transition.consume:
+                self._incidence[place].append((column, -1))
+            for place in transition.produce:
+                self._incidence[place].append((column, 1))
+            for place in arcs[column]:
+                touching[place].append(column)
+        # A component is named by its first place in name order.
+        self._component_of: dict[str, str] = {}
+        for start in self._all_places:
+            if start in self._component_of:
+                continue
+            self._component_of[start] = start
+            frontier = [start]
+            while frontier:
+                for column in touching[frontier.pop()]:
+                    for place in arcs[column]:
+                        if place not in self._component_of:
+                            self._component_of[place] = start
+                            frontier.append(place)
+        self._column_component = [
+            self._component_of[next(iter(places))] if places else None
+            for places in arcs
+        ]
+        self._views: dict[frozenset[str], StateEquation] = {}
+        components = self._components(focus)
+        self._select(components if restrict else self._components(()))
+
+    def _components(self, focus: Iterable[str]) -> frozenset[str]:
+        """The components containing ``focus``; all of them when it is
+        empty."""
+        focus = set(focus)
+        unknown = focus.difference(self._component_of)
         if unknown:
             raise ValueError(
                 f"focus places not in the net: {sorted(unknown)}"
             )
-        all_places, all_tids, matrix = incidence_matrix(net)
-        if restrict and focus_set:
-            keep = _component_places(net, focus_set)
-        else:
-            keep = set(all_places)
-        row_of = {place: i for i, place in enumerate(all_places)}
-        self.places: tuple[str, ...] = tuple(
-            p for p in all_places if p in keep
+        return frozenset(
+            self._component_of[place]
+            for place in focus or self._component_of
         )
+
+    def _select(self, components: frozenset[str]) -> None:
+        """Make this object the restriction to ``components``."""
+        self._views[components] = self
+        self.places: tuple[str, ...] = tuple(
+            place
+            for place in self._all_places
+            if self._component_of[place] in components
+        )
+        columns = [
+            column
+            for column, component in enumerate(self._column_component)
+            if component in components
+        ]
         self.tids: tuple[int, ...] = tuple(
-            tid
-            for tid in all_tids
-            if net.transitions[tid].places() and net.transitions[tid].places() <= keep
+            self._all_tids[column] for column in columns
         )
         self.oversized = (
             len(self.tids) > MAX_SYSTEM_VARIABLES
@@ -422,39 +479,51 @@ class StateEquation:
         self.variables: tuple[str, ...] = tuple(
             f"x{tid}" for tid in self.tids
         )
-        self.m0: dict[str, int] = {
-            place: net.initial[place] for place in self.places
+        index = {column: k for k, column in enumerate(columns)}
+        #: Per restricted place, its nonzero ``(variable index,
+        #: coefficient)`` pairs in variable order.
+        self._rows: dict[str, tuple[tuple[int, int], ...]] = {
+            place: tuple((index[j], c) for j, c in self._incidence[place])
+            for place in self.places
         }
-        column_of = {tid: j for j, tid in enumerate(all_tids)}
-        self._rows: dict[str, tuple[int, ...]] = {}
-        if not self.oversized:
-            columns = [column_of[tid] for tid in self.tids]
-            for place in self.places:
-                row = matrix[row_of[place]]
-                self._rows[place] = tuple(row[j] for j in columns)
+        self._base: list[Constraint] | None = None
+
+    def restrict(self, focus: Iterable[str]) -> StateEquation:
+        """The restriction to the components that contain ``focus`` (the
+        whole net when it is empty), sharing this equation's rows."""
+        components = self._components(focus)
+        view = self._views.get(components)
+        if view is None:
+            view = copy(self)
+            view._select(components)
+        return view
 
     def coefficients(self, place: str) -> tuple[int, ...]:
         """The incidence row of ``place`` over the restricted tids."""
-        return self._rows[place]
+        row = [0] * len(self.variables)
+        for k, c in self._rows[place]:
+            row[k] = c
+        return tuple(row)
 
     def base_system(self) -> LinearSystem:
         """``x >= 0`` plus ``M(p) = M0(p) + (C x)(p) >= 0`` for every
         restricted place."""
-        system = LinearSystem(self.variables)
-        for place in self.places:
-            coeffs = self._rows[place]
-            system.inequality(
-                tuple(-c for c in coeffs),
-                self.m0[place],
-                tag=f"nonneg[{place}]",
-            )
-        return system
+        if self._base is None:
+            self._base = [
+                Constraint(
+                    tuple(-c for c in self.coefficients(place)),
+                    "<=",
+                    self.m0[place],
+                    f"nonneg[{place}]",
+                )
+                for place in self.places
+            ]
+        return LinearSystem(self.variables, list(self._base))
 
     def require_marked(self, system: LinearSystem, place: str) -> None:
         """``M(place) >= 1``."""
-        coeffs = self._rows[place]
         system.inequality(
-            tuple(-c for c in coeffs),
+            tuple(-c for c in self.coefficients(place)),
             self.m0[place] - 1,
             tag=f"marked[{place}]",
         )
@@ -462,7 +531,7 @@ class StateEquation:
     def require_empty(self, system: LinearSystem, place: str) -> None:
         """``M(place) <= 0`` (with non-negativity: ``M(place) = 0``)."""
         system.inequality(
-            self._rows[place], -self.m0[place], tag=f"empty[{place}]"
+            self.coefficients(place), -self.m0[place], tag=f"empty[{place}]"
         )
 
     def require_exact(
@@ -470,7 +539,7 @@ class StateEquation:
     ) -> None:
         """``M(place) == tokens``."""
         system.equality(
-            self._rows[place],
+            self.coefficients(place),
             tokens - self.m0[place],
             tag=f"exact[{place}]",
         )
@@ -482,24 +551,24 @@ class StateEquation:
         marking when ``trap`` is an initially-marked trap."""
         members = sorted(trap)
         coeffs = [0] * len(self.variables)
-        total_m0 = 0
         for place in members:
-            row = self._rows[place]
-            coeffs = [a - b for a, b in zip(coeffs, row)]
-            total_m0 += self.m0[place]
+            for k, c in self._rows[place]:
+                coeffs[k] -= c
         system.inequality(
             tuple(coeffs),
-            total_m0 - 1,
+            sum(self.m0[place] for place in members) - 1,
             tag=f"trap[{','.join(members)}]",
         )
 
-    def marking_of(self, solution: dict[str, Fraction]) -> dict[str, Fraction]:
+    def marking_of(
+        self, solution: dict[str, Fraction | float]
+    ) -> dict[str, Fraction | float]:
         """``M0 + C·x`` at a solution, per restricted place (exact at an
         exact solution)."""
         x = [solution[name] for name in self.variables]
+        rows = self._rows
         return {
-            place: self.m0[place]
-            + sum(c * v for c, v in zip(self._rows[place], x) if c)
+            place: self.m0[place] + sum(c * x[k] for k, c in rows[place])
             for place in self.places
         }
 
@@ -617,17 +686,18 @@ def _integral(marking: dict[str, Fraction]) -> bool:
 
 
 def _predicate_system(
-    net: PetriNet, marked: Iterable[str], empty: Iterable[str]
+    equation: StateEquation, marked: Iterable[str], empty: Iterable[str]
 ) -> tuple[StateEquation, LinearSystem | None]:
     """The (unrefined) system "every ``marked`` place marked, every
     ``empty`` place empty, every place non-negative" over ``M = M0 +
-    C·x``, restricted to the components of those places.
+    C·x``, on the restriction of ``equation`` to the components of
+    those places, which it returns alongside.
 
-    The system is ``None`` when the restricted component is
+    The system is ``None`` when that restriction is
     :attr:`~StateEquation.oversized`: no row is built."""
     marked = sorted(set(marked))
     empty = sorted(set(empty))
-    equation = StateEquation(net, {*marked, *empty})
+    equation = equation.restrict({*marked, *empty})
     if equation.oversized:
         return equation, None
     system = equation.base_system()
@@ -636,6 +706,25 @@ def _predicate_system(
     for place in empty:
         equation.require_empty(system, place)
     return equation, system
+
+
+def _predicate_verdict(
+    equation: StateEquation,
+    marked: Iterable[str],
+    empty: Iterable[str],
+    trap_rounds: int,
+    exact: bool | None,
+) -> SymbolicVerdict:
+    """:func:`predicate_unreachable` on the net of ``equation``."""
+    equation, system = _predicate_system(equation, marked, empty)
+    return _solve_and_judge(
+        equation,
+        system,
+        trap_rounds,
+        exact,
+        "restricted system",
+        "a witness marking",
+    )
 
 
 def _solve_and_judge(
@@ -662,7 +751,7 @@ def _solve_and_judge(
             f" {len(equation.places)} places)"
         )
     if exact is None:
-        exact = exactness_applies(equation.net)
+        exact = equation.exact
     status, solution, rounds = equation.refine(
         system, trap_rounds, need_exact=exact
     )
@@ -710,14 +799,8 @@ def predicate_unreachable(
     ``exact`` to override the classification), a feasible integral
     solution is a CONCLUSIVE/fails verdict with a witness marking.
     """
-    equation, system = _predicate_system(net, marked, empty)
-    return _solve_and_judge(
-        equation,
-        system,
-        trap_rounds,
-        exact,
-        "restricted system",
-        "a witness marking",
+    return _predicate_verdict(
+        StateEquation(net), marked, empty, trap_rounds, exact
     )
 
 
@@ -734,7 +817,7 @@ def marking_unreachable(
         raise ValueError(
             f"target marks places not in the net: {sorted(unknown)}"
         )
-    equation = StateEquation(net, net.places, restrict=False)
+    equation = StateEquation(net)
     system = None
     if not equation.oversized:
         system = equation.base_system()
@@ -848,14 +931,15 @@ def dead_actions(
     """
     if len(net.transitions) > DEAD_ACTION_TRANSITION_BUDGET:
         return frozenset(), {**_sum_stats(), "skipped": True}
+    equation = StateEquation(net)
     dead: set[str] = set()
     spent: list[dict] = []
     for action in sorted(net.actions - {EPSILON}):
         for transition in net.transitions_with_action(action):
             if not transition.preset:
                 break  # enabled everywhere
-            verdict = predicate_unreachable(
-                net, marked=transition.preset, trap_rounds=trap_rounds
+            verdict = _predicate_verdict(
+                equation, transition.preset, (), trap_rounds, None
             )
             spent.append(verdict.stats)
             if not (verdict.conclusive and verdict.holds):
@@ -956,7 +1040,9 @@ def obligation_system(
     :func:`predicate_unreachable` system with the producer preset
     marked and each chosen consumer place empty (``None`` when the
     restricted component is oversized)."""
-    return _predicate_system(net, obligation.producer_preset, choice)
+    return _predicate_system(
+        StateEquation(net), obligation.producer_preset, choice
+    )
 
 
 @dataclass
@@ -997,7 +1083,8 @@ def symbolic_receptiveness(
     refinement rounds, conclusive/inconclusive obligations).
     """
     outcome = SymbolicReceptiveness()
-    exact = exactness_applies(net)
+    equation = StateEquation(net)
+    exact = equation.exact
     spent: list[dict] = []
     for obligation in obligations:
         choices = failure_miss_choices(obligation)
@@ -1007,8 +1094,12 @@ def symbolic_receptiveness(
             outcome.safe.append(obligation)
             continue
         for choice in _product(*choices):
-            verdict = predicate_unreachable(
-                net, obligation.producer_preset, choice, trap_rounds, exact
+            verdict = _predicate_verdict(
+                equation,
+                obligation.producer_preset,
+                choice,
+                trap_rounds,
+                exact,
             )
             spent.append(verdict.stats)
             if not (verdict.conclusive and verdict.holds):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -35,15 +36,26 @@ from repro.petri.symbolic import (
     LinearSystem,
     bounded,
     dead_actions,
+    exactness_applies,
+    failure_miss_choices,
     language_precheck,
     marking_unreachable,
     predicate_unreachable,
+    symbolic_receptiveness,
 )
 from repro.stg.stg import Stg
-from repro.verify.receptiveness import check_receptiveness
+from repro.verify.receptiveness import (
+    check_receptiveness,
+    compose_with_obligations,
+)
 
 from tests.oracle import Oracle
-from tests.strategies import bounded_nets, multi_token_nets, petri_nets
+from tests.strategies import (
+    ACTIONS,
+    bounded_nets,
+    multi_token_nets,
+    petri_nets,
+)
 
 RELAXED = settings(
     max_examples=60,
@@ -322,3 +334,118 @@ def test_receptiveness_parity_with_eager(net1, net2):
         assert counts["safe"] + counts["failed"] + counts["undecided"] == len(
             symbolic.obligations
         )
+
+
+def summed(spent: list[dict]) -> dict:
+    return {
+        key: sum(stats[key] for stats in spent)
+        for key in ("systems", "constraints", "refinement_rounds")
+    }
+
+
+def reference_dead_actions(net: PetriNet) -> tuple[frozenset[str], dict]:
+    """``dead_actions`` by its definition: one ``predicate_unreachable``
+    call per transition, each on a fresh copy of the net."""
+    dead, spent = set(), []
+    for action in sorted(net.actions - {EPSILON}):
+        for transition in net.transitions_with_action(action):
+            if not transition.preset:
+                break
+            verdict = predicate_unreachable(
+                net.copy(), marked=transition.preset
+            )
+            spent.append(verdict.stats)
+            if not (verdict.conclusive and verdict.holds):
+                break
+        else:
+            dead.add(action)
+    return frozenset(dead), summed(spent)
+
+
+def reference_receptiveness(net: PetriNet, obligations) -> dict:
+    """``symbolic_receptiveness`` by its definition: one
+    ``predicate_unreachable`` call per miss choice, each on a fresh copy
+    of the net, until a choice is not proven unreachable."""
+    safe, failed, undecided, spent = [], [], [], []
+    for obligation in obligations:
+        choices = failure_miss_choices(obligation)
+        if any(not misses for misses in choices):
+            safe.append(obligation)
+            continue
+        for choice in product(*choices):
+            verdict = predicate_unreachable(
+                net.copy(), obligation.producer_preset, choice
+            )
+            spent.append(verdict.stats)
+            if not (verdict.conclusive and verdict.holds):
+                break
+        else:
+            safe.append(obligation)
+            continue
+        if verdict.conclusive:
+            failed.append((obligation, verdict.witness))
+        else:
+            undecided.append(obligation)
+    return {
+        "safe": safe,
+        "failed": failed,
+        "undecided": undecided,
+        "stats": {
+            **summed(spent),
+            "safe": len(safe),
+            "failed": len(failed),
+            "undecided": len(undecided),
+            "exact": exactness_applies(net.copy()),
+        },
+    }
+
+
+@RELAXED
+@given(
+    net1=multi_token_nets(
+        max_places=4, max_transitions=3, actions=SIGNAL_ACTIONS
+    ),
+    net2=multi_token_nets(
+        max_places=4, max_transitions=3, actions=SIGNAL_ACTIONS
+    ),
+)
+def test_one_equation_per_call_is_invisible(net1, net2):
+    """dead_actions and symbolic_receptiveness build one StateEquation
+    per call and share its restrictions across queries; the dead set,
+    the safe/failed/undecided partition, the statistics and the
+    witnesses are those of a fresh equation per query."""
+    with persists_counterexamples("shared_equation", net1=net1, net2=net2):
+        composite, obligations = compose_with_obligations(
+            Stg(net1, outputs={"a", "b"}), Stg(net2, inputs={"a", "b"})
+        )
+        net = composite.net
+        assert dead_actions(net) == reference_dead_actions(net)
+        outcome = symbolic_receptiveness(net, obligations)
+        reference = reference_receptiveness(net, obligations)
+        assert outcome.safe == reference["safe"]
+        assert outcome.failed == reference["failed"]
+        assert outcome.undecided == reference["undecided"]
+        assert outcome.stats == reference["stats"]
+
+
+@RELAXED
+@given(net=multi_token_nets(), data=st.data())
+def test_mutated_net_gets_a_new_equation(net, data):
+    """A net mutated between two dead_actions calls is answered from
+    its new structure, never from the first call's equation."""
+    with persists_counterexamples("mutated_equation", net=net):
+        assert dead_actions(net) == reference_dead_actions(net)
+        places = sorted(net.places)
+        if data.draw(st.booleans(), label="add a transition"):
+            net.add_transition(
+                data.draw(st.sets(st.sampled_from(places), max_size=2)),
+                data.draw(st.sampled_from(ACTIONS)),
+                data.draw(st.sets(st.sampled_from(places), max_size=2)),
+            )
+        else:
+            net.set_initial(
+                Marking.from_places(
+                    data.draw(st.lists(st.sampled_from(places), max_size=3))
+                )
+            )
+        assert dead_actions(net) == reference_dead_actions(net)

@@ -57,6 +57,25 @@ def case_study_files(tmp_path):
     return str(sender_path), str(translator_path)
 
 
+@pytest.fixture()
+def case_study_modules(tmp_path):
+    """The Fig 5 sender S, Fig 7 translator T, Fig 6 receiver R and
+    Fig 8 inconsistent sender I as .json inputs, by letter."""
+    from repro.io.json_io import save
+    from repro.models.protocol_translator import receiver, sender, translator
+
+    paths = {}
+    for letter, module in (
+        ("S", sender),
+        ("T", translator),
+        ("R", receiver),
+        ("I", inconsistent_sender),
+    ):
+        paths[letter] = str(tmp_path / f"{letter}.json")
+        save(module(), paths[letter])
+    return paths
+
+
 class TestInfo:
     def test_info_output(self, master_file, capsys):
         assert main(["info", master_file]) == 0
@@ -541,6 +560,42 @@ class TestVerifySymbolic:
         assert (
             "# verdict        : inconclusive remainder fell back to the"
             " on-the-fly search" in out
+        )
+
+    @pytest.mark.parametrize(
+        "left, right, status, partition, systems",
+        [
+            ("S", "T", 0, "16/24 obligations proven safe, 0 proven"
+             " failing, 8 undecided", "25 systems, 3573 constraints"),
+            ("T", "R", 0, "16/40 obligations proven safe, 0 proven"
+             " failing, 24 undecided", "41 systems, 5577 constraints"),
+            ("I", "T", 1, "0/16 obligations proven safe, 0 proven"
+             " failing, 16 undecided", "16 systems, 2136 constraints"),
+        ],
+        ids=["S||T", "T||R", "I||T"],
+    )
+    def test_case_study_systems_are_pinned(
+        self, case_study_modules, capsys, left, right, status, partition,
+        systems,
+    ):
+        """Which systems the engine solves on the paper's case study:
+        a change to them (more choices decided, a shortcut that skips
+        the exact run) has to update these lines on purpose."""
+        code = main(
+            [
+                "verify",
+                case_study_modules[left],
+                case_study_modules[right],
+                "--engine",
+                "symbolic",
+            ]
+        )
+        assert code == status
+        lines = capsys.readouterr().out.splitlines()
+        assert f"# symbolic       : {partition}" in lines
+        assert (
+            f"# state equation : {systems}, 0 trap refinement round(s)"
+            in lines
         )
 
     def test_symbolic_rejects_parallel(self, master_file, slave_file, capsys):

@@ -8,8 +8,9 @@ against systems computed by hand from the nets' structure — the
 four-phase handshake composite (small enough to write out completely),
 the Fig 5–8 protocol-translator modules, and the channel-bank family
 whose component-restricted systems have a closed-form constant size.
-All coefficients must be exact rationals; a float anywhere in a
-constraint row is a soundness bug, not a precision detail.
+All coefficients must be Python integers: a float anywhere in a
+constraint row is a soundness bug, not a precision detail, and the
+exact run alone lifts rows to Fractions.
 """
 
 from fractions import Fraction
@@ -127,16 +128,16 @@ class TestFourPhaseEncoding:
         assert not outcome.failed
         assert outcome.stats["refinement_rounds"] == 0
 
-    def test_all_coefficients_are_exact_rationals(self):
+    def test_all_coefficients_are_exact_integers(self):
+        """Rows stay Python ints; only the exact run lifts them, into
+        its own tableau.  A float or a Fraction in a row fails."""
         net, obligations = self.composite()
         for ob in obligations:
             for choice in failure_miss_choices(ob):
                 _, system = obligation_system(net, ob, choice)
                 for constraint in system.constraints:
-                    assert all(
-                        isinstance(c, Fraction) for c in constraint.coeffs
-                    )
-                    assert isinstance(constraint.rhs, Fraction)
+                    assert all(type(c) is int for c in constraint.coeffs)
+                    assert type(constraint.rhs) is int
 
 
 class TestTranslatorEncoding:
