@@ -7,6 +7,13 @@ B. Lin, DAC 1994).
 Public API overview
 -------------------
 
+Import each name from the module that defines it, e.g.
+``from repro.petri.net import PetriNet`` or
+``from repro.verify.receptiveness import check_receptiveness``.
+Packages export nothing, so a program loads only the modules it
+imports.  The one exception is :mod:`repro.obs`, which re-exports its
+instrumentation API; every layer loads those modules anyway.
+
 * :mod:`repro.petri` — general labeled Petri nets, markings,
   reachability, structural theory, trace semantics.
 * :mod:`repro.algebra` — the paper's net algebra: nil / prefix / rename,
@@ -22,33 +29,11 @@ Public API overview
   independent implementations and a gate-level simulator.
 * :mod:`repro.models` — the paper's protocol-translator case study and a
   library of classic asynchronous modules.
-* :mod:`repro.io` — astg (.g) / DOT / JSON interchange.
+* :mod:`repro.io` — astg (.g) / DOT / JSON / PNML / TINA interchange.
+* :mod:`repro.cache` — the content-addressed verdict and algebra cache.
+* :mod:`repro.bench` — the corpus differential harness behind
+  ``cip bench``.
+* :mod:`repro.obs` — spans, counters and gauges for every layer.
 """
 
-from repro.algebra import (
-    choice,
-    hide,
-    hide_to_epsilon,
-    nil,
-    parallel,
-    prefix,
-    rename,
-)
-from repro.petri import Marking, PetriNet, ReachabilityGraph, Transition
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "Marking",
-    "PetriNet",
-    "ReachabilityGraph",
-    "Transition",
-    "choice",
-    "hide",
-    "hide_to_epsilon",
-    "nil",
-    "parallel",
-    "prefix",
-    "rename",
-    "__version__",
-]

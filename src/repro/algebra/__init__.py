@@ -16,49 +16,3 @@ unfolding, no restriction to safe nets:
 * :func:`~repro.algebra.dead.remove_dead_transitions` — the post-
   composition cleanup of Section 5.2.
 """
-
-from repro.algebra.choice import choice, root_unwinding
-from repro.algebra.compose import parallel
-from repro.algebra.dead import (
-    drop_sink_places,
-    remove_dead_transitions,
-    remove_unreachable_places,
-    trim,
-)
-from repro.algebra.hide import (
-    ContractionError,
-    DivergenceError,
-    hide,
-    hide_to_epsilon,
-    hide_transition,
-)
-from repro.algebra.operators import nil, prefix, rename, sequence_net
-from repro.algebra.reductions import (
-    contract_epsilon_transitions,
-    fuse_series_places,
-    reduce,
-    remove_noop_transitions,
-)
-
-__all__ = [
-    "ContractionError",
-    "DivergenceError",
-    "choice",
-    "contract_epsilon_transitions",
-    "drop_sink_places",
-    "fuse_series_places",
-    "reduce",
-    "remove_noop_transitions",
-    "hide",
-    "hide_to_epsilon",
-    "hide_transition",
-    "nil",
-    "parallel",
-    "prefix",
-    "remove_dead_transitions",
-    "remove_unreachable_places",
-    "rename",
-    "root_unwinding",
-    "sequence_net",
-    "trim",
-]

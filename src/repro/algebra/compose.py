@@ -38,7 +38,13 @@ def parallel(
         synchronize.
     """
     with obs.span("algebra.parallel", left=n1.name, right=n2.name) as span:
-        result = _parallel(n1, n2, synchronize_on)
+        left, right = disjoint_pair(n1, n2)
+        common = (
+            set(synchronize_on)
+            if synchronize_on is not None
+            else left.actions & right.actions
+        )
+        result = fuse(left, right, common)
         span.set(
             places_before=len(n1.places) + len(n2.places),
             places_after=len(result.places),
@@ -48,17 +54,15 @@ def parallel(
         return result
 
 
-def _parallel(
-    n1: PetriNet,
-    n2: PetriNet,
-    synchronize_on: Iterable[Action] | None = None,
-) -> PetriNet:
-    n1, n2 = disjoint_pair(n1, n2)
-    common = (
-        set(synchronize_on)
-        if synchronize_on is not None
-        else n1.actions & n2.actions
-    )
+def fuse(n1: PetriNet, n2: PetriNet, common: set[Action]) -> PetriNet:
+    """The transition fusion of Definition 4.7 on two nets whose places
+    and transition ids are already disjoint (see
+    :func:`~repro.petri.net.disjoint_pair`): every transition on an
+    action outside ``common`` is kept, and every pair of same-action
+    transitions on an action in ``common`` becomes one transition.
+    Input-arc guards follow their arcs, and the operands' token-bound
+    weightings are unioned.  Unlike :func:`parallel` it emits no span,
+    so a caller that spans its own composition counts it once."""
     result = PetriNet(
         f"({n1.name}||{n2.name})",
         n1.actions | n2.actions,

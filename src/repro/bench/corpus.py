@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.cache import verdicts
+from repro.cache.content import net_content_hash, semantic_key
 from repro.io.formats import FORMATS, load_stg
 from repro.obs import metrics as obs
 from repro.obs.emit import validate_metrics
@@ -512,9 +513,9 @@ def run_instance(
     if verdicts.memo_enabled(net):
         from repro.petri.product import DEFAULT_PROVISO
 
-        key = verdicts.semantic_key(
+        key = semantic_key(
             "bench",
-            verdicts.net_content_hash(net),
+            net_content_hash(net),
             list(engines),
             DEFAULT_PROVISO,
         )

@@ -30,27 +30,3 @@ a caller opts in (:func:`repro.cache.store.activated`, the CLI's
 ``--cache-dir``/``--no-cache`` flags, or the ``CIP_CACHE_DIR`` /
 ``CIP_NO_CACHE`` environment variables).
 """
-
-from repro.cache.content import (
-    derived_key,
-    net_content_hash,
-    semantic_key,
-    stg_content_hash,
-)
-from repro.cache.store import (
-    ArtifactStore,
-    activated,
-    active_store,
-    default_cache_dir,
-)
-
-__all__ = [
-    "ArtifactStore",
-    "activated",
-    "active_store",
-    "default_cache_dir",
-    "derived_key",
-    "net_content_hash",
-    "semantic_key",
-    "stg_content_hash",
-]

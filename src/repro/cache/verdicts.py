@@ -33,12 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.cache.content import (  # noqa: F401  (re-exported for wiring)
-    hashable,
-    net_content_hash,
-    semantic_key,
-    stg_content_hash,
-)
+from repro.cache.content import hashable, net_content_hash, semantic_key
 from repro.cache.store import active_store
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet

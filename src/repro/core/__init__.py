@@ -10,62 +10,3 @@
 * :mod:`repro.core.synthesis` — compositional, environment-driven
   reduction (Section 5.2, Theorem 5.1).
 """
-
-from repro.core.channels import (
-    Encoding,
-    dual_rail,
-    is_channel_action,
-    m_of_n,
-    matching_action,
-    one_hot,
-    parse_channel_action,
-    receive,
-    send,
-)
-from repro.core.cip import ChannelSpec, Cip, WireSpec
-from repro.core.circuit import Circuit, circuit, compose_many, interface
-from repro.core.expansion import (
-    channel_wires,
-    expand_cip,
-    expand_module,
-    expand_transition,
-    four_phase_stages,
-    two_phase_stages,
-)
-from repro.core.synthesis import (
-    ReductionReport,
-    compositional_reduction,
-    reduction_report,
-    simplify_against_environment,
-    verify_theorem_51,
-)
-
-__all__ = [
-    "ChannelSpec",
-    "Cip",
-    "Circuit",
-    "Encoding",
-    "ReductionReport",
-    "WireSpec",
-    "channel_wires",
-    "circuit",
-    "compose_many",
-    "compositional_reduction",
-    "dual_rail",
-    "expand_cip",
-    "expand_module",
-    "expand_transition",
-    "four_phase_stages",
-    "interface",
-    "is_channel_action",
-    "m_of_n",
-    "matching_action",
-    "one_hot",
-    "parse_channel_action",
-    "receive",
-    "reduction_report",
-    "send",
-    "simplify_against_environment",
-    "two_phase_stages",
-    "verify_theorem_51",
-]

@@ -1,69 +1,1 @@
 """Interchange formats: astg ``.g``, Graphviz DOT, JSON, PNML, TINA ``.net``."""
-
-from repro.io.astg import (
-    AstgFormatError,
-    load_astg,
-    parse_astg,
-    save_astg,
-    write_astg,
-)
-from repro.io.dot import cip_to_dot, net_to_dot, stg_to_dot
-from repro.io.formats import FORMATS, FormatError, format_of, load_stg, save_stg
-from repro.io.json_io import (
-    dumps,
-    load,
-    loads,
-    net_from_dict,
-    net_to_dict,
-    save,
-    stg_from_dict,
-    stg_to_dict,
-)
-from repro.io.pnml import (
-    PnmlFormatError,
-    load_pnml,
-    parse_pnml,
-    save_pnml,
-    write_pnml,
-)
-from repro.io.tina import (
-    TinaFormatError,
-    load_tina,
-    parse_tina,
-    save_tina,
-    write_tina,
-)
-
-__all__ = [
-    "AstgFormatError",
-    "FORMATS",
-    "FormatError",
-    "PnmlFormatError",
-    "TinaFormatError",
-    "cip_to_dot",
-    "dumps",
-    "format_of",
-    "load",
-    "load_astg",
-    "load_pnml",
-    "load_stg",
-    "load_tina",
-    "loads",
-    "net_from_dict",
-    "net_to_dict",
-    "net_to_dot",
-    "parse_astg",
-    "parse_pnml",
-    "parse_tina",
-    "save",
-    "save_astg",
-    "save_pnml",
-    "save_stg",
-    "save_tina",
-    "stg_from_dict",
-    "stg_to_dict",
-    "stg_to_dot",
-    "write_astg",
-    "write_pnml",
-    "write_tina",
-]

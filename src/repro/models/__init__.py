@@ -6,7 +6,3 @@
 * :mod:`repro.models.library` — handshake components, C-element,
   toggle, 2-phase pipeline stages, and a general-net arbiter.
 """
-
-from repro.models import library, paper_figures, protocol_translator
-
-__all__ = ["library", "paper_figures", "protocol_translator"]

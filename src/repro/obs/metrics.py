@@ -89,14 +89,7 @@ class MetricsRecorder:
         if value > self.gauges.get(name, float("-inf")):
             self.gauges[name] = value
 
-    # -- queries ------------------------------------------------------------
-
-    def span_named(self, name: str) -> SpanRecord | None:
-        """The most recent span with this name (``None`` if absent)."""
-        for span in reversed(self.spans):
-            if span.name == name:
-                return span
-        return None
+    # -- export -------------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
         """The documented JSON payload (see ``docs/OBSERVABILITY.md``)."""

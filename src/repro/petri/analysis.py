@@ -60,12 +60,11 @@ def analyze(net: PetriNet, max_states: int = 1_000_000) -> NetProperties:
     proving one, and a budget abort only at exactly the recorded budget.
     """
     from repro.cache import verdicts
+    from repro.cache.content import net_content_hash, semantic_key
 
     cache_key: str | None = None
     if verdicts.memo_enabled(net):
-        cache_key = verdicts.semantic_key(
-            "analyze", verdicts.net_content_hash(net)
-        )
+        cache_key = semantic_key("analyze", net_content_hash(net))
         entry = verdicts.memo_lookup(
             verdicts.KIND, cache_key, max_states=max_states
         )

@@ -939,26 +939,6 @@ class CompiledSpace:
         if self._dfs is not None:
             self._dfs.run_to_completion()
 
-    def iter_dfs(self):
-        """Packed states in depth-first discovery order: the streaming
-        walk of the stack-proviso driver when one is active, otherwise a
-        plain depth-first traversal over :meth:`successors`."""
-        if self._dfs is not None:
-            yield from self._dfs.iterate()
-            return
-        yield self.initial
-        seen = {self.initial}
-        stack = [iter(self.successors(self.initial))]
-        while stack:
-            for _, _, target in stack[-1]:
-                if target not in seen:
-                    seen.add(target)
-                    yield target
-                    stack.append(iter(self.successors(target)))
-                    break
-            else:
-                stack.pop()
-
     # -- queries -----------------------------------------------------------
 
     def num_states(self) -> int:

@@ -56,12 +56,11 @@ of a :class:`repro.petri.compiled.CompiledSpace`, and
 
 Because the proviso is a property of the *whole* depth-first search,
 a reduced space driven by this module is explored in full on the first
-demand (``successors`` / ``iter_bfs`` force the walk to completion);
-:meth:`StackProvisoDfs.walk` is the streaming entry point for
-early-exit consumers such as the receptiveness search.  A walk
-abandoned mid-way leaves a sound-but-unfinished graph; the next walk
-re-traverses the recorded expansions, re-checks the proviso against
-its own stack, and finishes the job.
+demand: ``successors`` and ``iter_bfs`` run :meth:`StackProvisoDfs.walk`
+to completion.  A walk that the ``max_states`` budget cut short leaves
+a sound-but-unfinished graph; the next walk re-traverses the recorded
+expansions, re-checks the proviso against its own stack, and finishes
+the job.
 """
 
 from __future__ import annotations
@@ -166,13 +165,6 @@ class StackProvisoDfs:
         if not self.complete:
             for _ in self.walk():
                 pass
-
-    def iterate(self) -> Iterator:
-        """States in discovery order: a live walk when exploration is
-        unfinished, a replay of the recorded order afterwards."""
-        if self.complete:
-            return iter(tuple(self._core._parent))
-        return self.walk()
 
     def walk(self) -> Iterator:
         """Run (or resume) the depth-first exploration, yielding each

@@ -214,9 +214,8 @@ class LazyStateSpace:
     with sleep sets pruning already-covered commutations on top.
     Because that argument is a property of the whole search, a
     ``"stack"``-reduced space is explored to completion on the first
-    demand (``successors``/``iter_bfs`` force it); :meth:`iter_dfs` is
-    the streaming traversal for early-exit consumers, and failure
-    traces are firable but no longer shortest.  ``"fresh"`` is the
+    demand (``successors``/``iter_bfs`` force it), and failure traces
+    are firable but no longer shortest.  ``"fresh"`` is the
     original on-demand proviso — accept a reduced expansion only when
     every reduced successor is new — which keeps per-state laziness
     (and BFS-shortest traces) but re-expands every pure cycle.
@@ -313,11 +312,6 @@ class LazyStateSpace:
         """``True`` when stubborn-set partial-order reduction is active."""
         return self._selector is not None
 
-    @property
-    def _stack_driven(self) -> bool:
-        """``True`` when the DFS-stack proviso drives the exploration."""
-        return self._selector is not None and self.proviso == "stack"
-
     def successors(self, marking: Marking) -> tuple[tuple[str, int, Marking], ...]:
         """Outgoing edges of a state as ``(action, tid, target)`` triples,
         computed on first request and memoised.
@@ -350,9 +344,7 @@ class LazyStateSpace:
         are expanded), so a consumer checking a predicate per state can
         stop strictly earlier than any full construction.  Under the
         stack proviso the reduced graph is explored (depth-first) in
-        full first and this is a breadth-first replay — use
-        :meth:`iter_discovery` for the traversal that streams states as
-        the active exploration finds them.
+        full first and this is a breadth-first replay of it.
         """
         decode = self.decode
         for state in self.iter_raw():
@@ -379,33 +371,6 @@ class LazyStateSpace:
                     if len(queue) > stats.frontier_peak:
                         stats.frontier_peak = len(queue)
                     yield target
-
-    def iter_dfs(self) -> Iterator[Marking]:
-        """Yield reachable markings in depth-first discovery order.
-
-        Under the stack proviso this is the *native* traversal: states
-        stream out as the reduced DFS discovers them, so an
-        early-exiting consumer (the receptiveness search) can stop
-        before the full reduced space is built.  On every other
-        configuration it is a plain depth-first walk over
-        :meth:`successors`.
-        """
-        decode = self.decode
-        for state in self._core.iter_dfs():
-            yield decode(state)
-
-    def iter_discovery(self) -> Iterator[Marking]:
-        """States in the order the active exploration discovers them.
-
-        This is the traversal early-exit consumers should use: it
-        streams from the reduced DFS walk when the stack proviso drives
-        exploration, and is plain :meth:`iter_bfs` otherwise — in both
-        cases a failure found after *k* yields means only *k* (plus the
-        current expansion) states were materialised.
-        """
-        if self._stack_driven:
-            return self.iter_dfs()
-        return self.iter_bfs()
 
     def walk(self) -> Iterator:
         """Breadth-first exploration that keeps no successor rows:
@@ -480,10 +445,6 @@ class LazyStateSpace:
             else marking
         )
         return self._core.trace_to(packed)
-
-    def action_trace(self, marking: Marking) -> tuple[str, ...]:
-        """The action labels of :meth:`trace_to`."""
-        return tuple(action for _, action in self.trace_to(marking))
 
 
 # -- synchronous product ------------------------------------------------------

@@ -30,11 +30,6 @@ def bounded_language(net: PetriNet, depth: int) -> Language:
     return frozenset(firing_sequences(net, depth))
 
 
-def language_of_net(net: PetriNet, depth: int) -> Language:
-    """Alias of :func:`bounded_language` matching the paper's ``L(N)``."""
-    return bounded_language(net, depth)
-
-
 def observable(trace: Trace) -> Trace:
     """The trace with all epsilon (dummy) actions removed."""
     return tuple(action for action in trace if action != EPSILON)

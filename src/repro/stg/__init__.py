@@ -6,107 +6,3 @@ stable / unstable / don't-care kinds of [9], arcs may carry boolean
 guards on signal levels, and the reachable states carry three-valued
 signal encodings.
 """
-
-from repro.stg.coding import (
-    CodingReport,
-    coding_report,
-    csc_conflicts,
-    is_synthesizable,
-    usc_conflicts,
-)
-from repro.stg.csc_resolution import (
-    CscResolutionError,
-    Insertion,
-    insert_in_series,
-    resolve_csc,
-)
-from repro.stg.guards import (
-    FALSE,
-    TRUE,
-    And,
-    Const,
-    Guard,
-    Lit,
-    Not,
-    Or,
-    lit,
-    parse_guard,
-)
-from repro.stg.signals import (
-    EdgeKind,
-    SignalEvent,
-    dont_care,
-    event,
-    fall,
-    is_signal_action,
-    parse_event,
-    rise,
-    signal_of,
-    signals_of_net_actions,
-    stable,
-    toggle,
-    unstable,
-)
-from repro.stg.state_graph import (
-    ConsistencyViolation,
-    StateGraph,
-    StgState,
-    build_state_graph,
-    is_consistent,
-)
-from repro.stg.stg import (
-    Stg,
-    compose,
-    hide_signals,
-    hide_signals_to_epsilon,
-    mirror,
-    rename_signal,
-    signal_actions,
-)
-
-__all__ = [
-    "And",
-    "CodingReport",
-    "CscResolutionError",
-    "Insertion",
-    "insert_in_series",
-    "resolve_csc",
-    "coding_report",
-    "csc_conflicts",
-    "is_synthesizable",
-    "usc_conflicts",
-    "Const",
-    "ConsistencyViolation",
-    "EdgeKind",
-    "FALSE",
-    "Guard",
-    "Lit",
-    "Not",
-    "Or",
-    "SignalEvent",
-    "StateGraph",
-    "Stg",
-    "StgState",
-    "TRUE",
-    "build_state_graph",
-    "compose",
-    "dont_care",
-    "event",
-    "fall",
-    "hide_signals",
-    "hide_signals_to_epsilon",
-    "is_consistent",
-    "is_signal_action",
-    "lit",
-    "mirror",
-    "parse_event",
-    "parse_guard",
-    "rename_signal",
-    "rise",
-    "signal_actions",
-    "signal_of",
-    "signals_of_net_actions",
-    "stable",
-    "toggle",
-    "unstable",
-]

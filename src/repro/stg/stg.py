@@ -216,15 +216,43 @@ def reject_common_outputs(stg1: Stg, stg2: Stg) -> None:
         )
 
 
+def synchronized_actions(stg1: Stg, stg2: Stg) -> set[str]:
+    """The actions on which ``stg1 || stg2`` fuses transitions: every
+    event of every *common signal* (an event of a shared wire is seen by
+    both modules; if one of them has no matching transition the event
+    is simply impossible), and every non-signal, non-epsilon label the
+    two alphabets share (abstract channel events, which synchronize by
+    plain rendez-vous as in Definition 4.7)."""
+    common_signals = stg1.signals() & stg2.signals()
+    sync = signal_actions(stg1.net.actions | stg2.net.actions, common_signals)
+    sync |= {
+        action
+        for action in stg1.net.actions & stg2.net.actions
+        if action != EPSILON and signal_of(action) is None
+    }
+    return sync
+
+
+def with_interface(net: PetriNet, stg1: Stg, stg2: Stg) -> Stg:
+    """``net``, the fusion of the two modules' nets, as an STG with their
+    composite interface: common input signals stay inputs; a signal
+    that is an output on one side and an input on the other becomes an
+    output (``I = (I1 | I2) \\ (O1 | O2)``); initial levels are merged."""
+    outputs = stg1.outputs | stg2.outputs
+    inputs = (stg1.inputs | stg2.inputs) - outputs
+    internals = stg1.internals | stg2.internals
+    values = dict(stg1.initial_values)
+    values.update(stg2.initial_values)
+    return Stg(net, inputs, outputs, internals, values)
+
+
 def compose(stg1: Stg, stg2: Stg) -> Stg:
     """Circuit-algebra parallel composition of STGs (Section 5.1).
 
-    The nets synchronize on every event of every *common signal* (an
-    event of a shared wire is seen by both modules; if one of them has
-    no matching transition the event is simply impossible).  Common
-    input signals stay inputs of the composite; a signal that is an
-    output on one side and an input on the other becomes an output
-    (``I = (I1 | I2) \\ (O1 | O2)``); common *outputs* are an error.
+    The nets fuse on :func:`synchronized_actions` and the result gets
+    the composite interface of :func:`with_interface`.  Common
+    *outputs*, and a shared signal whose initial levels differ, are an
+    error.
     """
     reject_common_outputs(stg1, stg2)
     for signal in stg1.signals() & stg2.signals():
@@ -233,23 +261,10 @@ def compose(stg1: Stg, stg2: Stg) -> Stg:
                 f"initial value mismatch on shared signal {signal!r}:"
                 f" {stg1.level(signal)} vs {stg2.level(signal)}"
             )
-    common_signals = stg1.signals() & stg2.signals()
-    sync = signal_actions(stg1.net.actions | stg2.net.actions, common_signals)
-    # Abstract channel events (and any other non-signal, non-epsilon
-    # labels) synchronize by plain rendez-vous on the alphabet
-    # intersection, as in Definition 4.7.
-    sync |= {
-        action
-        for action in stg1.net.actions & stg2.net.actions
-        if action != EPSILON and signal_of(action) is None
-    }
-    net = parallel(stg1.net, stg2.net, synchronize_on=sync)
-    outputs = stg1.outputs | stg2.outputs
-    inputs = (stg1.inputs | stg2.inputs) - outputs
-    internals = stg1.internals | stg2.internals
-    values = dict(stg1.initial_values)
-    values.update(stg2.initial_values)
-    return Stg(net, inputs, outputs, internals, values)
+    net = parallel(
+        stg1.net, stg2.net, synchronize_on=synchronized_actions(stg1, stg2)
+    )
+    return with_interface(net, stg1, stg2)
 
 
 def hide_signals(stg: Stg, signals: Iterable[str], fast_path: bool = True) -> Stg:

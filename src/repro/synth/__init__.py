@@ -6,60 +6,3 @@ graph, two-level minimization, complex-gate and C-element
 implementation styles, and a closed-loop simulator validating the
 synthesized logic against its specification.
 """
-
-from repro.synth.boolean import (
-    Cube,
-    SumOfProducts,
-    equivalent_on,
-    minimize,
-    prime_implicants,
-    truth_table,
-)
-from repro.synth.hazards import (
-    HazardViolation,
-    is_speed_independent,
-    monotonic_cover_violations,
-    set_reset_conflicts,
-)
-from repro.synth.implementation import (
-    CElementImplementation,
-    GateImplementation,
-    VerificationResult,
-    implementation_from_tables,
-    synthesize,
-    synthesize_c_elements,
-    verify_implementation,
-)
-from repro.synth.nextstate import (
-    CodingError,
-    NextStateTable,
-    next_state_tables,
-    tables_from_graph,
-)
-from repro.synth.simulate import SimulationTrace, simulate
-
-__all__ = [
-    "CElementImplementation",
-    "HazardViolation",
-    "is_speed_independent",
-    "monotonic_cover_violations",
-    "set_reset_conflicts",
-    "CodingError",
-    "Cube",
-    "GateImplementation",
-    "NextStateTable",
-    "SimulationTrace",
-    "SumOfProducts",
-    "VerificationResult",
-    "equivalent_on",
-    "implementation_from_tables",
-    "minimize",
-    "next_state_tables",
-    "prime_implicants",
-    "simulate",
-    "synthesize",
-    "synthesize_c_elements",
-    "tables_from_graph",
-    "truth_table",
-    "verify_implementation",
-]

@@ -9,62 +9,3 @@
   failures semantics (refinement, deadlock traces), finer than the
   paper's trace semantics.
 """
-
-from repro.verify.conformance import (
-    ConformanceReport,
-    check_conformance,
-    conforms,
-)
-from repro.verify.equivalence import (
-    deadlock_traces,
-    failures,
-    failures_refines,
-    strongly_bisimilar,
-    weakly_bisimilar,
-)
-from repro.verify.language import (
-    Dfa,
-    dfa_contained,
-    dfa_equal,
-    dfa_of_net,
-    distinguishing_trace,
-    language_contained,
-    languages_equal,
-    minimize,
-)
-from repro.verify.isomorphism import isomorphic, place_bijection
-from repro.verify.receptiveness import (
-    ReceptivenessFailure,
-    ReceptivenessReport,
-    SyncObligation,
-    check_receptiveness,
-    check_receptiveness_with_hiding,
-    compose_with_obligations,
-)
-
-__all__ = [
-    "ConformanceReport",
-    "Dfa",
-    "check_conformance",
-    "conforms",
-    "isomorphic",
-    "place_bijection",
-    "deadlock_traces",
-    "failures",
-    "failures_refines",
-    "strongly_bisimilar",
-    "weakly_bisimilar",
-    "ReceptivenessFailure",
-    "ReceptivenessReport",
-    "SyncObligation",
-    "check_receptiveness",
-    "check_receptiveness_with_hiding",
-    "compose_with_obligations",
-    "dfa_contained",
-    "dfa_equal",
-    "dfa_of_net",
-    "distinguishing_trace",
-    "language_contained",
-    "languages_equal",
-    "minimize",
-]

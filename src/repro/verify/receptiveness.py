@@ -34,12 +34,17 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
+from repro.algebra.compose import fuse
 from repro.obs import metrics as obs
-from repro.petri.compiled import propose_union_weights
 from repro.petri.marking import Marking
-from repro.petri.net import EPSILON, PetriNet, disjoint_pair
+from repro.petri.net import disjoint_pair
 from repro.stg.signals import signal_of
-from repro.stg.stg import Stg, reject_common_outputs, signal_actions
+from repro.stg.stg import (
+    Stg,
+    reject_common_outputs,
+    synchronized_actions,
+    with_interface,
+)
 
 
 @dataclass(frozen=True)
@@ -170,29 +175,13 @@ def compose_with_obligations(
 def _compose_with_obligations(
     stg1: Stg, stg2: Stg
 ) -> tuple[Stg, list[SyncObligation]]:
+    """The composite of :func:`repro.stg.stg.compose`, fused the same
+    way, without its initial-level check: modules whose shared signals
+    start at different levels are still checked."""
     reject_common_outputs(stg1, stg2)
     n1, n2 = disjoint_pair(stg1.net, stg2.net)
-    common_signals = stg1.signals() & stg2.signals()
-    sync_actions = signal_actions(n1.actions | n2.actions, common_signals)
-    sync_actions |= {
-        a
-        for a in n1.actions & n2.actions
-        if a != EPSILON and signal_of(a) is None
-    }
-    net = PetriNet(
-        f"({stg1.name}||{stg2.name})",
-        n1.actions | n2.actions,
-        n1.places | n2.places,
-        n1.initial.add(
-            place for place, count in n2.initial.items() for _ in range(count)
-        ),
-    )
-    for source in (n1, n2):
-        for _, transition in sorted(source.transitions.items()):
-            if transition.action not in sync_actions:
-                net.add_transition(
-                    transition.preset, transition.action, transition.postset
-                )
+    sync_actions = synchronized_actions(stg1, stg2)
+    net = fuse(n1, n2, sync_actions)
     obligations: list[SyncObligation] = []
     for action in sorted(sync_actions):
         signal = signal_of(action)
@@ -205,11 +194,6 @@ def _compose_with_obligations(
             first_is_producer = True
         parts1 = n1.transitions_with_action(action)
         parts2 = n2.transitions_with_action(action)
-        for t1 in parts1:
-            for t2 in parts2:
-                net.add_transition(
-                    t1.preset | t2.preset, action, t1.postset | t2.postset
-                )
         producer_parts, consumer_parts = (
             (parts1, parts2) if first_is_producer else (parts2, parts1)
         )
@@ -228,14 +212,7 @@ def _compose_with_obligations(
                     consumer_presets=tuple(t.preset for t in consumer_parts),
                 )
             )
-    propose_union_weights(net, n1, n2)
-    outputs = stg1.outputs | stg2.outputs
-    inputs = (stg1.inputs | stg2.inputs) - outputs
-    internals = stg1.internals | stg2.internals
-    values = dict(stg1.initial_values)
-    values.update(stg2.initial_values)
-    composite = Stg(net, inputs, outputs, internals, values)
-    return composite, obligations
+    return with_interface(net, stg1, stg2), obligations
 
 
 def _first_failures(
@@ -557,13 +534,14 @@ def _receptiveness_key(
     retires the entries written while ``structural`` trusted a float
     LP, whose "not receptive" could rest on an unreachable marking."""
     from repro.cache import verdicts
+    from repro.cache.content import semantic_key, stg_content_hash
 
     if not verdicts.memo_enabled(stg1.net, stg2.net):
         return None
-    return verdicts.semantic_key(
+    return semantic_key(
         "receptiveness",
-        verdicts.stg_content_hash(stg1),
-        verdicts.stg_content_hash(stg2),
+        stg_content_hash(stg1),
+        stg_content_hash(stg2),
         method,
         engine,
         bool(stop_at_first),

@@ -5,7 +5,8 @@ selector proposes the *same* subset at the same marking every time.
 These tests pin that contract end to end:
 
 * the full explored-state *sequence* (not just the set) of a reduced
-  exploration is identical run over run, under both provisos;
+  exploration, with every state's successor row, is identical run over
+  run, under both provisos;
 * :meth:`StubbornSelector._scapegoat` — the one spot where a sloppy
   implementation could consult set iteration order — is a pure
   function of the net and the marking: shuffling the declaration order
@@ -40,16 +41,18 @@ def channel_bank(channels: int):
     return compose_many(modules)
 
 
-def discovery_sequence(net, proviso: str) -> list[Marking]:
+def discovery_sequence(net, proviso: str) -> list[tuple[Marking, tuple]]:
+    """Breadth-first discovery order, each state with its reduced
+    successor row."""
     space = LazyStateSpace(
         net,
         reduction=True,
         visible_actions=(),
         proviso=proviso,
     )
-    sequence = list(space.iter_discovery())
-    assert len(sequence) == space.num_explored()
-    return sequence
+    states = list(space.iter_bfs())
+    assert len(states) == space.num_explored()
+    return [(state, space.successors(state)) for state in states]
 
 
 class TestRunToRunDeterminism:

@@ -1,17 +1,11 @@
 """Tests for receptiveness checking (Props 5.5/5.6, Thm 5.7)."""
 
-import os
-import shutil
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.models.library import four_phase_master, four_phase_slave
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
-from repro.stg.stg import Stg
+from repro.stg.stg import Stg, compose
 from repro.verify.receptiveness import (
     check_receptiveness,
     check_receptiveness_with_hiding,
@@ -75,6 +69,53 @@ class TestComposeWithObligations:
     def test_common_outputs_rejected(self):
         with pytest.raises(ValueError):
             compose_with_obligations(four_phase_master(), four_phase_master())
+
+    @pytest.mark.parametrize("pair", ["S||T", "T||R", "I||T", "(S||T)||R"])
+    def test_composite_is_the_circuit_algebra_composition(self, pair):
+        """The composite the check explores is ``compose``'s, input-arc
+        guards included (the Fig 7 translator carries four)."""
+        from repro.models.protocol_translator import (
+            inconsistent_sender,
+            receiver,
+            sender,
+            translator,
+        )
+
+        modules = {
+            "S||T": (sender(), translator()),
+            "T||R": (translator(), receiver()),
+            "I||T": (inconsistent_sender(), translator()),
+            "(S||T)||R": (compose(sender(), translator()), receiver()),
+        }
+        a, b = modules[pair]
+        composite, _ = compose_with_obligations(a, b)
+        expected = compose(a, b)
+        assert composite.net.structurally_equal(expected.net)
+        assert composite.net.input_guards
+        assert composite.net.bound_weights == expected.net.bound_weights
+        assert (composite.inputs, composite.outputs, composite.internals) == (
+            expected.inputs,
+            expected.outputs,
+            expected.internals,
+        )
+
+    def test_each_composition_emits_one_algebra_span(self):
+        """Both fuse through one function, and each derived net is
+        counted once: ``algebra.compose`` for the check's composite,
+        ``algebra.parallel`` for ``compose``'s."""
+        from repro.obs import metrics as obs
+
+        def spans(build) -> list[str]:
+            with obs.record() as recorder:
+                build(four_phase_master(), four_phase_slave())
+            return [
+                span.name
+                for span in recorder.spans
+                if span.name.startswith("algebra.")
+            ]
+
+        assert spans(compose_with_obligations) == ["algebra.compose"]
+        assert spans(compose) == ["algebra.parallel"]
 
 
 class TestReachabilityMethod:
@@ -207,13 +248,14 @@ class TestExactStructuralPath:
 
     def test_store_written_by_the_float_lp_is_not_served(self, tmp_path):
         from repro.cache import verdicts
+        from repro.cache.content import semantic_key, stg_content_hash
         from repro.cache.store import activated
 
         producer, consumer = token_pump_pair()
-        stale_key = verdicts.semantic_key(
+        stale_key = semantic_key(
             "receptiveness",
-            verdicts.stg_content_hash(producer),
-            verdicts.stg_content_hash(consumer),
+            stg_content_hash(producer),
+            stg_content_hash(consumer),
             "structural",
             False,
         )
@@ -285,85 +327,6 @@ class TestExactStructuralPath:
         assert report.method == "structural"
         assert (report.engine, report.states_explored) == ("-", None)
         assert report.symbolic is None
-
-    def test_default_check_never_imports_scipy(self):
-        import repro
-
-        source = str(Path(repro.__file__).resolve().parents[1])
-        script = (
-            "import sys\n"
-            "from repro.models.library import four_phase_master,"
-            " four_phase_slave\n"
-            "from repro.verify.receptiveness import check_receptiveness\n"
-            "report = check_receptiveness(four_phase_master(),"
-            " four_phase_slave())\n"
-            "assert report.method == 'structural', report.method\n"
-            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
-        )
-        path = os.environ.get("PYTHONPATH")
-        env = dict(
-            os.environ,
-            CIP_NO_CACHE="1",
-            PYTHONPATH=source if not path else f"{source}{os.pathsep}{path}",
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert completed.returncode == 0, completed.stderr
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "fig5_sender.net", "fig7_translator.net"],
-            ["info", "fig7_translator.net"],
-            [
-                "simplify",
-                "fig7_translator.net",
-                "fig5_sender.net",
-                "-o",
-                "simplified.net",
-            ],
-            ["bench", "modules"],
-        ],
-        ids=["verify", "info", "simplify", "bench"],
-    )
-    def test_cli_never_imports_scipy(self, argv, tmp_path):
-        """The token-bound certificate of every compiled net comes from
-        conservation, inheritance or the weighting search, so no
-        subcommand on the case-study modules loads scipy."""
-        import repro
-
-        source = str(Path(repro.__file__).resolve().parents[1])
-        corpus = Path(__file__).resolve().parents[1] / "corpus"
-        args = [
-            str(corpus / arg) if arg.startswith("fig") else arg for arg in argv
-        ]
-        (tmp_path / "modules").mkdir()
-        shutil.copy(corpus / "fig5_sender.net", tmp_path / "modules")
-        script = (
-            "import sys\n"
-            "from repro.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
-            "sys.exit(code)\n"
-        )
-        path = os.environ.get("PYTHONPATH")
-        env = dict(
-            os.environ,
-            CIP_NO_CACHE="1",
-            PYTHONPATH=source if not path else f"{source}{os.pathsep}{path}",
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", script, *args],
-            env=env,
-            cwd=tmp_path,
-            capture_output=True,
-            text=True,
-        )
-        assert completed.returncode == 0, completed.stderr
 
 
 class TestHidePrimeRefinement:
